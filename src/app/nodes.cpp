@@ -287,15 +287,14 @@ void DualRadioNode::on_high_rx(const net::Message& msg,
 
 void crash_node(ForwardingNode* fwd, DualRadioNode* dual,
                 DutyCycledWifiNode* duty, net::NodeId node,
-                net::LinkState* low_links, net::LinkState* high_links) {
+                net::LinkState* links) {
   BCP_REQUIRE_MSG((fwd != nullptr) + (dual != nullptr) + (duty != nullptr) ==
                       1,
                   "crash_node takes exactly one node assembly");
   if (fwd != nullptr) fwd->crash();
   if (dual != nullptr) dual->crash();
   if (duty != nullptr) duty->crash();
-  if (low_links != nullptr) low_links->set_node_up(node, false);
-  if (high_links != nullptr) high_links->set_node_up(node, false);
+  if (links != nullptr) links->set_node_up(node, false);
 }
 
 }  // namespace bcp::app

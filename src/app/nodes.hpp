@@ -189,11 +189,11 @@ class DualRadioNode final : public core::BcpHost {
 /// The one crash teardown shared by fault-plan crashes and battery
 /// deaths: crash the node assembly (exactly one of `fwd`/`dual`/`duty`
 /// is non-null — whichever the scenario's evaluation model built for
-/// `node`) and take the node down in every non-null LinkState so
+/// `node`) and, when `links` is non-null, take the node down there so
 /// channels stop delivering to it and routing re-converges. Idempotent,
 /// like the crash() members it funnels into.
 void crash_node(ForwardingNode* fwd, DualRadioNode* dual,
                 DutyCycledWifiNode* duty, net::NodeId node,
-                net::LinkState* low_links, net::LinkState* high_links);
+                net::LinkState* links);
 
 }  // namespace bcp::app

@@ -1,23 +1,18 @@
 #include "app/scenario.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
+#include <vector>
 
-#include "app/duty_cycle.hpp"
-#include "app/nodes.hpp"
+#include "app/partition.hpp"
 #include "app/scenario_detail.hpp"
-#include "app/workload.hpp"
-#include "mac/mac_params.hpp"
-#include "mac/tdma_mac.hpp"
-#include "net/routing.hpp"
-#include "net/topology.hpp"
 #include "phy/channel.hpp"
+#include "phy/sharded_channel.hpp"
+#include "sim/sharded_simulator.hpp"
 #include "sim/simulator.hpp"
 #include "util/assert.hpp"
-#include "util/rng.hpp"
 
 namespace bcp::app {
 
@@ -59,617 +54,387 @@ ScenarioConfig ScenarioConfig::multi_hop(EvalModel model, int senders,
   return cfg;
 }
 
+void ScenarioConfig::validate() const {
+  const int nodes = topology.node_count();
+  BCP_REQUIRE(nodes >= 2);
+  BCP_REQUIRE(duration > 0);
+  BCP_REQUIRE(rate_bps > 0);
+  BCP_REQUIRE(packet_bits > 0);
+  BCP_REQUIRE(burst_packets > 0);
+  BCP_REQUIRE_MSG(n_senders >= 1 && n_senders <= nodes - 1,
+                  "sender count must be in [1, nodes-1]");
+  BCP_REQUIRE_MSG(shards >= 1, "shard count must be >= 1");
+  // ShardMap::stripes would clamp a too-large shard count silently; a
+  // scenario asking for more stripes than nodes fails loudly instead
+  // (benches that sweep node counts clamp per cell and record the
+  // effective count in their meta).
+  BCP_REQUIRE_MSG(shards <= nodes,
+                  "shard count must not exceed the node count");
+  BCP_REQUIRE_MSG(sim_threads >= 0, "sim_threads must be >= 0");
+  BCP_REQUIRE(shards == 1 || shard_window > 0);
+  // The slotted MAC family presumes a radio that is awake for its slots,
+  // which the BCP-managed 802.11 radio and the duty-cycled strawman are
+  // not.
+  sensor_mac.validate();
+  wifi_mac.validate();
+  BCP_REQUIRE_MSG(!wifi_mac.is_tdma() || model == EvalModel::kWifi,
+                  "TDMA on the 802.11 radio requires the always-on kWifi "
+                  "model");
+  BCP_REQUIRE_MSG(shards == 1 || (!sensor_mac.is_tdma() && !wifi_mac.is_tdma()),
+                  "TDMA is not supported on the sharded engine (beacon "
+                  "relay across stripes would race the slot clock)");
+  BCP_REQUIRE_MSG(faults.empty() || model != EvalModel::kWifiDutyCycled,
+                  "fault injection is not supported for the duty-cycled "
+                  "802.11 strawman");
+  battery.validate();
+  BCP_REQUIRE_MSG(
+      route_policy == net::RoutePolicy::kShortestPath || battery.enabled,
+      "lifetime-aware routing requires an enabled battery");
+  if (model == EvalModel::kWifiDutyCycled) {
+    BCP_REQUIRE_MSG(duty_cycle > 0 && duty_cycle <= 1.0,
+                    "duty cycle must be in (0, 1]");
+    BCP_REQUIRE_MSG(duty_period > 0, "duty period must be positive");
+  }
+}
+
 namespace detail {
 
-void accumulate(RadioEnergyTotals& t, const energy::EnergyMeter& meter) {
-  using energy::EnergyCategory;
-  t.tx += meter.energy(EnergyCategory::kTx);
-  t.rx += meter.energy(EnergyCategory::kRx);
-  t.overhear += meter.energy(EnergyCategory::kOverhear);
-  t.idle += meter.energy(EnergyCategory::kIdle);
-  t.wakeup += meter.energy(EnergyCategory::kWaking);
+namespace {
+
+void merge_energy(RadioEnergyTotals& total, const RadioEnergyTotals& part) {
+  total.tx += part.tx;
+  total.rx += part.rx;
+  total.overhear += part.overhear;
+  total.idle += part.idle;
+  total.wakeup += part.wakeup;
 }
 
-double per_kbit(util::Joules e, util::Bits delivered_bits) {
-  if (delivered_bits <= 0) return 0.0;
-  return e / (static_cast<double>(delivered_bits) / 1000.0);
-}
+}  // namespace
 
-void classify_drop(RunMetrics& m, const char* reason) {
-  if (std::strcmp(reason, "buffer-full") == 0)
-    ++m.dropped_buffer;
-  else if (std::strcmp(reason, "queue-full") == 0)
-    ++m.dropped_queue;
-  else if (std::strcmp(reason, "mac-failed") == 0)
-    ++m.dropped_mac;
-  else if (std::strcmp(reason, "node-down") == 0)
-    ++m.dropped_node_down;
-  else
-    ++m.dropped_no_route;
-}
+void merge_metrics(RunMetrics& total, const RunMetrics& part) {
+  // Field-coverage tripwire: adding a RunMetrics field changes this size,
+  // and the build fails here until the field gets a merge rule below (and
+  // a case in the merge-coverage test). Update the expected size last.
+  static_assert(sizeof(void*) != 8 || sizeof(RunMetrics) == 448,
+                "RunMetrics changed: give every new field a merge rule in "
+                "detail::merge_metrics and tests/merge_metrics_test.cpp's "
+                "coverage case, then update this expected size");
 
-std::unique_ptr<net::Router> build_routes(
-    const net::ConnectivityGraph& graph, net::NodeId sink, bool all_pairs,
-    const char* radio_name, const net::LinkState* links,
-    const net::DynamicRouting** dyn_out, net::RoutePolicy policy,
-    net::NodeCostFn cost) {
-  const std::vector<net::NodeId> stranded =
-      net::unreachable_from(graph, sink);
-  BCP_REQUIRE_MSG(stranded.empty(),
-                  std::string(radio_name) +
-                      "-radio topology is disconnected: " +
-                      std::to_string(stranded.size()) +
-                      " node(s) cannot reach sink " + std::to_string(sink) +
-                      ": " + net::format_node_list(stranded));
-  if (links != nullptr) {
-    auto dyn = std::make_unique<net::DynamicRouting>(
-        graph, sink, *links, all_pairs, policy, std::move(cost));
-    *dyn_out = dyn.get();
-    return dyn;
-  }
-  if (all_pairs)
-    return std::make_unique<net::RoutingTable>(graph);
-  return std::make_unique<net::ConvergecastRouting>(graph, sink);
-}
+  // Traffic counters: sum.
+  total.generated += part.generated;
+  total.delivered += part.delivered;
+  total.dropped_buffer += part.dropped_buffer;
+  total.dropped_queue += part.dropped_queue;
+  total.dropped_mac += part.dropped_mac;
+  total.dropped_no_route += part.dropped_no_route;
+  total.dropped_node_down += part.dropped_node_down;
 
-std::vector<net::NodeId> pick_senders(std::uint64_t seed, int n,
-                                      net::NodeId sink, int n_senders) {
-  std::vector<net::NodeId> candidates;
-  for (net::NodeId id = 0; id < n; ++id)
-    if (id != sink) candidates.push_back(id);
-  util::Xoshiro256 pick_rng(util::substream(seed, 3, 0x53454Eu));
-  for (std::size_t i = candidates.size(); i > 1; --i)
-    std::swap(candidates[i - 1], candidates[pick_rng.uniform_int(i)]);
-  candidates.resize(static_cast<std::size_t>(n_senders));
-  std::sort(candidates.begin(), candidates.end());
-  return candidates;
-}
+  // goodput, mean_delay, normalized_energy{,_sensor_ideal,_sensor_header}
+  // are derived ratios: recomputed from the merged sums by
+  // detail::finalize_metrics, never merged.
 
-phy::Channel::Params channel_params(const ScenarioConfig& config,
-                                    const energy::RadioEnergyModel& radio) {
-  phy::Channel::Params params{config.frame_loss_prob, config.propagation};
-  params.capture.enabled = config.capture_enabled;
-  params.capture.threshold_db = config.capture_threshold_db;
-  params.capture.noise_floor_dbm = radio.noise_floor_dbm;
-  return params;
-}
+  merge_energy(total.sensor_energy, part.sensor_energy);
+  merge_energy(total.wifi_energy, part.wifi_energy);
 
-void add_channel_stats(RunMetrics& m, const phy::Channel& channel) {
-  m.chan_frames += channel.stats().frames;
-  m.chan_rx_starts += channel.stats().rx_starts;
-  m.chan_rx_ends += channel.stats().deliveries_clean +
-                    channel.stats().deliveries_corrupt;
-  m.chan_rx_live_at_end += channel.live_arrivals();
-}
+  // Protocol/MAC counters: sum.
+  total.mac_tx_attempts += part.mac_tx_attempts;
+  total.mac_tx_failed += part.mac_tx_failed;
+  total.bcp_wakeups += part.bcp_wakeups;
+  total.bcp_handshakes_failed += part.bcp_handshakes_failed;
+  total.bcp_sender_sessions += part.bcp_sender_sessions;
+  total.bcp_receiver_timeouts += part.bcp_receiver_timeouts;
+  total.wifi_wakeup_transitions += part.wifi_wakeup_transitions;
+  total.wifi_on_seconds += part.wifi_on_seconds;
 
-void add_tdma_stats(RunMetrics& m, const mac::Mac& mc) {
-  if (const auto* tdma = dynamic_cast<const mac::TdmaMac*>(&mc)) {
-    m.tdma_beacons_sent += tdma->stats().beacons_sent;
-    m.tdma_beacons_heard += tdma->stats().beacons_heard;
-    m.tdma_slots_skipped += tdma->stats().slots_skipped_unsynced;
-  }
-}
+  total.events_processed += part.events_processed;
 
-void collect_forwarding(RunMetrics& m, ForwardingNode& node,
-                        bool charge_sensor, util::Seconds end) {
-  energy::EnergyMeter& meter = node.radio().meter();
-  meter.finalize(end);
-  accumulate(charge_sensor ? m.sensor_energy : m.wifi_energy, meter);
-  m.mac_tx_attempts += node.mac().stats().tx_attempts;
-  m.mac_tx_failed += node.mac().stats().tx_failed;
-  m.mac_crash_drops += node.mac().stats().crash_drops;
-  add_tdma_stats(m, node.mac());
-}
+  // Fault/churn counters: sum (each fault event is counted by exactly
+  // one shard — the one owning the event's primary node).
+  total.fault_node_crashes += part.fault_node_crashes;
+  total.fault_node_recoveries += part.fault_node_recoveries;
+  total.fault_recoveries_refused += part.fault_recoveries_refused;
+  total.fault_link_downs += part.fault_link_downs;
+  total.fault_link_ups += part.fault_link_ups;
+  total.route_rebuilds += part.route_rebuilds;
+  total.bcp_packets_lost_to_crash += part.bcp_packets_lost_to_crash;
+  total.mac_crash_drops += part.mac_crash_drops;
 
-void collect_duty(RunMetrics& m, DutyCycledWifiNode& node,
-                  util::Seconds end) {
-  energy::EnergyMeter& meter = node.radio().meter();
-  meter.finalize(end);
-  accumulate(m.wifi_energy, meter);
-  m.mac_tx_attempts += node.mac().stats().tx_attempts;
-  m.mac_tx_failed += node.mac().stats().tx_failed;
-  m.wifi_wakeup_transitions += meter.wakeup_count();
-  using energy::EnergyCategory;
-  m.wifi_on_seconds += meter.duration(EnergyCategory::kIdle) +
-                       meter.duration(EnergyCategory::kRx) +
-                       meter.duration(EnergyCategory::kOverhear) +
-                       meter.duration(EnergyCategory::kTx);
-}
+  // Channel conservation counters: sum (the law holds per partition and
+  // over the sum).
+  total.chan_frames += part.chan_frames;
+  total.chan_rx_starts += part.chan_rx_starts;
+  total.chan_rx_ends += part.chan_rx_ends;
+  total.chan_rx_live_at_end += part.chan_rx_live_at_end;
 
-void collect_dual(RunMetrics& m, DualRadioNode& node, util::Seconds end) {
-  node.sensor_radio().meter().finalize(end);
-  node.wifi_radio().meter().finalize(end);
-  accumulate(m.sensor_energy, node.sensor_radio().meter());
-  accumulate(m.wifi_energy, node.wifi_radio().meter());
-  m.mac_tx_attempts += node.sensor_mac().stats().tx_attempts +
-                       node.wifi_mac().stats().tx_attempts;
-  m.mac_tx_failed += node.sensor_mac().stats().tx_failed +
-                     node.wifi_mac().stats().tx_failed;
-  m.mac_crash_drops += node.sensor_mac().stats().crash_drops +
-                       node.wifi_mac().stats().crash_drops;
-  add_tdma_stats(m, node.sensor_mac());
-  const auto& astats = node.agent().stats();
-  m.bcp_packets_lost_to_crash += astats.packets_lost_to_crash;
-  m.bcp_wakeups += astats.wakeups_sent;
-  m.bcp_handshakes_failed += astats.handshakes_failed;
-  m.bcp_sender_sessions += astats.sender_sessions_completed;
-  m.bcp_receiver_timeouts += astats.receiver_sessions_timed_out;
-  m.wifi_wakeup_transitions += node.wifi_radio().meter().wakeup_count();
-  using energy::EnergyCategory;
-  const auto& wm = node.wifi_radio().meter();
-  m.wifi_on_seconds += wm.duration(EnergyCategory::kIdle) +
-                       wm.duration(EnergyCategory::kRx) +
-                       wm.duration(EnergyCategory::kOverhear) +
-                       wm.duration(EnergyCategory::kTx);
-}
+  // TDMA schedule health: sum.
+  total.tdma_beacons_sent += part.tdma_beacons_sent;
+  total.tdma_beacons_heard += part.tdma_beacons_heard;
+  total.tdma_slots_skipped += part.tdma_slots_skipped;
 
-void finalize_metrics(RunMetrics& m, const ScenarioConfig& config,
-                      double delay_sum) {
-  m.goodput = m.generated > 0
-                  ? static_cast<double>(m.delivered) /
-                        static_cast<double>(m.generated)
-                  : 0.0;
-  m.mean_delay = m.delivered > 0
-                     ? delay_sum / static_cast<double>(m.delivered)
-                     : 0.0;
-  const util::Bits delivered_bits = m.delivered * config.packet_bits;
-  m.normalized_energy_sensor_ideal =
-      per_kbit(m.sensor_energy.ideal(), delivered_bits);
-  m.normalized_energy_sensor_header = per_kbit(
-      m.sensor_energy.ideal() + m.sensor_energy.overhear, delivered_bits);
-  switch (config.model) {
-    case EvalModel::kSensor:
-      m.normalized_energy = m.normalized_energy_sensor_ideal;
-      break;
-    case EvalModel::kWifi:
-    case EvalModel::kWifiDutyCycled:
-      m.normalized_energy = per_kbit(m.wifi_energy.full(), delivered_bits);
-      break;
-    case EvalModel::kDualRadio:
-      // Sensor radio at its ideal (tx+rx) charge + 802.11 fully charged.
-      m.normalized_energy = per_kbit(
-          m.sensor_energy.ideal() + m.wifi_energy.full(), delivered_bits);
-      break;
-  }
+  // Lifetime metrics. Deaths sum; the time-to-first-* fields take the
+  // earliest non-sentinel value (-1 = never happened); the drawn
+  // fraction takes the max over all batteries.
+  total.battery_deaths += part.battery_deaths;
+  if (part.time_to_first_death >= 0 &&
+      (total.time_to_first_death < 0 ||
+       part.time_to_first_death < total.time_to_first_death))
+    total.time_to_first_death = part.time_to_first_death;
+  if (part.time_to_sink_partition >= 0 &&
+      (total.time_to_sink_partition < 0 ||
+       part.time_to_sink_partition < total.time_to_sink_partition))
+    total.time_to_sink_partition = part.time_to_sink_partition;
+  total.delivered_bits_until_first_death +=
+      part.delivered_bits_until_first_death;
+  total.delivered_bits_until_partition +=
+      part.delivered_bits_until_partition;
+  total.battery_max_drawn_fraction = std::max(
+      total.battery_max_drawn_fraction, part.battery_max_drawn_fraction);
+
+  // Sharded-engine visibility: per-shard event counts concatenate; the
+  // boundary export count sums.
+  total.shard_events.insert(total.shard_events.end(),
+                            part.shard_events.begin(),
+                            part.shard_events.end());
+  total.boundary_frames += part.boundary_frames;
 }
 
 }  // namespace detail
 
-RunMetrics run_scenario(const ScenarioConfig& config) {
-  if (config.shards > 1) return run_scenario_sharded(config);
-  BCP_REQUIRE(config.topology.node_count() >= 2);
-  BCP_REQUIRE(config.duration > 0);
-  BCP_REQUIRE(config.rate_bps > 0);
-  BCP_REQUIRE(config.packet_bits > 0);
-  BCP_REQUIRE(config.burst_packets > 0);
-  // Checked against the spec's exact node count BEFORE build(): a bad
-  // sender count must not first pay for a 100k-node placement.
-  BCP_REQUIRE_MSG(config.n_senders >= 1 &&
-                      config.n_senders <= config.topology.node_count() - 1,
-                  "sender count must be in [1, nodes-1]");
+namespace {
 
+using detail::LifetimeMarks;
+using detail::Partition;
+using detail::PendingDelta;
+using detail::SharedNet;
+
+/// The single-queue engine: one partition over the identity map, one
+/// Simulator and one Channel per radio class. Membership changes mutate
+/// the partition's dense LinkState directly, and the lifetime metrics
+/// and lifetime-aware route costs read live state at the event.
+RunMetrics run_single_queue(const SharedNet& net) {
+  const ScenarioConfig& config = net.config;
   sim::Simulator simulator;
-  const net::Topology topo = config.topology.build();
-  const net::NodeId sink = topo.sink;
-  const int n = topo.node_count();
+  std::optional<phy::Channel> low;
+  std::optional<phy::Channel> high;
+  if (net.low.graph)
+    low.emplace(simulator, net.low.graph, net.low.params, net.low.seed);
+  if (net.high.graph)
+    high.emplace(simulator, net.high.graph, net.high.params, net.high.seed);
 
-  const util::Metres wifi_range = config.wifi_range_override > 0
-                                      ? config.wifi_range_override
-                                      : config.wifi_radio.range;
-
-  RunMetrics m;
-  double delay_sum = 0;
-  DeliverySink delivery;
-  delivery.delivered = [&](const net::DataPacket& p) {
-    ++m.delivered;
-    delay_sum += simulator.now() - p.created_at;
-  };
-  delivery.dropped = [&](const net::DataPacket&, const char* reason) {
-    detail::classify_drop(m, reason);
-  };
-
-  const bool needs_low = config.model == EvalModel::kSensor ||
-                         config.model == EvalModel::kDualRadio;
-  const bool needs_high = config.model != EvalModel::kSensor;
-
-  const bool all_pairs =
-      config.routing == RoutingMode::kAllPairs ||
-      (config.routing == RoutingMode::kAuto && n <= kAllPairsNodeLimit);
-
-  const bool has_faults = !config.faults.empty();
-  BCP_REQUIRE_MSG(!has_faults || config.model != EvalModel::kWifiDutyCycled,
-                  "fault injection is not supported for the duty-cycled "
-                  "802.11 strawman");
-
-  config.battery.validate();
-  const bool has_battery = config.battery.enabled;
-  BCP_REQUIRE_MSG(
-      config.route_policy == net::RoutePolicy::kShortestPath || has_battery,
-      "lifetime-aware routing requires an enabled battery");
-  // Channels must stop delivering to dead nodes and routing must
-  // re-converge around them, so battery runs share the fault machinery's
-  // LinkStates even when the fault plan is empty.
-  const bool has_links = has_faults || has_battery;
-
-  // MAC family selection per radio class. Validation first (bad TDMA
-  // knobs throw before any simulation state exists); the slotted family
-  // presumes a radio that is awake for its slots, which the BCP-managed
-  // 802.11 radio and the duty-cycled strawman are not.
-  config.sensor_mac.validate();
-  config.wifi_mac.validate();
-  BCP_REQUIRE_MSG(!config.wifi_mac.is_tdma() ||
-                      config.model == EvalModel::kWifi,
-                  "TDMA on the 802.11 radio requires the always-on kWifi "
-                  "model");
-
-  // TDMA slot schedules (one per radio class that asked for the family),
-  // derived from each class's convergecast tree once routes exist.
-  // Declared before the node vectors: nodes hold references into them.
-  std::optional<mac::TdmaSchedule> low_schedule;
-  std::optional<mac::TdmaSchedule> high_schedule;
-
-  std::optional<net::LinkState> low_links;
-  std::optional<net::LinkState> high_links;
-  const net::DynamicRouting* low_dyn = nullptr;
-  const net::DynamicRouting* high_dyn = nullptr;
-  std::optional<phy::Channel> low_channel;
-  std::optional<phy::Channel> high_channel;
-
-  // Finite batteries, one per node (null = that node draws from an
-  // infinite source). Declared before the routers: the lifetime-aware
-  // cost function below is stored inside DynamicRouting and reads
-  // battery fractions at every rebuild, so the vector must outlive them.
-  std::vector<std::unique_ptr<energy::Battery>> batteries(
-      static_cast<std::size_t>(n));
-  net::NodeCostFn lifetime_cost;
-  if (config.route_policy == net::RoutePolicy::kLifetimeAware) {
-    lifetime_cost = [&batteries,
-                     weight = config.battery.lifetime_weight](net::NodeId v) {
-      const auto& b = batteries[static_cast<std::size_t>(v)];
+  Partition part;
+  if (net.has_links) part.links.emplace(net.n);
+  const bool lifetime_routing =
+      config.route_policy == net::RoutePolicy::kLifetimeAware;
+  net::NodeCostFn cost;
+  if (lifetime_routing) {
+    // Identity map: a node's local id is its global id.
+    cost = [&part, weight = config.battery.lifetime_weight](net::NodeId v) {
+      const auto& b = part.batteries[static_cast<std::size_t>(v)];
       if (b == nullptr) return 0.0;
       return weight * (b->drawn() / b->capacity());
     };
   }
-
-  std::unique_ptr<net::Router> low_routes;
-  std::unique_ptr<net::Router> high_routes;
-  // Routes are built on each channel's own connectivity graph — same
-  // positions, same range, one spatial-hash build instead of two. Fault
-  // runs additionally share one LinkState per radio class between the
-  // channel (hearing) and the router (convergecast tree). Each channel's
-  // capture (SINR) noise floor is its radio's datasheet value.
-  if (needs_low) {
-    low_channel.emplace(
-        simulator, topo.positions, config.sensor_radio.range,
-        detail::channel_params(config, config.sensor_radio),
-        util::substream(config.seed, 1, 0x4C4348u));
-    if (has_links) {
-      low_links.emplace(n);
-      low_channel->set_link_state(&*low_links);
-    }
-    low_routes = detail::build_routes(
-        low_channel->graph(), sink, all_pairs, "sensor",
-        has_links ? &*low_links : nullptr, &low_dyn, config.route_policy,
-        lifetime_cost);
-  }
-  if (needs_high) {
-    high_channel.emplace(
-        simulator, topo.positions, wifi_range,
-        detail::channel_params(config, config.wifi_radio),
-        util::substream(config.seed, 2, 0x484348u));
-    if (has_links) {
-      high_links.emplace(n);
-      high_channel->set_link_state(&*high_links);
-    }
-    high_routes = detail::build_routes(
-        high_channel->graph(), sink, all_pairs, "wifi",
-        has_links ? &*high_links : nullptr, &high_dyn, config.route_policy,
-        lifetime_cost);
-  }
-
-  core::BcpConfig bcp = config.bcp;
-  bcp.set_burst_packets(config.burst_packets, config.packet_bits);
-
-  // Resolve each radio class's MacChoice: CSMA keeps the exact historical
-  // MacParams + seed path; TDMA builds the shared schedule from the class
-  // tree and fills zero (class-default) knobs, auto-tightening the beacon
-  // period to the slot span.
-  const auto resolve_choice =
-      [&](const mac::MacSpec& spec, mac::MacParams csma_defaults,
-          mac::TdmaParams tdma_defaults, const net::Router& routes,
-          util::BitsPerSecond rate,
-          std::optional<mac::TdmaSchedule>& schedule_out) {
-        MacChoice choice;
-        choice.csma = csma_defaults;
-        choice.family = spec.family;
-        if (spec.is_tdma()) {
-          schedule_out.emplace(
-              mac::TdmaSchedule::from_tree(routes, sink, n));
-          BCP_REQUIRE_MSG(schedule_out->slot_count > 0,
-                          "TDMA schedule is empty: no node reaches the sink");
-          const mac::TdmaParams base =
-              spec.tdma.is_default() ? tdma_defaults : spec.tdma;
-          choice.tdma = base.resolved_for(schedule_out->slot_count, rate);
-          choice.schedule = &*schedule_out;
-        }
-        return choice;
-      };
-
-  std::vector<std::unique_ptr<ForwardingNode>> fwd_nodes;
-  std::vector<std::unique_ptr<DualRadioNode>> dual_nodes;
-  std::vector<std::unique_ptr<DutyCycledWifiNode>> duty_nodes;
-  switch (config.model) {
-    case EvalModel::kSensor: {
-      const MacChoice choice = resolve_choice(
-          config.sensor_mac, mac::sensor_mac_params(),
-          mac::tdma_sensor_params(), *low_routes, config.sensor_radio.rate,
-          low_schedule);
-      for (net::NodeId id = 0; id < n; ++id)
-        fwd_nodes.push_back(std::make_unique<ForwardingNode>(
-            simulator, *low_channel, *low_routes, id, sink,
-            config.sensor_radio, phy::OverhearMode::kHeaderOnly, choice,
-            config.seed, &delivery));
-      break;
-    }
-    case EvalModel::kWifi: {
-      const MacChoice choice = resolve_choice(
-          config.wifi_mac, mac::dcf_mac_params(), mac::tdma_wifi_params(),
-          *high_routes, config.wifi_radio.rate, high_schedule);
-      for (net::NodeId id = 0; id < n; ++id)
-        fwd_nodes.push_back(std::make_unique<ForwardingNode>(
-            simulator, *high_channel, *high_routes, id, sink,
-            config.wifi_radio, phy::OverhearMode::kFull, choice,
-            config.seed, &delivery));
-      break;
-    }
-    case EvalModel::kWifiDutyCycled: {
-      BCP_REQUIRE_MSG(config.duty_cycle > 0 && config.duty_cycle <= 1.0,
-                      "duty cycle must be in (0, 1]");
-      BCP_REQUIRE_MSG(config.duty_period > 0, "duty period must be positive");
-      DutyCycledWifiNode::Schedule schedule;
-      schedule.period = config.duty_period;
-      schedule.duty = config.duty_cycle;
-      for (net::NodeId id = 0; id < n; ++id)
-        duty_nodes.push_back(std::make_unique<DutyCycledWifiNode>(
-            simulator, *high_channel, *high_routes, id, sink,
-            config.wifi_radio, schedule, config.seed, &delivery));
-      break;
-    }
-    case EvalModel::kDualRadio: {
-      const MacChoice low_choice = resolve_choice(
-          config.sensor_mac, mac::sensor_mac_params(),
-          mac::tdma_sensor_params(), *low_routes, config.sensor_radio.rate,
-          low_schedule);
-      const MacChoice high_choice{mac::dcf_mac_params(),
-                                  mac::MacFamily::kAuto,
-                                  {},
-                                  nullptr};
-      for (net::NodeId id = 0; id < n; ++id)
-        dual_nodes.push_back(std::make_unique<DualRadioNode>(
-            simulator, *low_channel, *high_channel, *low_routes, *high_routes,
-            id, config.sensor_radio, config.wifi_radio, bcp,
-            config.wifi_promiscuous ? phy::OverhearMode::kFull
-                                    : phy::OverhearMode::kNone,
-            config.seed, &delivery, low_choice, high_choice));
-      break;
-    }
-  }
-
-  // ---- Finite batteries ----
-  // One battery per node, drained by every radio the node owns; death is
-  // the fault plan's crash teardown (crash_node), minus the possibility
-  // of recovery. The death instant is always a scheduled event: Battery
-  // re-arms it from the radios' energy observer on every power-state
-  // change, so no polling is involved and depletion lands at its exact
-  // analytic time.
-  std::function<void(net::NodeId)> on_battery_death =
-      [&](net::NodeId node) {
-        crash_node(
-            fwd_nodes.empty()
-                ? nullptr
-                : fwd_nodes[static_cast<std::size_t>(node)].get(),
-            dual_nodes.empty()
-                ? nullptr
-                : dual_nodes[static_cast<std::size_t>(node)].get(),
-            duty_nodes.empty()
-                ? nullptr
-                : duty_nodes[static_cast<std::size_t>(node)].get(),
-            node, low_links ? &*low_links : nullptr,
-            high_links ? &*high_links : nullptr);
-        ++m.battery_deaths;
-        if (m.battery_deaths == 1) {
-          m.time_to_first_death = simulator.now();
-          m.delivered_bits_until_first_death =
-              m.delivered * config.packet_bits;
-        }
-        // Membership just changed: check whether some survivor lost its
-        // last path to the sink (the graceful-degradation knee).
-        if (m.time_to_sink_partition < 0) {
-          const net::ConnectivityGraph& graph =
-              needs_low ? low_channel->graph() : high_channel->graph();
-          const net::LinkState& links =
-              needs_low ? *low_links : *high_links;
-          if (!net::unreachable_alive(graph, sink, links).empty()) {
-            m.time_to_sink_partition = simulator.now();
-            m.delivered_bits_until_partition =
-                m.delivered * config.packet_bits;
-          }
-        }
-      };
-  if (has_battery) {
-    for (net::NodeId id = 0; id < n; ++id) {
-      util::Joules capacity = 0;
-      if (config.model == EvalModel::kSensor ||
-          config.model == EvalModel::kDualRadio)
-        capacity += config.battery.sensor_initial_j;
-      if (config.model != EvalModel::kSensor)
-        capacity += config.battery.wifi_initial_j;
-      if (capacity <= 0) continue;  // all owned classes unbudgeted
-      auto battery = std::make_unique<energy::Battery>(
-          simulator, capacity,
-          [&on_battery_death, id] { on_battery_death(id); });
-      energy::Battery* b = battery.get();
-      const auto watch = [b](phy::Radio& radio) {
-        b->attach(&radio.meter());
-        radio.set_energy_observer([b] { b->rearm(); });
-      };
-      if (!fwd_nodes.empty())
-        watch(fwd_nodes[static_cast<std::size_t>(id)]->radio());
-      else if (!duty_nodes.empty())
-        watch(duty_nodes[static_cast<std::size_t>(id)]->radio());
-      else {
-        watch(dual_nodes[static_cast<std::size_t>(id)]->sensor_radio());
-        watch(dual_nodes[static_cast<std::size_t>(id)]->wifi_radio());
-      }
-      battery->rearm();  // arm against the boot power state
-      batteries[static_cast<std::size_t>(id)] = std::move(battery);
-    }
-  }
+  LifetimeMarks marks;
+  part.build(net, 0, simulator, low ? &*low : nullptr,
+             high ? &*high : nullptr, std::move(cost),
+             [&](const PendingDelta& d) {
+               if (d.battery_death)
+                 marks.on_death(net, *part.links, d.delta.time,
+                                part.m.delivered);
+             });
 
   // Lifetime-aware routes go stale as fractions drift between deaths;
-  // refresh them on a fixed cadence by bumping the LinkState revisions
+  // refresh them on a fixed cadence by bumping the LinkState revision
   // (DynamicRouting then re-reads every battery at its next query).
-  std::function<void()> reroute_tick;
-  if (has_battery &&
-      config.route_policy == net::RoutePolicy::kLifetimeAware) {
-    reroute_tick = [&] {
-      if (low_links) low_links->touch();
-      if (high_links) high_links->touch();
-      simulator.schedule_in(config.battery.reroute_period,
-                            [&reroute_tick] { reroute_tick(); });
-    };
+  std::function<void()> reroute_tick = [&] {
+    part.links->touch();
     simulator.schedule_in(config.battery.reroute_period,
                           [&reroute_tick] { reroute_tick(); });
-  }
-
-  // Pick the senders: a seed-determined subset of the non-sink nodes.
-  const std::vector<net::NodeId> candidates =
-      detail::pick_senders(config.seed, n, sink, config.n_senders);
-
-  std::vector<std::unique_ptr<CbrWorkload>> workloads;
-  for (const net::NodeId sender : candidates) {
-    auto emit = [&, sender](net::DataPacket p) {
-      if (config.model == EvalModel::kDualRadio)
-        dual_nodes[static_cast<std::size_t>(sender)]->send(p);
-      else if (config.model == EvalModel::kWifiDutyCycled)
-        duty_nodes[static_cast<std::size_t>(sender)]->send(p);
-      else
-        fwd_nodes[static_cast<std::size_t>(sender)]->send(p);
-    };
-    workloads.push_back(std::make_unique<CbrWorkload>(
-        simulator, sender, sink, config.packet_bits, config.rate_bps,
-        util::substream(config.seed, static_cast<std::uint64_t>(sender),
-                        0x574Bu),
-        std::move(emit)));
-    workloads.back()->start();
-  }
-
-  // ---- Fault/churn schedule ----
-  // One simulator event per fault. Crash/recover act on the node assembly
-  // (cancelling its timers, forcing radios dark) AND on the LinkStates, so
-  // the channels stop delivering to dead nodes and DynamicRouting
-  // re-converges on the alive subgraph at its next query.
-  const auto apply_fault = [&](const sim::FaultEvent& ev) {
-    const auto node = static_cast<net::NodeId>(ev.node);
-    const auto peer = static_cast<net::NodeId>(ev.peer);
-    switch (ev.kind) {
-      case sim::FaultKind::kNodeCrash:
-        crash_node(fwd_nodes.empty()
-                       ? nullptr
-                       : fwd_nodes[static_cast<std::size_t>(node)].get(),
-                   dual_nodes.empty()
-                       ? nullptr
-                       : dual_nodes[static_cast<std::size_t>(node)].get(),
-                   nullptr,  // duty nodes reject fault plans
-                   node, low_links ? &*low_links : nullptr,
-                   high_links ? &*high_links : nullptr);
-        ++m.fault_node_crashes;
-        break;
-      case sim::FaultKind::kNodeRecover: {
-        // Battery death is final: a recovery scheduled for a node that
-        // has since depleted is refused (counted, so churn+battery cells
-        // can audit how much of the plan executed).
-        const auto& battery = batteries[static_cast<std::size_t>(node)];
-        if (battery != nullptr && battery->depleted()) {
-          ++m.fault_recoveries_refused;
-          break;
-        }
-        if (low_links) low_links->set_node_up(node, true);
-        if (high_links) high_links->set_node_up(node, true);
-        if (!fwd_nodes.empty())
-          fwd_nodes[static_cast<std::size_t>(node)]->recover();
-        else
-          dual_nodes[static_cast<std::size_t>(node)]->recover();
-        ++m.fault_node_recoveries;
-        break;
-      }
-      case sim::FaultKind::kLinkDown:
-        if (low_links) low_links->set_link_up(node, peer, false);
-        if (high_links) high_links->set_link_up(node, peer, false);
-        ++m.fault_link_downs;
-        break;
-      case sim::FaultKind::kLinkUp:
-        if (low_links) low_links->set_link_up(node, peer, true);
-        if (high_links) high_links->set_link_up(node, peer, true);
-        ++m.fault_link_ups;
-        break;
-    }
   };
-  std::vector<sim::FaultEvent> fault_events;
-  if (has_faults) {
-    // FaultPlan only consults adjacency to aim link flaps at real links;
-    // crash-only plans skip the per-node list copy entirely.
-    std::vector<std::vector<std::int32_t>> adjacency;
-    if (config.faults.link_flaps > 0) {
-      const net::ConnectivityGraph& fault_graph =
-          needs_low ? low_channel->graph() : high_channel->graph();
-      adjacency.reserve(static_cast<std::size_t>(n));
-      for (net::NodeId id = 0; id < n; ++id)
-        adjacency.push_back(fault_graph.neighbors(id));
-    }
-    fault_events =
-        sim::FaultPlan(config.faults, n, sink, config.duration,
-                       config.faults.link_flaps > 0 ? &adjacency : nullptr)
-            .events();
-    for (const sim::FaultEvent& ev : fault_events)
-      simulator.schedule_at(ev.at,
-                            [&apply_fault, ev] { apply_fault(ev); });
-  }
+  if (lifetime_routing)
+    simulator.schedule_in(config.battery.reroute_period,
+                          [&reroute_tick] { reroute_tick(); });
 
   simulator.run_until(config.duration);
+  part.collect(config.duration);
+  detail::finalize_metrics(part.m, config, part.delay_sum, marks);
+  return part.m;
+}
 
-  // ---- Metrics ----
-  m.events_processed = simulator.processed_count();
-  m.route_rebuilds = (low_dyn != nullptr ? low_dyn->rebuild_count() : 0) +
-                     (high_dyn != nullptr ? high_dyn->rebuild_count() : 0);
-  if (low_channel) detail::add_channel_stats(m, *low_channel);
-  if (high_channel) detail::add_channel_stats(m, *high_channel);
-  for (const auto& w : workloads) m.generated += w->generated();
+// The sharded engine: one simulation advanced by sim::ShardedSimulator
+// over phy::ShardedMedium partitions.
+//
+// Lifecycle: pooled message payloads (net::MessagePool) are thread-local,
+// so everything a partition owns — nodes, workloads, channel partitions,
+// pending events — is built, run and destroyed on the shard's pinned
+// worker thread via for_each_shard phases (setup → run → teardown).
+// Metrics are read on the caller's thread between the run and teardown
+// phases (the engine's barriers order those reads) and merged in
+// ascending shard order, so the result is a pure function of (config,
+// shard count): sim_threads never changes a byte of output.
+//
+// Membership epochs: every partition owns one stripe-local LinkState
+// replica, read by both of its radio classes. The owner of a node
+// executes its crash / recover / depletion at the exact event instant
+// against its own replica and queues the mutation as a
+// net::MembershipDelta; the coordinator
+// broadcasts the accumulated batch to every replica at the window
+// barrier in deterministic (time, shard, node) order — a remote shard
+// sees a membership change at most one exchange window late, the same
+// staleness bound the boundary-frame mailboxes already carry. A
+// coordinator-owned replica receives the same global sequence and
+// answers the sink-partition checks at each death's event time; the
+// delivered counts behind the "bits until first death / partition"
+// metrics are read at the publishing barrier (≤ one window late).
+RunMetrics run_sharded(const SharedNet& net) {
+  const ScenarioConfig& config = net.config;
+  const phy::ShardMap& map = net.map;
+  const int shard_count = map.count;
+  const bool lifetime_routing =
+      config.route_policy == net::RoutePolicy::kLifetimeAware;
 
-  const util::Seconds end = config.duration;
-  for (const auto& node : fwd_nodes)
-    detail::collect_forwarding(m, *node,
-                               config.model == EvalModel::kSensor, end);
-  for (const auto& node : duty_nodes) detail::collect_duty(m, *node, end);
-  for (const auto& node : dual_nodes) detail::collect_dual(m, *node, end);
+  // Lifetime-aware route costs read this shared drawn/capacity snapshot,
+  // refreshed by the coordinator at barriers on the reroute_period grid —
+  // never live battery state, so every shard prices relays identically
+  // regardless of thread count. Declared before the partitions: their
+  // routers' cost functions reference it.
+  std::vector<double> battery_fraction;
+  if (lifetime_routing)
+    battery_fraction.assign(static_cast<std::size_t>(net.n), 0.0);
 
-  if (has_battery) {
-    for (const auto& battery : batteries) {
-      if (battery == nullptr) continue;
-      m.battery_max_drawn_fraction =
-          std::max(m.battery_max_drawn_fraction,
-                   battery->drawn() / battery->capacity());
-    }
-    // "Until first death / partition" degenerate to the whole run's
-    // deliveries when the event never happened.
-    if (m.time_to_first_death < 0)
-      m.delivered_bits_until_first_death = m.delivered * config.packet_bits;
-    if (m.time_to_sink_partition < 0)
-      m.delivered_bits_until_partition = m.delivered * config.packet_bits;
+  // Partitions are declared before the engine and mediums so teardown
+  // (which runs as engine phases) happens before either is destroyed.
+  std::vector<Partition> parts(static_cast<std::size_t>(shard_count));
+
+  // The coordinator's replica stays dense (one O(n) byte array); the
+  // per-partition replicas are stripe-local instead: dense over the owned
+  // stripe plus the halo of boundary neighbors the partition's channels
+  // can name in a link_up query (union over both radio graphs), sparse for
+  // everything else a broadcast delta mentions.
+  std::optional<net::LinkState> coord;
+  if (net.has_links) {
+    std::vector<const net::ConnectivityGraph*> radio_graphs;
+    if (net.low.graph) radio_graphs.push_back(net.low.graph.get());
+    if (net.high.graph) radio_graphs.push_back(net.high.graph.get());
+    const auto halos = map.halos(radio_graphs);
+    for (int s = 0; s < shard_count; ++s)
+      parts[static_cast<std::size_t>(s)].links.emplace(
+          map.domain(s, halos[static_cast<std::size_t>(s)]));
+    coord.emplace(net.n);
   }
 
-  detail::finalize_metrics(m, config, delay_sum);
-  return m;
+  sim::ShardedSimulator::Params engine_params;
+  engine_params.shards = shard_count;
+  engine_params.threads = config.sim_threads;
+  engine_params.window = config.shard_window;
+  sim::ShardedSimulator engine(engine_params);
+
+  std::optional<phy::ShardedMedium> low_medium;
+  std::optional<phy::ShardedMedium> high_medium;
+  if (net.low.graph)
+    low_medium.emplace(engine, net.low.graph, map, net.low.params,
+                       net.low.seed);
+  if (net.high.graph)
+    high_medium.emplace(engine, net.high.graph, map, net.high.params,
+                        net.high.seed);
+  for (int s = 0; s < shard_count; ++s)
+    engine.set_drain(s, [&low_medium, &high_medium, s](std::int64_t window) {
+      if (low_medium) low_medium->drain(s, window);
+      if (high_medium) high_medium->drain(s, window);
+    });
+
+  // ---- Epoch coordinator (caller thread, between phase barriers).
+  std::vector<PendingDelta> batch;
+  LifetimeMarks marks;
+  double next_reroute = config.battery.reroute_period;
+  if (net.has_links) {
+    engine.set_barrier_hook([&](std::int64_t, util::Seconds barrier_time) {
+      batch.clear();
+      for (auto& part : parts) {
+        batch.insert(batch.end(), part.deltas.begin(), part.deltas.end());
+        part.deltas.clear();
+      }
+      std::sort(batch.begin(), batch.end(),
+                [](const PendingDelta& a, const PendingDelta& b) {
+                  return net::MembershipDelta::before(a.delta, b.delta);
+                });
+      for (const PendingDelta& pd : batch) {
+        for (auto& part : parts) part.links->apply(pd.delta);
+        coord->apply(pd.delta);
+        if (!pd.battery_death) continue;
+        std::int64_t delivered = 0;
+        for (const auto& part : parts) delivered += part.m.delivered;
+        marks.on_death(net, *coord, pd.delta.time, delivered);
+      }
+      // The single queue re-prices relays every reroute_period; here the
+      // refresh lands on the first barrier at or past each grid point.
+      // Workers are quiescent, so reading live battery draw and touching
+      // every replica is race-free.
+      while (lifetime_routing && next_reroute <= barrier_time) {
+        for (int s = 0; s < shard_count; ++s) {
+          const Partition& part = parts[static_cast<std::size_t>(s)];
+          const auto& ids = map.owned_nodes(s);
+          for (std::size_t l = 0; l < ids.size(); ++l) {
+            const auto& b = part.batteries[l];
+            if (b != nullptr)
+              battery_fraction[static_cast<std::size_t>(ids[l])] =
+                  b->drawn() / b->capacity();
+          }
+        }
+        for (auto& part : parts) part.links->touch();
+        next_reroute += config.battery.reroute_period;
+      }
+    });
+  }
+
+  engine.for_each_shard([&](int s) {
+    Partition& part = parts[static_cast<std::size_t>(s)];
+    net::NodeCostFn cost;
+    if (lifetime_routing)
+      cost = [&battery_fraction, weight = config.battery.lifetime_weight](
+                 net::NodeId v) {
+        return weight * battery_fraction[static_cast<std::size_t>(v)];
+      };
+    part.build(net, s, engine.shard(s),
+               low_medium ? &low_medium->shard(s) : nullptr,
+               high_medium ? &high_medium->shard(s) : nullptr,
+               std::move(cost),
+               [&part](const PendingDelta& d) { part.deltas.push_back(d); });
+  });
+
+  engine.run(config.duration);
+
+  RunMetrics total;
+  double delay_sum = 0;
+  for (auto& part : parts) {
+    part.collect(config.duration);
+    detail::merge_metrics(total, part.m);
+    total.shard_events.push_back(part.m.events_processed);
+    delay_sum += part.delay_sum;
+  }
+  total.boundary_frames =
+      (low_medium ? low_medium->boundary_exports() : 0) +
+      (high_medium ? high_medium->boundary_exports() : 0);
+  detail::finalize_metrics(total, config, delay_sum, marks);
+
+  // Batteries hold event handles into the shard simulator, so they die
+  // in the teardown phase too.
+  engine.for_each_shard([&](int s) {
+    parts[static_cast<std::size_t>(s)].clear();
+    if (low_medium) low_medium->reset_shard(s);
+    if (high_medium) high_medium->reset_shard(s);
+    engine.shard(s).clear();
+  });
+  return total;
+}
+
+}  // namespace
+
+RunMetrics run_scenario(const ScenarioConfig& config) {
+  // Validation first: a bad knob must not pay for a 100k-node placement.
+  config.validate();
+  const SharedNet net(config, config.shards);
+  return config.shards > 1 ? run_sharded(net) : run_single_queue(net);
 }
 
 std::vector<RunMetrics> run_replications(ScenarioConfig config, int runs) {

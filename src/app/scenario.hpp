@@ -165,6 +165,11 @@ struct ScenarioConfig {
   /// battery.reroute_period.
   net::RoutePolicy route_policy = net::RoutePolicy::kShortestPath;
 
+  /// Throws std::invalid_argument, with a message naming the knob, for
+  /// any configuration run_scenario cannot run. Needs no placement:
+  /// run_scenario calls it before topology.build().
+  void validate() const;
+
   /// SH case preset (§4.1.1): Lucent 11 Mbps, same hops as the sensor
   /// radio, 0.2 Kbps senders.
   static ScenarioConfig single_hop(EvalModel model, int senders,
@@ -283,18 +288,15 @@ struct RunMetrics {
   std::int64_t boundary_frames = 0;
 };
 
-/// Runs one scenario to completion and reports its metrics. Dispatches to
-/// run_scenario_sharded when config.shards > 1.
+/// Runs one scenario to completion and reports its metrics: validates
+/// the config, then runs it on the single-queue engine (shards == 1) or
+/// the sharded one. Fault plans, finite batteries, and lifetime-aware
+/// routing run on both, TDMA MACs on the single queue only. The sharded
+/// engine synchronizes per-shard LinkState replicas by membership epochs
+/// at window barriers (a remote shard sees a membership change at most
+/// one exchange window late) and is deterministic at a fixed shard count
+/// for any sim_threads.
 RunMetrics run_scenario(const ScenarioConfig& config);
-
-/// The config.shards > 1 path of run_scenario: one simulation advanced by
-/// the parallel sharded engine. Fault plans, finite batteries, and
-/// lifetime-aware routing are supported via per-shard LinkState replicas
-/// synchronized by membership epochs at window barriers (a remote shard
-/// sees a membership change at most one exchange window late); only TDMA
-/// MACs are rejected. Deterministic at a fixed shard count for any
-/// sim_threads.
-RunMetrics run_scenario_sharded(const ScenarioConfig& config);
 
 /// Runs `runs` independent replications (seeds config.seed, config.seed+1,
 /// ...), as the paper averages 20 runs with 95% confidence intervals.

@@ -1,66 +1,10 @@
-// Internal shared pieces of the scenario harness, used by both engines:
-// run_scenario (single event queue, the golden-protected path) and
-// run_scenario_sharded (the parallel engine). Not part of the public app
-// API — the split exists so the sharded harness accumulates per-node
-// metrics with exactly the same arithmetic as the historical path.
+// Internal piece of the scenario harness shared with its tests; not part
+// of the public app API.
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <vector>
-
-#include "app/duty_cycle.hpp"
-#include "app/nodes.hpp"
 #include "app/scenario.hpp"
-#include "net/routing.hpp"
-#include "phy/channel.hpp"
 
 namespace bcp::app::detail {
-
-void accumulate(RadioEnergyTotals& t, const energy::EnergyMeter& meter);
-
-double per_kbit(util::Joules e, util::Bits delivered_bits);
-
-/// Maps a DeliverySink drop reason onto its RunMetrics counter.
-void classify_drop(RunMetrics& m, const char* reason);
-
-/// Builds one radio graph's routes, rejecting placements where any node
-/// is cut off from the sink — a silent kInvalidNode route at runtime
-/// would just bleed packets as "no-route" drops. A non-null `links`
-/// (fault-injection and battery runs) swaps in the membership-aware
-/// DynamicRouting, reported back through `dyn_out` for rebuild
-/// accounting; `policy`/`cost` select its scoring (lifetime-aware runs).
-std::unique_ptr<net::Router> build_routes(
-    const net::ConnectivityGraph& graph, net::NodeId sink, bool all_pairs,
-    const char* radio_name, const net::LinkState* links,
-    const net::DynamicRouting** dyn_out,
-    net::RoutePolicy policy = net::RoutePolicy::kShortestPath,
-    net::NodeCostFn cost = nullptr);
-
-/// The seed-determined sender subset (sorted node ids, sink excluded).
-std::vector<net::NodeId> pick_senders(std::uint64_t seed, int n,
-                                      net::NodeId sink, int n_senders);
-
-/// Channel parameters for one radio class: the config's loss/propagation/
-/// capture knobs with the radio's datasheet noise floor.
-phy::Channel::Params channel_params(const ScenarioConfig& config,
-                                    const energy::RadioEnergyModel& radio);
-
-void add_channel_stats(RunMetrics& m, const phy::Channel& channel);
-void add_tdma_stats(RunMetrics& m, const mac::Mac& mc);
-
-// Per-node metric collection: finalizes the node's meter(s) at `end` and
-// accumulates energies/MAC/protocol counters. One call per node, in node
-// id order, reproduces the historical accumulation arithmetic exactly.
-void collect_forwarding(RunMetrics& m, ForwardingNode& node,
-                        bool charge_sensor, util::Seconds end);
-void collect_duty(RunMetrics& m, DutyCycledWifiNode& node, util::Seconds end);
-void collect_dual(RunMetrics& m, DualRadioNode& node, util::Seconds end);
-
-/// Goodput, mean delay and the normalized-energy family, computed from
-/// the accumulated sums.
-void finalize_metrics(RunMetrics& m, const ScenarioConfig& config,
-                      double delay_sum);
 
 /// Folds one shard's metrics into the run total: counters sum,
 /// time-to-first-* fields take the earliest non-sentinel value,

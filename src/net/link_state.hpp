@@ -18,7 +18,7 @@
 // and does not bump the revision.
 //
 // Memory model: the historical constructor keeps one dense byte per node —
-// right for the single-queue engine and for the coordinator replicas. A
+// right for the single-queue engine and for the coordinator replica. A
 // sharded partition instead constructs its replica over a StripeDomain:
 // dense bytes only for the stripe it owns plus the halo of boundary
 // neighbors it must hear (the ids its channel partition ever asks about),
@@ -75,7 +75,7 @@ struct MembershipDelta {
 /// [owned, owned + halo) are the halo — remote nodes adjacent to an owned
 /// node in some radio graph, i.e. every id the partition's channels can
 /// name in a membership query. Built once per shard (phy::ShardMap::
-/// domain) and shared by that shard's replicas across radio classes.
+/// domain) for that shard's replica, which both radio classes read.
 struct StripeDomain {
   int node_count = 0;      ///< global population (bounds checks)
   std::int32_t shard = 0;  ///< which stripe this domain describes
@@ -103,7 +103,7 @@ struct StripeDomain {
 class LinkState {
  public:
   /// Dense over every node — the single-queue engine's shared state and
-  /// the sharded coordinator's ground-truth replicas.
+  /// the sharded coordinator's ground-truth replica.
   explicit LinkState(int node_count);
 
   /// Stripe-local replica: dense over `domain` (owned stripe + halo),

@@ -59,7 +59,7 @@ struct ShardMap {
   /// any of `graphs` (union over radio classes), sorted ascending. These
   /// are exactly the ids a partition can name in a membership query whose
   /// answer must be epoch-exact, so they get dense slots in the stripe's
-  /// LinkState replicas.
+  /// LinkState replica.
   std::vector<std::vector<net::NodeId>> halos(
       const std::vector<const net::ConnectivityGraph*>& graphs) const;
 

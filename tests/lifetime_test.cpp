@@ -96,8 +96,7 @@ TEST(Battery, DiesAtTheExactlyComputedDepletionInstant) {
   int deaths = 0;
   energy::Battery battery(world.sim, capacity, [&] {
     ++deaths;
-    app::crash_node(world.nodes[1].get(), nullptr, nullptr, 1, nullptr,
-                    nullptr);
+    app::crash_node(world.nodes[1].get(), nullptr, nullptr, 1, nullptr);
   });
   battery.attach(&world.nodes[1]->radio().meter());
   world.nodes[1]->radio().set_energy_observer([&] { battery.rearm(); });
@@ -128,8 +127,7 @@ TEST(Battery, DeathAndFaultCrashLeaveIdenticalNodeState) {
 
   SensorWorld by_battery;
   energy::Battery battery(by_battery.sim, capacity, [&] {
-    app::crash_node(by_battery.nodes[1].get(), nullptr, nullptr, 1, nullptr,
-                    nullptr);
+    app::crash_node(by_battery.nodes[1].get(), nullptr, nullptr, 1, nullptr);
   });
   battery.attach(&by_battery.nodes[1]->radio().meter());
   by_battery.nodes[1]->radio().set_energy_observer([&] { battery.rearm(); });
@@ -137,8 +135,7 @@ TEST(Battery, DeathAndFaultCrashLeaveIdenticalNodeState) {
 
   SensorWorld by_fault;
   by_fault.sim.schedule_at(capacity / energy::mica().p_idle, [&] {
-    app::crash_node(by_fault.nodes[1].get(), nullptr, nullptr, 1, nullptr,
-                    nullptr);
+    app::crash_node(by_fault.nodes[1].get(), nullptr, nullptr, 1, nullptr);
   });
 
   // Traffic after death must be refused identically.

@@ -5,7 +5,11 @@
 // stays fast; the bench harnesses run the paper-scale versions.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "app/scenario.hpp"
+#include "mac/mac_spec.hpp"
 #include "net/message_ref.hpp"
 #include "util/units.hpp"
 
@@ -299,6 +303,109 @@ TEST(Scenario, SenderBoundIsCheckedBeforeTheTopologyIsBuilt) {
   EXPECT_THROW(run_scenario(cfg), std::invalid_argument);
   cfg.shards = 4;
   EXPECT_THROW(run_scenario(cfg), std::invalid_argument);
+}
+
+TEST(Scenario, ValidationRunsBeforePlacementWithPinnedMessages) {
+  // Every case pairs one invalid knob with an unbuildable placement
+  // (area 0: node_count() ignores it, build() rejects it), so each must
+  // fail on its own pinned message, before the topology is built — on
+  // both engines.
+  struct Case {
+    const char* knob;
+    void (*mutate)(ScenarioConfig&);
+    const char* message;
+  };
+  const Case cases[] = {
+      {"senders", [](ScenarioConfig& c) { c.n_senders = 0; },
+       "sender count must be in [1, nodes-1]"},
+      {"shards=0", [](ScenarioConfig& c) { c.shards = 0; },
+       "shard count must be >= 1"},
+      {"shards<0", [](ScenarioConfig& c) { c.shards = -2; },
+       "shard count must be >= 1"},
+      {"shards>nodes", [](ScenarioConfig& c) { c.shards = 37; },
+       "shard count must not exceed the node count"},
+      {"sim_threads", [](ScenarioConfig& c) { c.sim_threads = -1; },
+       "sim_threads must be >= 0"},
+      {"tdma params",
+       [](ScenarioConfig& c) {
+         c.sensor_mac.family = mac::MacFamily::kTdma;
+         c.sensor_mac.tdma.slot_len = -1.0;
+       },
+       "TDMA slot length must be finite and positive"},
+      {"tdma on bcp 802.11",
+       [](ScenarioConfig& c) { c.wifi_mac.family = mac::MacFamily::kTdma; },
+       "TDMA on the 802.11 radio requires the always-on kWifi model"},
+      {"sharded tdma",
+       [](ScenarioConfig& c) {
+         c.shards = 2;
+         c.sensor_mac.family = mac::MacFamily::kTdma;
+       },
+       "TDMA is not supported on the sharded engine"},
+      {"sharded 802.11 tdma",
+       [](ScenarioConfig& c) {
+         c.model = EvalModel::kWifi;
+         c.shards = 2;
+         c.wifi_mac.family = mac::MacFamily::kTdma;
+       },
+       "TDMA is not supported on the sharded engine"},
+      {"faults on duty cycle",
+       [](ScenarioConfig& c) {
+         c.model = EvalModel::kWifiDutyCycled;
+         c.faults.node_crashes = 1;
+       },
+       "fault injection is not supported for the duty-cycled 802.11 "
+       "strawman"},
+      {"battery budget",
+       [](ScenarioConfig& c) {
+         c.battery.enabled = true;
+         c.battery.sensor_initial_j = -1.0;
+       },
+       "battery budgets must be non-negative"},
+      {"lifetime without battery",
+       [](ScenarioConfig& c) {
+         c.route_policy = net::RoutePolicy::kLifetimeAware;
+       },
+       "lifetime-aware routing requires an enabled battery"},
+      {"duty cycle",
+       [](ScenarioConfig& c) {
+         c.model = EvalModel::kWifiDutyCycled;
+         c.duty_cycle = 1.5;
+       },
+       "duty cycle must be in (0, 1]"},
+      {"duty period",
+       [](ScenarioConfig& c) {
+         c.model = EvalModel::kWifiDutyCycled;
+         c.duty_period = 0;
+       },
+       "duty period must be positive"},
+  };
+  for (const int shards : {1, 4}) {
+    for (const Case& k : cases) {
+      SCOPED_TRACE(std::string(k.knob) + " shards=" + std::to_string(shards));
+      auto cfg = quick(EvalModel::kDualRadio, 3, 100);
+      cfg.topology.area = 0;
+      cfg.shards = shards;
+      k.mutate(cfg);
+      try {
+        run_scenario(cfg);
+        ADD_FAILURE() << "accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(k.message), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  // The control: with every knob valid, the placement itself is what
+  // fails.
+  auto cfg = quick(EvalModel::kDualRadio, 3, 100);
+  cfg.topology.area = 0;
+  try {
+    run_scenario(cfg);
+    ADD_FAILURE() << "accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("area > 0"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -361,8 +361,9 @@ std::vector<RxEvent> run_single_membership(
 /// The sharded counterpart wires the full epoch protocol by hand — one
 /// LinkState replica per stripe, the owning stripe flips its replica at
 /// the exact event instant and queues the delta, and the barrier hook
-/// broadcasts the sorted batch to every replica — exactly what
-/// run_scenario_sharded does, minus the nodes. Also asserts the rx
+/// broadcasts the sorted batch to every replica — exactly what the
+/// sharded engine's coordinator in run_scenario does, minus the nodes.
+/// Also asserts the rx
 /// conservation law per channel partition before returning.
 std::vector<RxEvent> run_sharded_membership(
     const ChainFixture& fx,
