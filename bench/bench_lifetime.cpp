@@ -218,7 +218,8 @@ int main(int argc, char** argv) {
   // Crashes, recoveries, link flaps, battery deaths and the lifetime
   // reroute tick all flow through membership epochs at window barriers;
   // the result must be a pure function of (config, shard count). Exit 2
-  // if two thread counts disagree on a single bit.
+  // if two thread counts disagree on any RunMetrics field, naming the
+  // first one that differs.
   bool determinism_ok = true;
   if (opt.get_int("compare-threads") > 0) {
     app::ScenarioConfig cfg = app::ScenarioRegistry::builtin().make(
@@ -231,29 +232,16 @@ int main(int argc, char** argv) {
     const app::RunMetrics a = app::run_scenario(cfg);
     cfg.sim_threads = 2;
     const app::RunMetrics b = app::run_scenario(cfg);
-    determinism_ok =
-        a.generated == b.generated && a.delivered == b.delivered &&
-        a.events_processed == b.events_processed &&
-        a.boundary_frames == b.boundary_frames &&
-        a.goodput == b.goodput && a.mean_delay == b.mean_delay &&
-        a.normalized_energy == b.normalized_energy &&
-        a.battery_deaths == b.battery_deaths &&
-        a.time_to_first_death == b.time_to_first_death &&
-        a.time_to_sink_partition == b.time_to_sink_partition &&
-        a.fault_node_crashes == b.fault_node_crashes &&
-        a.fault_node_recoveries == b.fault_node_recoveries &&
-        a.fault_recoveries_refused == b.fault_recoveries_refused &&
-        a.fault_link_downs == b.fault_link_downs &&
-        a.route_rebuilds == b.route_rebuilds &&
-        a.shard_events == b.shard_events;
+    const char* differs = app::first_metric_difference(a, b);
+    determinism_ok = differs == nullptr;
     std::printf(
         "[compare] churn+battery sharded4: %lld deaths, ttfd %.1f s, "
         "%d crashes, %d refused recoveries — thread-count determinism "
-        "%s\n",
+        "%s%s\n",
         static_cast<long long>(a.battery_deaths), a.time_to_first_death,
         static_cast<int>(a.fault_node_crashes),
         static_cast<int>(a.fault_recoveries_refused),
-        determinism_ok ? "OK" : "BROKEN");
+        determinism_ok ? "OK" : "BROKEN at ", determinism_ok ? "" : differs);
     sink.set_meta("compare_threads_determinism", determinism_ok ? 1.0 : 0.0);
   }
 

@@ -256,9 +256,10 @@ int main(int argc, char** argv) {
 
   // ---- Sharded-vs-single comparison on the largest grid point ------------
   // Same scenario three ways: single queue, sharded with auto threads, and
-  // sharded with one inline thread. The last two must agree bit-for-bit
-  // (the engine's determinism contract — exit 2 if they don't); the first
-  // two give the wall-clock speedup on this machine's cores.
+  // sharded with one inline thread. The last two must agree on every
+  // RunMetrics field (the engine's determinism contract — exit 2 naming
+  // the first field that differs); the first two give the wall-clock
+  // speedup on this machine's cores.
   const int compare_shards = static_cast<int>(opt.get_int("compare-shards"));
   bool determinism_ok = true;
   if (compare_shards > 1) {
@@ -279,24 +280,17 @@ int main(int argc, char** argv) {
     const double sharded_ms = ms_since(t0);
     cfg.sim_threads = 1;
     const app::RunMetrics inline_run = app::run_scenario(cfg);
-    determinism_ok =
-        sharded.delivered == inline_run.delivered &&
-        sharded.generated == inline_run.generated &&
-        sharded.events_processed == inline_run.events_processed &&
-        sharded.boundary_frames == inline_run.boundary_frames &&
-        sharded.goodput == inline_run.goodput &&
-        sharded.mean_delay == inline_run.mean_delay &&
-        sharded.normalized_energy == inline_run.normalized_energy &&
-        sharded.shard_events == inline_run.shard_events;
+    const char* differs = app::first_metric_difference(sharded, inline_run);
+    determinism_ok = differs == nullptr;
     const double speedup = sharded_ms > 0 ? single_ms / sharded_ms : 0;
     std::printf(
         "[compare] grid-%d dual-radio: single %.0f ms (%d delivered), "
         "%d shards %.0f ms (%d delivered, %lld boundary frames) — "
-        "%.2fx, thread-count determinism %s\n",
+        "%.2fx, thread-count determinism %s%s\n",
         sizes.back(), single_ms, static_cast<int>(single.delivered),
         compare_shards, sharded_ms, static_cast<int>(sharded.delivered),
         static_cast<long long>(sharded.boundary_frames), speedup,
-        determinism_ok ? "OK" : "BROKEN");
+        determinism_ok ? "OK" : "BROKEN at ", determinism_ok ? "" : differs);
     sink.set_meta("compare_shards", static_cast<double>(compare_shards));
     sink.set_meta("compare_single_ms", single_ms);
     sink.set_meta("compare_sharded_ms", sharded_ms);

@@ -101,101 +101,25 @@ namespace detail {
 
 namespace {
 
-void merge_energy(RadioEnergyTotals& total, const RadioEnergyTotals& part) {
-  total.tx += part.tx;
-  total.rx += part.rx;
-  total.overhear += part.overhear;
-  total.idle += part.idle;
-  total.wakeup += part.wakeup;
+template <MergeRule R, class T>
+void merge_field(T& total, const T& part) {
+  if constexpr (R == MergeRule::kSum) {
+    total += part;
+  } else if constexpr (R == MergeRule::kEarliest) {
+    if (part >= 0 && (total < 0 || part < total)) total = part;
+  } else if constexpr (R == MergeRule::kMax) {
+    total = std::max(total, part);
+  }
+  // kAfterFold: assigned by run_sharded / finalize_metrics, never merged.
 }
 
 }  // namespace
 
 void merge_metrics(RunMetrics& total, const RunMetrics& part) {
-  // Field-coverage tripwire: adding a RunMetrics field changes this size,
-  // and the build fails here until the field gets a merge rule below (and
-  // a case in the merge-coverage test). Update the expected size last.
-  static_assert(sizeof(void*) != 8 || sizeof(RunMetrics) == 448,
-                "RunMetrics changed: give every new field a merge rule in "
-                "detail::merge_metrics and tests/merge_metrics_test.cpp's "
-                "coverage case, then update this expected size");
-
-  // Traffic counters: sum.
-  total.generated += part.generated;
-  total.delivered += part.delivered;
-  total.dropped_buffer += part.dropped_buffer;
-  total.dropped_queue += part.dropped_queue;
-  total.dropped_mac += part.dropped_mac;
-  total.dropped_no_route += part.dropped_no_route;
-  total.dropped_node_down += part.dropped_node_down;
-
-  // goodput, mean_delay, normalized_energy{,_sensor_ideal,_sensor_header}
-  // are derived ratios: recomputed from the merged sums by
-  // detail::finalize_metrics, never merged.
-
-  merge_energy(total.sensor_energy, part.sensor_energy);
-  merge_energy(total.wifi_energy, part.wifi_energy);
-
-  // Protocol/MAC counters: sum.
-  total.mac_tx_attempts += part.mac_tx_attempts;
-  total.mac_tx_failed += part.mac_tx_failed;
-  total.bcp_wakeups += part.bcp_wakeups;
-  total.bcp_handshakes_failed += part.bcp_handshakes_failed;
-  total.bcp_sender_sessions += part.bcp_sender_sessions;
-  total.bcp_receiver_timeouts += part.bcp_receiver_timeouts;
-  total.wifi_wakeup_transitions += part.wifi_wakeup_transitions;
-  total.wifi_on_seconds += part.wifi_on_seconds;
-
-  total.events_processed += part.events_processed;
-
-  // Fault/churn counters: sum (each fault event is counted by exactly
-  // one shard — the one owning the event's primary node).
-  total.fault_node_crashes += part.fault_node_crashes;
-  total.fault_node_recoveries += part.fault_node_recoveries;
-  total.fault_recoveries_refused += part.fault_recoveries_refused;
-  total.fault_link_downs += part.fault_link_downs;
-  total.fault_link_ups += part.fault_link_ups;
-  total.route_rebuilds += part.route_rebuilds;
-  total.bcp_packets_lost_to_crash += part.bcp_packets_lost_to_crash;
-  total.mac_crash_drops += part.mac_crash_drops;
-
-  // Channel conservation counters: sum (the law holds per partition and
-  // over the sum).
-  total.chan_frames += part.chan_frames;
-  total.chan_rx_starts += part.chan_rx_starts;
-  total.chan_rx_ends += part.chan_rx_ends;
-  total.chan_rx_live_at_end += part.chan_rx_live_at_end;
-
-  // TDMA schedule health: sum.
-  total.tdma_beacons_sent += part.tdma_beacons_sent;
-  total.tdma_beacons_heard += part.tdma_beacons_heard;
-  total.tdma_slots_skipped += part.tdma_slots_skipped;
-
-  // Lifetime metrics. Deaths sum; the time-to-first-* fields take the
-  // earliest non-sentinel value (-1 = never happened); the drawn
-  // fraction takes the max over all batteries.
-  total.battery_deaths += part.battery_deaths;
-  if (part.time_to_first_death >= 0 &&
-      (total.time_to_first_death < 0 ||
-       part.time_to_first_death < total.time_to_first_death))
-    total.time_to_first_death = part.time_to_first_death;
-  if (part.time_to_sink_partition >= 0 &&
-      (total.time_to_sink_partition < 0 ||
-       part.time_to_sink_partition < total.time_to_sink_partition))
-    total.time_to_sink_partition = part.time_to_sink_partition;
-  total.delivered_bits_until_first_death +=
-      part.delivered_bits_until_first_death;
-  total.delivered_bits_until_partition +=
-      part.delivered_bits_until_partition;
-  total.battery_max_drawn_fraction = std::max(
-      total.battery_max_drawn_fraction, part.battery_max_drawn_fraction);
-
-  // Sharded-engine visibility: per-shard event counts concatenate; the
-  // boundary export count sums.
-  total.shard_events.insert(total.shard_events.end(),
-                            part.shard_events.begin(),
-                            part.shard_events.end());
-  total.boundary_frames += part.boundary_frames;
+#define BCP_METRIC_MERGE(type, name, init, rule) \
+  merge_field<MergeRule::rule>(total.name, part.name);
+  BCP_RUN_METRICS(BCP_METRIC_MERGE)
+#undef BCP_METRIC_MERGE
 }
 
 }  // namespace detail
@@ -446,6 +370,14 @@ std::vector<RunMetrics> run_replications(ScenarioConfig config, int runs) {
     out.push_back(run_scenario(config));
   }
   return out;
+}
+
+const char* first_metric_difference(const RunMetrics& a, const RunMetrics& b) {
+#define BCP_METRIC_DIFF(type, name, init, rule) \
+  if (!(a.name == b.name)) return #name;
+  BCP_RUN_METRICS(BCP_METRIC_DIFF)
+#undef BCP_METRIC_DIFF
+  return nullptr;
 }
 
 }  // namespace bcp::app

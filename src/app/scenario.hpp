@@ -179,114 +179,176 @@ struct ScenarioConfig {
                                   int burst_packets);
 };
 
-/// Per-radio-class integrated energy, summed over all nodes.
+/// Per-radio-class integrated energy, summed over all nodes. The table
+/// lists each component (util::Joules, default 0) once; the members,
+/// operator+=, operator== and for_each_energy are generated from it.
+#define BCP_RADIO_ENERGY_FIELDS(X)                                            \
+  X(tx)                                                                       \
+  X(rx)                                                                       \
+  X(overhear)                                                                 \
+  X(idle)                                                                     \
+  X(wakeup)
+
 struct RadioEnergyTotals {
-  util::Joules tx = 0;
-  util::Joules rx = 0;
-  util::Joules overhear = 0;
-  util::Joules idle = 0;
-  util::Joules wakeup = 0;
+#define BCP_ENERGY_MEMBER(name) util::Joules name = 0;
+  BCP_RADIO_ENERGY_FIELDS(BCP_ENERGY_MEMBER)
+#undef BCP_ENERGY_MEMBER
 
   /// §4.1 "ideal" sensor charge.
   util::Joules ideal() const { return tx + rx; }
   /// Everything — how 802.11 radios are charged.
   util::Joules full() const { return tx + rx + overhear + idle + wakeup; }
+
+  RadioEnergyTotals& operator+=(const RadioEnergyTotals& o) {
+#define BCP_ENERGY_ADD(name) name += o.name;
+    BCP_RADIO_ENERGY_FIELDS(BCP_ENERGY_ADD)
+#undef BCP_ENERGY_ADD
+    return *this;
+  }
+  bool operator==(const RadioEnergyTotals& o) const {
+#define BCP_ENERGY_EQ(name) name == o.name &&
+    return BCP_RADIO_ENERGY_FIELDS(BCP_ENERGY_EQ) true;
+#undef BCP_ENERGY_EQ
+  }
 };
+
+/// Calls f(name, component) for each energy component in table order;
+/// `e` may be const.
+template <class E, class F>
+void for_each_energy(E& e, F&& f) {
+#define BCP_ENERGY_VISIT(name) f(#name, e.name);
+  BCP_RADIO_ENERGY_FIELDS(BCP_ENERGY_VISIT)
+#undef BCP_ENERGY_VISIT
+}
+
+/// How detail::merge_metrics folds one shard's value of a field into the
+/// run total.
+enum class MergeRule {
+  kSum,       ///< counters and energies add up
+  kEarliest,  ///< earliest non-negative time; the -1 "never" sentinel loses
+  kMax,       ///< the largest value wins
+  /// Never merged: no partition writes it, and run_sharded or
+  /// finalize_metrics assigns it after the fold (derived ratios, lifetime
+  /// marks, the per-shard breakdown).
+  kAfterFold,
+};
+
+// ---- The RunMetrics field table ----
+//
+// X(type, name, default, merge rule), one line per field, in member order.
+// The struct members, detail::merge_metrics, for_each_metric (and so the
+// golden-matrix digest) and first_metric_difference (the thread-count
+// determinism gates) are all generated from it, so a new metric is one
+// line here. standard_metrics (the golden-protected BENCH export) and
+// perfbench's print_counts are curated views with their own key lists:
+// neither picks a new field up automatically.
+#define BCP_RUN_METRICS(X)                                                    \
+  /* Traffic accounting. */                                                   \
+  X(std::int64_t, generated, 0, kSum)                                         \
+  X(std::int64_t, delivered, 0, kSum)                                         \
+  X(std::int64_t, dropped_buffer, 0, kSum)    /* BCP buffer full */           \
+  X(std::int64_t, dropped_queue, 0, kSum)     /* MAC queue tail drop */       \
+  X(std::int64_t, dropped_mac, 0, kSum)       /* retries exhausted */         \
+  X(std::int64_t, dropped_no_route, 0, kSum)                                  \
+  /* Generated while the sender was down. */                                  \
+  X(std::int64_t, dropped_node_down, 0, kSum)                                 \
+  X(double, goodput, 0, kAfterFold)                                           \
+  /* Seconds, over delivered packets. */                                      \
+  X(double, mean_delay, 0, kAfterFold)                                        \
+  X(RadioEnergyTotals, sensor_energy, {}, kSum)                               \
+  X(RadioEnergyTotals, wifi_energy, {}, kSum)                                 \
+  /* J per delivered Kbit under the model's charging rules (0 if nothing      \
+     was delivered), then the two §4.1 sensor curves (populated for every     \
+     model for reference). */                                                 \
+  X(double, normalized_energy, 0, kAfterFold)                                 \
+  X(double, normalized_energy_sensor_ideal, 0, kAfterFold)                    \
+  X(double, normalized_energy_sensor_header, 0, kAfterFold)                   \
+  /* Protocol/MAC visibility. */                                              \
+  X(std::int64_t, mac_tx_attempts, 0, kSum)                                   \
+  X(std::int64_t, mac_tx_failed, 0, kSum)                                     \
+  X(std::int64_t, bcp_wakeups, 0, kSum)                                       \
+  X(std::int64_t, bcp_handshakes_failed, 0, kSum)                             \
+  X(std::int64_t, bcp_sender_sessions, 0, kSum)                               \
+  X(std::int64_t, bcp_receiver_timeouts, 0, kSum)                             \
+  X(std::int64_t, wifi_wakeup_transitions, 0, kSum)                           \
+  X(double, wifi_on_seconds, 0, kSum)                                         \
+  /* Simulator events dispatched over the run: the denominator-free half      \
+     of the events/sec throughput metric the scale bench reports (wall        \
+     clock is measured by the caller; event counts are deterministic). */     \
+  X(std::uint64_t, events_processed, 0, kSum)                                 \
+  /* Fault/churn visibility (all zero for fault-free runs). Each fault        \
+     event is counted by exactly one shard: the one owning its primary        \
+     node. fault_recoveries_refused counts planned recoveries refused         \
+     because the node's battery had depleted by then (battery death is        \
+     final). route_rebuilds counts routing rebuilds actually performed        \
+     (both radios); with the lazy DynamicRouting this tracks membership       \
+     changes, not queries. */                                                 \
+  X(std::int64_t, fault_node_crashes, 0, kSum)                                \
+  X(std::int64_t, fault_node_recoveries, 0, kSum)                             \
+  X(std::int64_t, fault_recoveries_refused, 0, kSum)                          \
+  X(std::int64_t, fault_link_downs, 0, kSum)                                  \
+  X(std::int64_t, fault_link_ups, 0, kSum)                                    \
+  X(std::int64_t, route_rebuilds, 0, kSum)                                    \
+  X(std::int64_t, bcp_packets_lost_to_crash, 0, kSum)                         \
+  X(std::int64_t, mac_crash_drops, 0, kSum)                                   \
+  /* Channel conservation counters, summed over both radio channels:          \
+     every rx_start is matched by exactly one rx_end or is still in flight    \
+     at the horizon (chan_rx_starts == chan_rx_ends + chan_rx_live_at_end,    \
+     per partition and over the sum). */                                      \
+  X(std::int64_t, chan_frames, 0, kSum)                                       \
+  X(std::int64_t, chan_rx_starts, 0, kSum)                                    \
+  X(std::int64_t, chan_rx_ends, 0, kSum)                                      \
+  X(std::int64_t, chan_rx_live_at_end, 0, kSum)                               \
+  /* TDMA schedule health, summed over nodes (all zero for CSMA runs). */     \
+  X(std::int64_t, tdma_beacons_sent, 0, kSum)                                 \
+  X(std::int64_t, tdma_beacons_heard, 0, kSum)                                \
+  X(std::int64_t, tdma_slots_skipped, 0, kSum)                                \
+  /* Graceful-degradation / lifetime visibility (sentinel values when         \
+     batteries are off). time_to_first_death: seconds to the first battery    \
+     depletion, -1 = nobody died. time_to_sink_partition: seconds until       \
+     some alive node lost every path to the sink (LinkState-masked            \
+     reachability, checked at each death), -1 = never. The two                \
+     delivered_bits_until_* count payload bits delivered at the sink          \
+     before the first death / partition (the whole run's deliveries when      \
+     the event never came). battery_max_drawn_fraction: max over              \
+     battery-backed nodes of drawn/capacity; the invariant bound is 1 plus    \
+     at most one indivisible wake-up lump. */                                 \
+  X(std::int64_t, battery_deaths, 0, kSum)                                    \
+  X(double, time_to_first_death, -1, kEarliest)                               \
+  X(double, time_to_sink_partition, -1, kAfterFold)                           \
+  X(std::int64_t, delivered_bits_until_first_death, 0, kAfterFold)            \
+  X(std::int64_t, delivered_bits_until_partition, 0, kAfterFold)              \
+  X(double, battery_max_drawn_fraction, 0, kMax)                              \
+  /* Sharded-engine visibility (empty/zero on the single-queue engine).       \
+     shard_events: events dispatched per shard, in shard order; sums to       \
+     events_processed (the per-shard events/sec breakdown divides these by    \
+     the caller-measured wall clock). boundary_frames: frames that crossed    \
+     a stripe edge, each counted once per destination shard, both radio       \
+     classes. */                                                              \
+  X(std::vector<std::uint64_t>, shard_events, {}, kAfterFold)                 \
+  X(std::int64_t, boundary_frames, 0, kAfterFold)
 
 struct RunMetrics {
-  // Traffic accounting.
-  std::int64_t generated = 0;
-  std::int64_t delivered = 0;
-  std::int64_t dropped_buffer = 0;    ///< BCP buffer full
-  std::int64_t dropped_queue = 0;     ///< MAC queue tail drop
-  std::int64_t dropped_mac = 0;       ///< retries exhausted
-  std::int64_t dropped_no_route = 0;
-  std::int64_t dropped_node_down = 0; ///< generated while the sender was down
-
-  double goodput = 0;
-  double mean_delay = 0;  ///< seconds, over delivered packets
-
-  RadioEnergyTotals sensor_energy;
-  RadioEnergyTotals wifi_energy;
-
-  /// J per delivered Kbit under the model's charging rules (0 if nothing
-  /// was delivered).
-  double normalized_energy = 0;
-  /// The two §4.1 sensor curves (populated for every model for reference).
-  double normalized_energy_sensor_ideal = 0;
-  double normalized_energy_sensor_header = 0;
-
-  // Protocol/MAC visibility.
-  std::int64_t mac_tx_attempts = 0;
-  std::int64_t mac_tx_failed = 0;
-  std::int64_t bcp_wakeups = 0;
-  std::int64_t bcp_handshakes_failed = 0;
-  std::int64_t bcp_sender_sessions = 0;
-  std::int64_t bcp_receiver_timeouts = 0;
-  std::int64_t wifi_wakeup_transitions = 0;
-  double wifi_on_seconds = 0;
-
-  /// Simulator events dispatched over the run — the denominator-free half
-  /// of the events/sec throughput metric the scale bench reports (wall
-  /// clock is measured by the caller; event counts are deterministic).
-  std::uint64_t events_processed = 0;
-
-  // Fault/churn visibility (all zero for fault-free runs).
-  std::int64_t fault_node_crashes = 0;
-  std::int64_t fault_node_recoveries = 0;
-  /// Planned recoveries refused because the node's battery had depleted
-  /// by then (battery death is final) — lets churn+battery cells audit
-  /// how much of the fault plan actually executed.
-  std::int64_t fault_recoveries_refused = 0;
-  std::int64_t fault_link_downs = 0;
-  std::int64_t fault_link_ups = 0;
-  /// Routing rebuilds actually performed (both radios) — with the lazy
-  /// DynamicRouting this tracks membership changes, not queries.
-  std::int64_t route_rebuilds = 0;
-  std::int64_t bcp_packets_lost_to_crash = 0;
-  std::int64_t mac_crash_drops = 0;
-
-  // Channel conservation counters, summed over both radio channels: every
-  // rx_start is matched by exactly one rx_end or is still in flight at
-  // the horizon (chan_rx_starts == chan_rx_ends + chan_rx_live_at_end —
-  // the invariant the cross-model property suite asserts).
-  std::int64_t chan_frames = 0;
-  std::int64_t chan_rx_starts = 0;
-  std::int64_t chan_rx_ends = 0;
-  std::int64_t chan_rx_live_at_end = 0;
-
-  // TDMA schedule health, summed over nodes (all zero for CSMA runs; NOT
-  // part of standard_metrics — the BENCH format is golden-protected).
-  std::int64_t tdma_beacons_sent = 0;
-  std::int64_t tdma_beacons_heard = 0;
-  std::int64_t tdma_slots_skipped = 0;
-
-  // Graceful-degradation / lifetime visibility (sentinel values when
-  // batteries are off; NOT part of standard_metrics — the BENCH format is
-  // golden-protected, so benches append these per-cell).
-  std::int64_t battery_deaths = 0;
-  /// Seconds to the first battery depletion; -1 = nobody died.
-  double time_to_first_death = -1;
-  /// Seconds until some alive node lost every path to the sink
-  /// (LinkState-masked reachability, checked at each death); -1 = never.
-  double time_to_sink_partition = -1;
-  /// Payload bits delivered at the sink before the first death /
-  /// partition (the whole run's deliveries when the event never came).
-  std::int64_t delivered_bits_until_first_death = 0;
-  std::int64_t delivered_bits_until_partition = 0;
-  /// Max over battery-backed nodes of drawn/capacity — the invariant
-  /// bound is 1 plus at most one indivisible wake-up lump.
-  double battery_max_drawn_fraction = 0;
-
-  // Sharded-engine visibility (empty/zero on the single-queue engine).
-  /// Events dispatched per shard, in shard order; sums to
-  /// events_processed. The per-shard events/sec breakdown divides these
-  /// by the caller-measured wall clock.
-  std::vector<std::uint64_t> shard_events;
-  /// Frames that crossed a stripe edge (each counted once per
-  /// destination shard, both radio classes).
-  std::int64_t boundary_frames = 0;
+#define BCP_METRIC_MEMBER(type, name, init, rule) type name = init;
+  BCP_RUN_METRICS(BCP_METRIC_MEMBER)
+#undef BCP_METRIC_MEMBER
 };
+
+/// Calls f(name, rule, field) for every RunMetrics field in member order;
+/// `m` may be const.
+template <class M, class F>
+void for_each_metric(M& m, F&& f) {
+#define BCP_METRIC_VISIT(type, name, init, rule) \
+  f(#name, MergeRule::rule, m.name);
+  BCP_RUN_METRICS(BCP_METRIC_VISIT)
+#undef BCP_METRIC_VISIT
+}
+
+/// The name of the first RunMetrics field, in member order, whose values
+/// differ between `a` and `b` (exact ==, no tolerance), or nullptr when
+/// every field matches. The determinism contract is exact, so this is the
+/// whole comparison a thread-count or repeat-run check needs.
+const char* first_metric_difference(const RunMetrics& a, const RunMetrics& b);
 
 /// Runs one scenario to completion and reports its metrics: validates
 /// the config, then runs it on the single-queue engine (shards == 1) or

@@ -6,14 +6,13 @@
 
 namespace bcp::app::detail {
 
-/// Folds one shard's metrics into the run total: counters sum,
-/// time-to-first-* fields take the earliest non-sentinel value,
-/// battery_max_drawn_fraction takes the max, per-shard event vectors
-/// concatenate, and the derived ratios (goodput, delays, normalized
-/// energies) are left for finalize_metrics to recompute from the merged
-/// sums. A static_assert on sizeof(RunMetrics) at the definition plus the
-/// field-coverage test pin that every RunMetrics field has a merge rule —
-/// a new metric cannot be dropped silently.
+/// Folds one shard's metrics into the run total, one MergeRule per
+/// field as tagged in the BCP_RUN_METRICS table (scenario.hpp): counters
+/// and energies sum, time_to_first_death takes the earliest non-sentinel
+/// value, battery_max_drawn_fraction takes the max, and kAfterFold fields
+/// (the derived ratios, the lifetime marks, shard_events, boundary_frames)
+/// are left for run_sharded and finalize_metrics to assign. The table
+/// gives every field a rule, so a new metric cannot be dropped silently.
 void merge_metrics(RunMetrics& total, const RunMetrics& part);
 
 }  // namespace bcp::app::detail

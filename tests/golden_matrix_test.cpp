@@ -1,5 +1,10 @@
 // Golden matrix: one tiny cell per engine path of run_scenario, each
 // pinned as a 64-bit FNV-1a digest over every RunMetrics field.
+// serialize() walks the BCP_RUN_METRICS field table through
+// app::for_each_metric, so a new metric is one table line in scenario.hpp
+// and joins every digest on its own (which re-pins all of them, in the
+// same change). standard_metrics and perfbench's print_counts are curated
+// views with their own key lists and do not pick a new field up.
 //
 // The cells cover the single queue (shards = 1) across every evaluation
 // model, both route materializations, the lossy/capture channel, churn,
@@ -14,6 +19,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -26,84 +32,40 @@
 namespace bcp {
 namespace {
 
-// Field-coverage tripwire: a new RunMetrics field must join serialize()
-// below before this size is updated.
-static_assert(sizeof(void*) != 8 || sizeof(app::RunMetrics) == 448,
-              "RunMetrics changed: add the new field to serialize() in "
-              "tests/golden_matrix_test.cpp, then update this size");
-
-void put(std::string& out, const char* name, std::int64_t v) {
+void put(std::string& out, const std::string& name, std::int64_t v) {
   char buf[96];
-  std::snprintf(buf, sizeof buf, "%s=%" PRId64 "\n", name, v);
+  std::snprintf(buf, sizeof buf, "%s=%" PRId64 "\n", name.c_str(), v);
   out += buf;
 }
 
-void put(std::string& out, const char* name, double v) {
+void put(std::string& out, const std::string& name, std::uint64_t v) {
+  put(out, name, static_cast<std::int64_t>(v));
+}
+
+void put(std::string& out, const std::string& name, double v) {
   char buf[96];
-  std::snprintf(buf, sizeof buf, "%s=%a\n", name, v);
+  std::snprintf(buf, sizeof buf, "%s=%a\n", name.c_str(), v);
   out += buf;
 }
 
-void put(std::string& out, const char* name, const app::RadioEnergyTotals& e) {
-  const std::string base(name);
-  put(out, (base + ".tx").c_str(), e.tx);
-  put(out, (base + ".rx").c_str(), e.rx);
-  put(out, (base + ".overhear").c_str(), e.overhear);
-  put(out, (base + ".idle").c_str(), e.idle);
-  put(out, (base + ".wakeup").c_str(), e.wakeup);
+void put(std::string& out, const std::string& name,
+         const app::RadioEnergyTotals& e) {
+  app::for_each_energy(e, [&](const char* part, double j) {
+    put(out, name + "." + part, j);
+  });
 }
 
+void put(std::string& out, const std::string& name,
+         const std::vector<std::uint64_t>& v) {
+  put(out, name + ".size", static_cast<std::int64_t>(v.size()));
+  for (const std::uint64_t e : v) put(out, name + "[]", e);
+}
+
+/// One line per field, in RunMetrics table order.
 std::string serialize(const app::RunMetrics& m) {
   std::string s;
-  put(s, "generated", m.generated);
-  put(s, "delivered", m.delivered);
-  put(s, "dropped_buffer", m.dropped_buffer);
-  put(s, "dropped_queue", m.dropped_queue);
-  put(s, "dropped_mac", m.dropped_mac);
-  put(s, "dropped_no_route", m.dropped_no_route);
-  put(s, "dropped_node_down", m.dropped_node_down);
-  put(s, "goodput", m.goodput);
-  put(s, "mean_delay", m.mean_delay);
-  put(s, "sensor_energy", m.sensor_energy);
-  put(s, "wifi_energy", m.wifi_energy);
-  put(s, "normalized_energy", m.normalized_energy);
-  put(s, "normalized_energy_sensor_ideal", m.normalized_energy_sensor_ideal);
-  put(s, "normalized_energy_sensor_header", m.normalized_energy_sensor_header);
-  put(s, "mac_tx_attempts", m.mac_tx_attempts);
-  put(s, "mac_tx_failed", m.mac_tx_failed);
-  put(s, "bcp_wakeups", m.bcp_wakeups);
-  put(s, "bcp_handshakes_failed", m.bcp_handshakes_failed);
-  put(s, "bcp_sender_sessions", m.bcp_sender_sessions);
-  put(s, "bcp_receiver_timeouts", m.bcp_receiver_timeouts);
-  put(s, "wifi_wakeup_transitions", m.wifi_wakeup_transitions);
-  put(s, "wifi_on_seconds", m.wifi_on_seconds);
-  put(s, "events_processed", static_cast<std::int64_t>(m.events_processed));
-  put(s, "fault_node_crashes", m.fault_node_crashes);
-  put(s, "fault_node_recoveries", m.fault_node_recoveries);
-  put(s, "fault_recoveries_refused", m.fault_recoveries_refused);
-  put(s, "fault_link_downs", m.fault_link_downs);
-  put(s, "fault_link_ups", m.fault_link_ups);
-  put(s, "route_rebuilds", m.route_rebuilds);
-  put(s, "bcp_packets_lost_to_crash", m.bcp_packets_lost_to_crash);
-  put(s, "mac_crash_drops", m.mac_crash_drops);
-  put(s, "chan_frames", m.chan_frames);
-  put(s, "chan_rx_starts", m.chan_rx_starts);
-  put(s, "chan_rx_ends", m.chan_rx_ends);
-  put(s, "chan_rx_live_at_end", m.chan_rx_live_at_end);
-  put(s, "tdma_beacons_sent", m.tdma_beacons_sent);
-  put(s, "tdma_beacons_heard", m.tdma_beacons_heard);
-  put(s, "tdma_slots_skipped", m.tdma_slots_skipped);
-  put(s, "battery_deaths", m.battery_deaths);
-  put(s, "time_to_first_death", m.time_to_first_death);
-  put(s, "time_to_sink_partition", m.time_to_sink_partition);
-  put(s, "delivered_bits_until_first_death",
-      m.delivered_bits_until_first_death);
-  put(s, "delivered_bits_until_partition", m.delivered_bits_until_partition);
-  put(s, "battery_max_drawn_fraction", m.battery_max_drawn_fraction);
-  put(s, "shard_events.size", static_cast<std::int64_t>(m.shard_events.size()));
-  for (const std::uint64_t e : m.shard_events)
-    put(s, "shard_events[]", static_cast<std::int64_t>(e));
-  put(s, "boundary_frames", m.boundary_frames);
+  app::for_each_metric(m, [&s](const char* name, app::MergeRule,
+                               const auto& v) { put(s, name, v); });
   return s;
 }
 
@@ -181,6 +143,10 @@ struct Cell {
   const char* digest;
   std::function<app::ScenarioConfig()> config;
 };
+
+// gtest would otherwise print a Cell as its raw bytes, pointers included,
+// and ctest's discovered test names would change with every process.
+void PrintTo(const Cell& cell, std::ostream* os) { *os << cell.name; }
 
 std::vector<Cell> cells() {
   using app::EvalModel;

@@ -1,14 +1,21 @@
-// Field-coverage test for detail::merge_metrics, the sharded engine's
-// per-shard metric fold. Together with the sizeof(RunMetrics)
-// static_assert at the definition it forms a tripwire: a new RunMetrics
-// field cannot ship without a merge rule (the assert fires) and the rule
-// cannot be wrong silently (this test pins the semantics of every field —
-// counters sum, time-to-first-* take the earliest non-sentinel value, the
-// drawn fraction takes the max, per-shard vectors concatenate, derived
-// ratios are left for finalize_metrics).
+// Rule test for detail::merge_metrics, the sharded engine's per-shard
+// metric fold, and for app::first_metric_difference. Both are generated
+// from the BCP_RUN_METRICS field table in scenario.hpp, where a new metric
+// is one line carrying its merge rule; this test walks the same table
+// instead of listing fields. It pins, as a literal list, every field whose
+// rule is not kSum (so a field tagged with the wrong rule fails here), then
+// checks each rule over every scalar: sums add, time_to_first_death takes
+// the earliest non-sentinel value, the drawn fraction takes the max, and
+// kAfterFold fields are left for finalize_metrics. standard_metrics and
+// perfbench's print_counts are curated views outside the table and do not
+// pick a new field up.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "app/scenario.hpp"
@@ -17,66 +24,78 @@
 namespace bcp {
 namespace {
 
-/// A RunMetrics with every field set to a distinct value derived from
-/// `base`, so a dropped or cross-wired merge rule shows up as a wrong sum.
+using app::MergeRule;
+
+/// Calls f(name, rule, scalar) for every scalar of `m` in table order:
+/// energy components ("wifi_energy.idle") and shard_events entries
+/// ("shard_events[]") carry their field's rule.
+template <class M, class F>
+void for_each_scalar(M& m, F&& f) {
+  app::for_each_metric(m, [&f](const char* name, MergeRule rule,
+                               auto& field) {
+    using T = std::decay_t<decltype(field)>;
+    if constexpr (std::is_same_v<T, app::RadioEnergyTotals>) {
+      app::for_each_energy(field, [&](const char* part, auto& j) {
+        f(std::string(name) + "." + part, rule, j);
+      });
+    } else if constexpr (std::is_same_v<T, std::vector<std::uint64_t>>) {
+      for (auto& e : field) f(std::string(name) + "[]", rule, e);
+    } else {
+      f(std::string(name), rule, field);
+    }
+  });
+}
+
+/// A RunMetrics with every scalar set to a distinct value above `base`
+/// (and one shard_events entry), so a dropped or cross-wired merge rule
+/// shows up as a wrong total.
 app::RunMetrics filled(std::int64_t base) {
   app::RunMetrics m;
+  m.shard_events.resize(1);
   std::int64_t v = base;
-  m.generated = ++v;
-  m.delivered = ++v;
-  m.dropped_buffer = ++v;
-  m.dropped_queue = ++v;
-  m.dropped_mac = ++v;
-  m.dropped_no_route = ++v;
-  m.dropped_node_down = ++v;
-  m.goodput = static_cast<double>(++v);
-  m.mean_delay = static_cast<double>(++v);
-  m.sensor_energy.tx = static_cast<double>(++v);
-  m.sensor_energy.rx = static_cast<double>(++v);
-  m.sensor_energy.overhear = static_cast<double>(++v);
-  m.sensor_energy.idle = static_cast<double>(++v);
-  m.sensor_energy.wakeup = static_cast<double>(++v);
-  m.wifi_energy.tx = static_cast<double>(++v);
-  m.wifi_energy.rx = static_cast<double>(++v);
-  m.wifi_energy.overhear = static_cast<double>(++v);
-  m.wifi_energy.idle = static_cast<double>(++v);
-  m.wifi_energy.wakeup = static_cast<double>(++v);
-  m.normalized_energy = static_cast<double>(++v);
-  m.normalized_energy_sensor_ideal = static_cast<double>(++v);
-  m.normalized_energy_sensor_header = static_cast<double>(++v);
-  m.mac_tx_attempts = ++v;
-  m.mac_tx_failed = ++v;
-  m.bcp_wakeups = ++v;
-  m.bcp_handshakes_failed = ++v;
-  m.bcp_sender_sessions = ++v;
-  m.bcp_receiver_timeouts = ++v;
-  m.wifi_wakeup_transitions = ++v;
-  m.wifi_on_seconds = static_cast<double>(++v);
-  m.events_processed = static_cast<std::uint64_t>(++v);
-  m.fault_node_crashes = ++v;
-  m.fault_node_recoveries = ++v;
-  m.fault_recoveries_refused = ++v;
-  m.fault_link_downs = ++v;
-  m.fault_link_ups = ++v;
-  m.route_rebuilds = ++v;
-  m.bcp_packets_lost_to_crash = ++v;
-  m.mac_crash_drops = ++v;
-  m.chan_frames = ++v;
-  m.chan_rx_starts = ++v;
-  m.chan_rx_ends = ++v;
-  m.chan_rx_live_at_end = ++v;
-  m.tdma_beacons_sent = ++v;
-  m.tdma_beacons_heard = ++v;
-  m.tdma_slots_skipped = ++v;
-  m.battery_deaths = ++v;
-  m.time_to_first_death = static_cast<double>(++v);
-  m.time_to_sink_partition = static_cast<double>(++v);
-  m.delivered_bits_until_first_death = ++v;
-  m.delivered_bits_until_partition = ++v;
-  m.battery_max_drawn_fraction = static_cast<double>(++v);
-  m.shard_events = {static_cast<std::uint64_t>(++v)};
-  m.boundary_frames = ++v;
+  for_each_scalar(m, [&v](const std::string&, MergeRule, auto& x) {
+    x = static_cast<std::decay_t<decltype(x)>>(++v);
+  });
   return m;
+}
+
+struct Scalar {
+  std::string name;
+  MergeRule rule;
+  double value;
+};
+
+std::vector<Scalar> scalars(const app::RunMetrics& m) {
+  std::vector<Scalar> out;
+  for_each_scalar(m, [&out](const std::string& name, MergeRule rule,
+                            auto x) {
+    out.push_back({name, rule, static_cast<double>(x)});
+  });
+  return out;
+}
+
+TEST(MergeMetrics, OnlyThePinnedFieldsAreNotSummed) {
+  const std::vector<std::pair<std::string, MergeRule>> expected = {
+      {"goodput", MergeRule::kAfterFold},
+      {"mean_delay", MergeRule::kAfterFold},
+      {"normalized_energy", MergeRule::kAfterFold},
+      {"normalized_energy_sensor_ideal", MergeRule::kAfterFold},
+      {"normalized_energy_sensor_header", MergeRule::kAfterFold},
+      {"time_to_first_death", MergeRule::kEarliest},
+      {"time_to_sink_partition", MergeRule::kAfterFold},
+      {"delivered_bits_until_first_death", MergeRule::kAfterFold},
+      {"delivered_bits_until_partition", MergeRule::kAfterFold},
+      {"battery_max_drawn_fraction", MergeRule::kMax},
+      {"shard_events", MergeRule::kAfterFold},
+      {"boundary_frames", MergeRule::kAfterFold},
+  };
+  std::vector<std::pair<std::string, MergeRule>> actual;
+  const app::RunMetrics m;
+  app::for_each_metric(m, [&actual](const char* name, MergeRule rule,
+                                    const auto&) {
+    if (rule != MergeRule::kSum) actual.emplace_back(name, rule);
+  });
+  EXPECT_EQ(actual, expected);
 }
 
 TEST(MergeMetrics, EveryFieldHasTheRightRule) {
@@ -85,108 +104,30 @@ TEST(MergeMetrics, EveryFieldHasTheRightRule) {
   app::RunMetrics total = a;
   app::detail::merge_metrics(total, b);
 
-  // Traffic counters sum.
-  EXPECT_EQ(total.generated, a.generated + b.generated);
-  EXPECT_EQ(total.delivered, a.delivered + b.delivered);
-  EXPECT_EQ(total.dropped_buffer, a.dropped_buffer + b.dropped_buffer);
-  EXPECT_EQ(total.dropped_queue, a.dropped_queue + b.dropped_queue);
-  EXPECT_EQ(total.dropped_mac, a.dropped_mac + b.dropped_mac);
-  EXPECT_EQ(total.dropped_no_route, a.dropped_no_route + b.dropped_no_route);
-  EXPECT_EQ(total.dropped_node_down,
-            a.dropped_node_down + b.dropped_node_down);
-
-  // Derived ratios are NOT merged — finalize_metrics recomputes them from
-  // the merged sums, so the fold must leave them alone.
-  EXPECT_EQ(total.goodput, a.goodput);
-  EXPECT_EQ(total.mean_delay, a.mean_delay);
-  EXPECT_EQ(total.normalized_energy, a.normalized_energy);
-  EXPECT_EQ(total.normalized_energy_sensor_ideal,
-            a.normalized_energy_sensor_ideal);
-  EXPECT_EQ(total.normalized_energy_sensor_header,
-            a.normalized_energy_sensor_header);
-
-  // Energy components sum per radio class.
-  EXPECT_EQ(total.sensor_energy.tx, a.sensor_energy.tx + b.sensor_energy.tx);
-  EXPECT_EQ(total.sensor_energy.rx, a.sensor_energy.rx + b.sensor_energy.rx);
-  EXPECT_EQ(total.sensor_energy.overhear,
-            a.sensor_energy.overhear + b.sensor_energy.overhear);
-  EXPECT_EQ(total.sensor_energy.idle,
-            a.sensor_energy.idle + b.sensor_energy.idle);
-  EXPECT_EQ(total.sensor_energy.wakeup,
-            a.sensor_energy.wakeup + b.sensor_energy.wakeup);
-  EXPECT_EQ(total.wifi_energy.tx, a.wifi_energy.tx + b.wifi_energy.tx);
-  EXPECT_EQ(total.wifi_energy.rx, a.wifi_energy.rx + b.wifi_energy.rx);
-  EXPECT_EQ(total.wifi_energy.overhear,
-            a.wifi_energy.overhear + b.wifi_energy.overhear);
-  EXPECT_EQ(total.wifi_energy.idle, a.wifi_energy.idle + b.wifi_energy.idle);
-  EXPECT_EQ(total.wifi_energy.wakeup,
-            a.wifi_energy.wakeup + b.wifi_energy.wakeup);
-
-  // Protocol/MAC counters sum.
-  EXPECT_EQ(total.mac_tx_attempts, a.mac_tx_attempts + b.mac_tx_attempts);
-  EXPECT_EQ(total.mac_tx_failed, a.mac_tx_failed + b.mac_tx_failed);
-  EXPECT_EQ(total.bcp_wakeups, a.bcp_wakeups + b.bcp_wakeups);
-  EXPECT_EQ(total.bcp_handshakes_failed,
-            a.bcp_handshakes_failed + b.bcp_handshakes_failed);
-  EXPECT_EQ(total.bcp_sender_sessions,
-            a.bcp_sender_sessions + b.bcp_sender_sessions);
-  EXPECT_EQ(total.bcp_receiver_timeouts,
-            a.bcp_receiver_timeouts + b.bcp_receiver_timeouts);
-  EXPECT_EQ(total.wifi_wakeup_transitions,
-            a.wifi_wakeup_transitions + b.wifi_wakeup_transitions);
-  EXPECT_EQ(total.wifi_on_seconds, a.wifi_on_seconds + b.wifi_on_seconds);
-  EXPECT_EQ(total.events_processed, a.events_processed + b.events_processed);
-
-  // Fault/churn counters sum — each fault event is counted by exactly
-  // one shard.
-  EXPECT_EQ(total.fault_node_crashes,
-            a.fault_node_crashes + b.fault_node_crashes);
-  EXPECT_EQ(total.fault_node_recoveries,
-            a.fault_node_recoveries + b.fault_node_recoveries);
-  EXPECT_EQ(total.fault_recoveries_refused,
-            a.fault_recoveries_refused + b.fault_recoveries_refused);
-  EXPECT_EQ(total.fault_link_downs, a.fault_link_downs + b.fault_link_downs);
-  EXPECT_EQ(total.fault_link_ups, a.fault_link_ups + b.fault_link_ups);
-  EXPECT_EQ(total.route_rebuilds, a.route_rebuilds + b.route_rebuilds);
-  EXPECT_EQ(total.bcp_packets_lost_to_crash,
-            a.bcp_packets_lost_to_crash + b.bcp_packets_lost_to_crash);
-  EXPECT_EQ(total.mac_crash_drops, a.mac_crash_drops + b.mac_crash_drops);
-
-  // Channel conservation counters sum (the law holds per partition and
-  // over the sum).
-  EXPECT_EQ(total.chan_frames, a.chan_frames + b.chan_frames);
-  EXPECT_EQ(total.chan_rx_starts, a.chan_rx_starts + b.chan_rx_starts);
-  EXPECT_EQ(total.chan_rx_ends, a.chan_rx_ends + b.chan_rx_ends);
-  EXPECT_EQ(total.chan_rx_live_at_end,
-            a.chan_rx_live_at_end + b.chan_rx_live_at_end);
-
-  // TDMA schedule health sums.
-  EXPECT_EQ(total.tdma_beacons_sent,
-            a.tdma_beacons_sent + b.tdma_beacons_sent);
-  EXPECT_EQ(total.tdma_beacons_heard,
-            a.tdma_beacons_heard + b.tdma_beacons_heard);
-  EXPECT_EQ(total.tdma_slots_skipped,
-            a.tdma_slots_skipped + b.tdma_slots_skipped);
-
-  // Lifetime: deaths and until-bits sum, time-to-first-* take the
-  // earliest value, the drawn fraction takes the max.
-  EXPECT_EQ(total.battery_deaths, a.battery_deaths + b.battery_deaths);
-  EXPECT_EQ(total.time_to_first_death, a.time_to_first_death);
-  EXPECT_EQ(total.time_to_sink_partition, a.time_to_sink_partition);
-  EXPECT_EQ(total.delivered_bits_until_first_death,
-            a.delivered_bits_until_first_death +
-                b.delivered_bits_until_first_death);
-  EXPECT_EQ(total.delivered_bits_until_partition,
-            a.delivered_bits_until_partition +
-                b.delivered_bits_until_partition);
-  EXPECT_EQ(total.battery_max_drawn_fraction, b.battery_max_drawn_fraction);
-
-  // Sharded visibility: per-shard event vectors concatenate in fold
-  // order, boundary exports sum.
-  ASSERT_EQ(total.shard_events.size(), 2u);
-  EXPECT_EQ(total.shard_events[0], a.shard_events[0]);
-  EXPECT_EQ(total.shard_events[1], b.shard_events[0]);
-  EXPECT_EQ(total.boundary_frames, a.boundary_frames + b.boundary_frames);
+  const std::vector<Scalar> sa = scalars(a);
+  const std::vector<Scalar> sb = scalars(b);
+  const std::vector<Scalar> st = scalars(total);
+  // A fold that touched shard_events would change the scalar count.
+  ASSERT_EQ(st.size(), sa.size());
+  for (std::size_t i = 0; i < st.size(); ++i) {
+    const double x = sa[i].value;
+    const double y = sb[i].value;
+    double want = x;  // kAfterFold: the fold leaves the total alone
+    switch (st[i].rule) {
+      case MergeRule::kSum:
+        want = x + y;
+        break;
+      case MergeRule::kEarliest:
+        want = std::min(x, y);
+        break;
+      case MergeRule::kMax:
+        want = std::max(x, y);
+        break;
+      case MergeRule::kAfterFold:
+        break;
+    }
+    EXPECT_EQ(st[i].value, want) << st[i].name;
+  }
 }
 
 TEST(MergeMetrics, TimeToFirstSentinelsNeverWin) {
@@ -198,25 +139,45 @@ TEST(MergeMetrics, TimeToFirstSentinelsNeverWin) {
   part.time_to_sink_partition = 43.0;
   app::detail::merge_metrics(total, part);
   EXPECT_EQ(total.time_to_first_death, 42.0);
-  EXPECT_EQ(total.time_to_sink_partition, 43.0);
+  // time_to_sink_partition is assigned after the fold: the fold leaves
+  // the total's sentinel alone.
+  EXPECT_EQ(total.time_to_sink_partition, -1.0);
 
   app::RunMetrics sentinel_part;
   app::detail::merge_metrics(total, sentinel_part);
   EXPECT_EQ(total.time_to_first_death, 42.0);
-  EXPECT_EQ(total.time_to_sink_partition, 43.0);
 
   app::RunMetrics earlier;
   earlier.time_to_first_death = 7.0;
-  earlier.time_to_sink_partition = 8.0;
   app::detail::merge_metrics(total, earlier);
   EXPECT_EQ(total.time_to_first_death, 7.0);
-  EXPECT_EQ(total.time_to_sink_partition, 8.0);
 
   app::RunMetrics never_total;
   app::RunMetrics never_part;
   app::detail::merge_metrics(never_total, never_part);
   EXPECT_EQ(never_total.time_to_first_death, -1.0);
-  EXPECT_EQ(never_total.time_to_sink_partition, -1.0);
+}
+
+TEST(FirstMetricDifference, NamesTheFieldOfEveryChangedScalar) {
+  const app::RunMetrics a = filled(100);
+  EXPECT_EQ(app::first_metric_difference(a, a), nullptr);
+  const std::size_t n = scalars(a).size();
+  for (std::size_t i = 0; i < n; ++i) {
+    app::RunMetrics b = a;
+    std::size_t k = 0;
+    std::string changed;
+    for_each_scalar(b, [&](const std::string& name, MergeRule, auto& x) {
+      if (k++ != i) return;
+      x += 1;
+      changed = name;
+    });
+    const char* diff = app::first_metric_difference(a, b);
+    ASSERT_NE(diff, nullptr) << changed;
+    EXPECT_EQ(diff, changed.substr(0, changed.find_first_of(".["))) << changed;
+  }
+  app::RunMetrics longer = a;
+  longer.shard_events.push_back(0);
+  EXPECT_STREQ(app::first_metric_difference(a, longer), "shard_events");
 }
 
 }  // namespace

@@ -528,51 +528,12 @@ app::ScenarioConfig sharded_config(int shards, int threads) {
   return config;
 }
 
-void expect_same_metrics(const app::RunMetrics& a, const app::RunMetrics& b) {
-  EXPECT_EQ(a.generated, b.generated);
-  EXPECT_EQ(a.delivered, b.delivered);
-  EXPECT_EQ(a.dropped_buffer, b.dropped_buffer);
-  EXPECT_EQ(a.dropped_queue, b.dropped_queue);
-  EXPECT_EQ(a.dropped_mac, b.dropped_mac);
-  EXPECT_EQ(a.mac_tx_attempts, b.mac_tx_attempts);
-  EXPECT_EQ(a.mac_tx_failed, b.mac_tx_failed);
-  EXPECT_EQ(a.bcp_wakeups, b.bcp_wakeups);
-  EXPECT_EQ(a.bcp_sender_sessions, b.bcp_sender_sessions);
-  EXPECT_EQ(a.chan_frames, b.chan_frames);
-  EXPECT_EQ(a.chan_rx_starts, b.chan_rx_starts);
-  EXPECT_EQ(a.chan_rx_ends, b.chan_rx_ends);
-  EXPECT_EQ(a.boundary_frames, b.boundary_frames);
-  EXPECT_EQ(a.events_processed, b.events_processed);
-  EXPECT_EQ(a.fault_node_crashes, b.fault_node_crashes);
-  EXPECT_EQ(a.fault_node_recoveries, b.fault_node_recoveries);
-  EXPECT_EQ(a.fault_recoveries_refused, b.fault_recoveries_refused);
-  EXPECT_EQ(a.fault_link_downs, b.fault_link_downs);
-  EXPECT_EQ(a.fault_link_ups, b.fault_link_ups);
-  EXPECT_EQ(a.route_rebuilds, b.route_rebuilds);
-  EXPECT_EQ(a.battery_deaths, b.battery_deaths);
-  EXPECT_EQ(a.time_to_first_death, b.time_to_first_death);
-  EXPECT_EQ(a.time_to_sink_partition, b.time_to_sink_partition);
-  EXPECT_EQ(a.delivered_bits_until_first_death,
-            b.delivered_bits_until_first_death);
-  EXPECT_EQ(a.delivered_bits_until_partition,
-            b.delivered_bits_until_partition);
-  EXPECT_EQ(a.battery_max_drawn_fraction, b.battery_max_drawn_fraction);
-  ASSERT_EQ(a.shard_events.size(), b.shard_events.size());
-  for (std::size_t i = 0; i < a.shard_events.size(); ++i)
-    EXPECT_EQ(a.shard_events[i], b.shard_events[i]) << "shard " << i;
-  // Bit-equality, not tolerance: the determinism contract is exact.
-  EXPECT_EQ(a.goodput, b.goodput);
-  EXPECT_EQ(a.mean_delay, b.mean_delay);
-  EXPECT_EQ(a.normalized_energy, b.normalized_energy);
-  EXPECT_EQ(a.wifi_on_seconds, b.wifi_on_seconds);
-}
-
 TEST(ShardedScenario, MetricsAreIdenticalAcrossWorkerThreadCounts) {
   const app::RunMetrics inline_run =
       app::run_scenario(sharded_config(4, /*threads=*/1));
   const app::RunMetrics threaded_run =
       app::run_scenario(sharded_config(4, /*threads=*/2));
-  expect_same_metrics(inline_run, threaded_run);
+  EXPECT_EQ(app::first_metric_difference(inline_run, threaded_run), nullptr);
   EXPECT_GT(inline_run.delivered, 0);
   EXPECT_GT(inline_run.boundary_frames, 0);
 }
@@ -580,7 +541,7 @@ TEST(ShardedScenario, MetricsAreIdenticalAcrossWorkerThreadCounts) {
 TEST(ShardedScenario, RepeatRunsAreIdentical) {
   const app::RunMetrics a = app::run_scenario(sharded_config(3, 0));
   const app::RunMetrics b = app::run_scenario(sharded_config(3, 0));
-  expect_same_metrics(a, b);
+  EXPECT_EQ(app::first_metric_difference(a, b), nullptr);
 }
 
 TEST(ShardedScenario, ShardEventCountsSumToTotalAndConservationHolds) {
@@ -615,7 +576,7 @@ TEST(ShardedScenario, FaultChurnRunsShardedAndIsThreadCountInvariant) {
   const app::RunMetrics inline_run = app::run_scenario(churn);
   churn.sim_threads = 2;
   const app::RunMetrics threaded_run = app::run_scenario(churn);
-  expect_same_metrics(inline_run, threaded_run);
+  EXPECT_EQ(app::first_metric_difference(inline_run, threaded_run), nullptr);
   EXPECT_EQ(inline_run.fault_node_crashes, 3);
   EXPECT_EQ(inline_run.fault_link_downs, 2);
   EXPECT_GT(inline_run.delivered, 0);
@@ -637,7 +598,7 @@ TEST(ShardedScenario, ChurnPlusBatteriesRunShardedWithDeathsAccounted) {
   const app::RunMetrics inline_run = app::run_scenario(config);
   config.sim_threads = 2;
   const app::RunMetrics threaded_run = app::run_scenario(config);
-  expect_same_metrics(inline_run, threaded_run);
+  EXPECT_EQ(app::first_metric_difference(inline_run, threaded_run), nullptr);
   EXPECT_GT(inline_run.battery_deaths, 0);
   EXPECT_GT(inline_run.time_to_first_death, 0);
   EXPECT_LE(inline_run.time_to_first_death, config.duration);
@@ -653,7 +614,7 @@ TEST(ShardedScenario, LifetimeRoutingRunsSharded) {
   const app::RunMetrics inline_run = app::run_scenario(config);
   config.sim_threads = 2;
   const app::RunMetrics threaded_run = app::run_scenario(config);
-  expect_same_metrics(inline_run, threaded_run);
+  EXPECT_EQ(app::first_metric_difference(inline_run, threaded_run), nullptr);
   EXPECT_GT(inline_run.delivered, 0);
   // The coordinator's reroute tick touches every replica on the
   // reroute_period grid, so routing rebuilds keep happening mid-run.
