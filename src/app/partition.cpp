@@ -219,7 +219,7 @@ void Partition::build(const SharedNet& net, int shard, sim::Simulator& sim,
   if (config.battery.enabled) batteries.resize(owned);
 
   // Membership runs hear and route through this partition's own
-  // LinkState; DynamicRouting's lazy rebuild cache mutates on query, so
+  // LinkState; DynamicRouting's lazy refresh cache mutates on query, so
   // each partition owns its routers. Static runs share the net's routes.
   const net::Router* low_r = net.low.routes.get();
   const net::Router* high_r = net.high.routes.get();

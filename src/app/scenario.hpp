@@ -280,9 +280,9 @@ enum class MergeRule {
      event is counted by exactly one shard: the one owning its primary        \
      node. fault_recoveries_refused counts planned recoveries refused         \
      because the node's battery had depleted by then (battery death is        \
-     final). route_rebuilds counts routing rebuilds actually performed        \
-     (both radios); with the lazy DynamicRouting this tracks membership       \
-     changes, not queries. */                                                 \
+     final). route_rebuilds counts routing refreshes (full builds or          \
+     in-place tree repairs) actually performed (both radios); with the        \
+     lazy DynamicRouting this tracks membership changes, not queries. */      \
   X(std::int64_t, fault_node_crashes, 0, kSum)                                \
   X(std::int64_t, fault_node_recoveries, 0, kSum)                             \
   X(std::int64_t, fault_recoveries_refused, 0, kSum)                          \

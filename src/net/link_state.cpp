@@ -47,23 +47,25 @@ void LinkState::set_node_up(NodeId node, bool up) {
       // revision discipline as the dense path.
       const bool changed =
           up ? down_remote_.erase(node) > 0 : down_remote_.insert(node).second;
-      if (!changed) return;
-      down_nodes_ += up ? -1 : 1;
-      ++revision_;
+      if (changed) node_changed(node, up);
       return;
     }
     auto& state = node_up_[static_cast<std::size_t>(slot)];
     if ((state != 0) == up) return;
     state = up ? 1 : 0;
-    down_nodes_ += up ? -1 : 1;
-    ++revision_;
+    node_changed(node, up);
     return;
   }
   auto& state = node_up_[static_cast<std::size_t>(node)];
   if ((state != 0) == up) return;
   state = up ? 1 : 0;
+  node_changed(node, up);
+}
+
+void LinkState::node_changed(NodeId node, bool up) {
   down_nodes_ += up ? -1 : 1;
-  ++revision_;
+  log_.push_back(
+      {up ? LinkChange::Kind::kNodeUp : LinkChange::Kind::kNodeDown, node, -1});
 }
 
 void LinkState::set_link_up(NodeId a, NodeId b, bool up) {
@@ -73,7 +75,9 @@ void LinkState::set_link_up(NodeId a, NodeId b, bool up) {
   const std::uint64_t k = key(a, b);
   const bool changed =
       up ? down_links_.erase(k) > 0 : down_links_.insert(k).second;
-  if (changed) ++revision_;
+  if (changed)
+    log_.push_back(
+        {up ? LinkChange::Kind::kLinkUp : LinkChange::Kind::kLinkDown, a, b});
 }
 
 void LinkState::apply(const MembershipDelta& delta) {

@@ -8,10 +8,12 @@
 //   * The hot path stays free: `link_up` answers through an all-up fast
 //     path (one branch) while nothing is down, which is every frame of a
 //     fault-free run.
-//   * Every effective change bumps a revision counter. Routing wraps its
-//     (expensive) tree/table build behind the counter (net::DynamicRouting)
-//     so the convergecast tree is rebuilt only on membership change, not
-//     per query and not per fault event that changed nothing.
+//   * Every effective change is appended to a change log (kind, node,
+//     peer), and the revision is the log's length. Routing consumes the
+//     log behind a cursor (net::DynamicRouting): the convergecast tree is
+//     repaired in place from the entries since its last refresh, only on
+//     membership change, not per query and not per fault event that
+//     changed nothing.
 //
 // A link is up iff both endpoints are up and the (unordered) pair has not
 // been taken down explicitly. Setting a state it already has is a no-op
@@ -100,6 +102,17 @@ struct StripeDomain {
   }
 };
 
+/// One effective LinkState change, as the change log records it. kTouch
+/// changes no membership: it tells log consumers to recompute everything.
+struct LinkChange {
+  enum class Kind : std::uint8_t {
+    kNodeDown, kNodeUp, kLinkDown, kLinkUp, kTouch
+  };
+  Kind kind = Kind::kTouch;
+  NodeId node = -1;  ///< the node, or one link endpoint; -1 for kTouch
+  NodeId peer = -1;  ///< the other link endpoint, -1 otherwise
+};
+
 class LinkState {
  public:
   /// Dense over every node — the single-queue engine's shared state and
@@ -132,14 +145,18 @@ class LinkState {
   /// revision bump, if the state already matches — see MembershipDelta).
   void apply(const MembershipDelta& delta);
 
-  /// Bumped on every effective change; consumers cache against it.
-  std::uint64_t revision() const { return revision_; }
+  /// Number of effective changes so far; consumers cache against it.
+  std::uint64_t revision() const { return log_.size(); }
 
-  /// Invalidates consumers' caches without changing membership. The
-  /// lifetime-routing refresh tick uses this: battery fractions drift
-  /// continuously, so between deaths no set_* call would ever prompt
-  /// DynamicRouting to re-read them.
-  void touch() { ++revision_; }
+  /// Every effective change in order; entry i moved the revision from i
+  /// to i + 1. Append-only, so a consumer replays [its cursor, revision()).
+  const std::vector<LinkChange>& changes() const { return log_; }
+
+  /// Invalidates consumers' caches without changing membership (logged as
+  /// kTouch). The lifetime-routing refresh tick uses this: battery
+  /// fractions drift continuously, so between deaths no set_* call would
+  /// ever prompt DynamicRouting to re-read them.
+  void touch() { log_.push_back({LinkChange::Kind::kTouch, -1, -1}); }
 
   int down_node_count() const { return down_nodes_; }
   std::size_t down_link_count() const { return down_links_.size(); }
@@ -152,6 +169,8 @@ class LinkState {
 
  private:
   static std::uint64_t key(NodeId a, NodeId b);
+  /// Counts and logs one effective node flip.
+  void node_changed(NodeId node, bool up);
 
   int node_count_ = 0;
   std::shared_ptr<const StripeDomain> domain_;  ///< null = dense layout
@@ -160,7 +179,7 @@ class LinkState {
   /// the number of distinct nodes membership deltas ever name, never by n.
   std::unordered_set<NodeId> down_remote_;
   std::unordered_set<std::uint64_t> down_links_;
-  std::uint64_t revision_ = 0;
+  std::vector<LinkChange> log_;
   int down_nodes_ = 0;
 };
 

@@ -205,9 +205,17 @@ ConvergecastRouting::ConvergecastRouting(const ConnectivityGraph& graph,
                                          NodeId sink,
                                          const LinkState* links,
                                          const NodeCostFn& cost)
-    : sink_(sink) {
+    : sink_(sink), weighted_(cost != nullptr) {
   BCP_REQUIRE(sink >= 0 && sink < graph.node_count());
+  build(graph, links, cost);
+}
+
+void ConvergecastRouting::build(const ConnectivityGraph& graph,
+                                const LinkState* links,
+                                const NodeCostFn& cost) {
   const int n = graph.node_count();
+  const NodeId sink = sink_;
+  revision_ = links == nullptr ? 0 : links->revision();
   parent_.assign(static_cast<std::size_t>(n), kInvalidNode);
   parent_[static_cast<std::size_t>(sink)] = sink;
   if (cost == nullptr) {
@@ -219,115 +227,201 @@ ConvergecastRouting::ConvergecastRouting(const ConnectivityGraph& graph,
       BCP_ENSURE(best != kInvalidNode);
       parent_[static_cast<std::size_t>(from)] = best;
     }
-  } else {
-    // Lifetime-aware tree: cheapest-cost parents, hop-count depths along
-    // the chosen tree (depth_ stays a frame/slot currency for TDMA and
-    // the mean-depth statistic even when the tree is weighted).
-    const std::vector<double> wdist =
-        weighted_distances(graph, sink, links, cost);
-    for (NodeId from = 0; from < n; ++from) {
-      if (from == sink ||
-          wdist[static_cast<std::size_t>(from)] ==
-              std::numeric_limits<double>::infinity())
-        continue;
-      const NodeId best =
-          best_parent_weighted(graph, wdist, from, sink, links, cost);
-      BCP_ENSURE(best != kInvalidNode);
-      parent_[static_cast<std::size_t>(from)] = best;
+    return;
+  }
+  // Lifetime-aware tree: cheapest-cost parents, hop-count depths along
+  // the chosen tree (depth_ stays a frame/slot currency for TDMA and
+  // the mean-depth statistic even when the tree is weighted).
+  const std::vector<double> wdist =
+      weighted_distances(graph, sink, links, cost);
+  for (NodeId from = 0; from < n; ++from) {
+    if (from == sink ||
+        wdist[static_cast<std::size_t>(from)] ==
+            std::numeric_limits<double>::infinity())
+      continue;
+    const NodeId best =
+        best_parent_weighted(graph, wdist, from, sink, links, cost);
+    BCP_ENSURE(best != kInvalidNode);
+    parent_[static_cast<std::size_t>(from)] = best;
+  }
+  // A parent is always strictly cheaper (every step weighs >= 1), so
+  // filling depths in ascending cost order sees each parent first.
+  depth_.assign(static_cast<std::size_t>(n), -1);
+  depth_[static_cast<std::size_t>(sink)] = 0;
+  std::vector<NodeId> order;
+  order.reserve(static_cast<std::size_t>(n));
+  for (NodeId v = 0; v < n; ++v)
+    if (v != sink && parent_[static_cast<std::size_t>(v)] != kInvalidNode)
+      order.push_back(v);
+  std::sort(order.begin(), order.end(), [&wdist](NodeId a, NodeId b) {
+    const double da = wdist[static_cast<std::size_t>(a)];
+    const double db = wdist[static_cast<std::size_t>(b)];
+    return da < db || (da == db && a < b);
+  });
+  for (const NodeId v : order) {
+    const NodeId p = parent_[static_cast<std::size_t>(v)];
+    BCP_ENSURE(depth_[static_cast<std::size_t>(p)] >= 0);
+    depth_[static_cast<std::size_t>(v)] =
+        depth_[static_cast<std::size_t>(p)] + 1;
+  }
+}
+
+void ConvergecastRouting::repair(const ConnectivityGraph& graph,
+                                 const LinkState& links) {
+  using Kind = LinkChange::Kind;
+  BCP_REQUIRE_MSG(!weighted_, "a cost-weighted tree can only be rebuilt");
+  BCP_REQUIRE(graph.node_count() == node_count() &&
+              links.node_count() == node_count());
+  const std::vector<LinkChange>& log = links.changes();
+  BCP_REQUIRE(revision_ <= log.size());
+  const auto first = log.begin() + static_cast<std::ptrdiff_t>(revision_);
+  const bool rebuild =
+      std::any_of(first, log.end(), [this](const LinkChange& c) {
+        return c.kind == Kind::kTouch ||
+               ((c.kind == Kind::kNodeDown || c.kind == Kind::kNodeUp) &&
+                c.node == sink_);
+      });
+  if (rebuild) {
+    build(graph, &links, nullptr);
+    return;
+  }
+
+  // Per-node flags, each set at most once per repair.
+  enum : std::uint8_t { kQueued = 1, kMoved = 2, kReparent = 4 };
+  mark_.resize(parent_.size(), 0);
+  const auto mark = [this](NodeId v, std::uint8_t bit) {
+    std::uint8_t& m = mark_[static_cast<std::size_t>(v)];
+    if (m == 0) marked_.push_back(v);
+    const bool fresh = (m & bit) == 0;
+    m = static_cast<std::uint8_t>(m | bit);
+    return fresh;
+  };
+  const auto depth_of = [this](NodeId v) -> int& {
+    return depth_[static_cast<std::size_t>(v)];
+  };
+  // Records v's depth before its first change in this repair.
+  const auto save = [&](NodeId v) {
+    if (mark(v, kMoved)) moved_.emplace_back(v, depth_of(v));
+  };
+  const auto reparent = [&](NodeId v) {
+    if (mark(v, kReparent)) reparent_.push_back(v);
+  };
+  // Pops the lower-keyed head of two key-sorted runs: the sorted seeds,
+  // and the FIFO, which only ever receives (popped key + 1).
+  std::size_t si = 0;
+  std::size_t fi = 0;
+  const auto pop = [&](std::pair<int, NodeId>& out) {
+    const bool s = si < seeds_.size();
+    const bool f = fi < fifo_.size();
+    if (!s && !f) return false;
+    out = s && (!f || seeds_[si].first <= fifo_[fi].first) ? seeds_[si++]
+                                                           : fifo_[fi++];
+    return true;
+  };
+  seeds_.clear();
+  fifo_.clear();
+  moved_.clear();
+  reparent_.clear();
+
+  // 1. Invalidate (depth -1), in old-depth order, every reachable node
+  //    left with no up link to a still-valid node one hop closer. The
+  //    candidates are the changed nodes and link endpoints (a crashed node
+  //    invalidates itself), then the nodes one hop below each invalidated
+  //    node. Afterwards moved_ holds exactly the invalidated nodes.
+  const auto candidate = [&](NodeId v) {
+    if (depth_of(v) > 0 && mark(v, kQueued))
+      seeds_.emplace_back(depth_of(v), v);
+  };
+  for (auto it = first; it != log.end(); ++it) {
+    reparent(it->node);
+    candidate(it->node);
+    if (it->peer >= 0) {
+      reparent(it->peer);
+      candidate(it->peer);
     }
-    // A parent is always strictly cheaper (every step weighs >= 1), so
-    // filling depths in ascending cost order sees each parent first.
-    depth_.assign(static_cast<std::size_t>(n), -1);
-    depth_[static_cast<std::size_t>(sink)] = 0;
-    std::vector<NodeId> order;
-    order.reserve(static_cast<std::size_t>(n));
-    for (NodeId v = 0; v < n; ++v)
-      if (v != sink && parent_[static_cast<std::size_t>(v)] != kInvalidNode)
-        order.push_back(v);
-    std::sort(order.begin(), order.end(), [&wdist](NodeId a, NodeId b) {
-      const double da = wdist[static_cast<std::size_t>(a)];
-      const double db = wdist[static_cast<std::size_t>(b)];
-      return da < db || (da == db && a < b);
-    });
-    for (const NodeId v : order) {
-      const NodeId p = parent_[static_cast<std::size_t>(v)];
-      BCP_ENSURE(depth_[static_cast<std::size_t>(p)] >= 0);
-      depth_[static_cast<std::size_t>(v)] =
-          depth_[static_cast<std::size_t>(p)] + 1;
+  }
+  std::sort(seeds_.begin(), seeds_.end());
+  std::pair<int, NodeId> e;
+  while (pop(e)) {
+    const auto [d, v] = e;
+    bool supported = false;
+    if (links.node_up(v)) {
+      for (const NodeId u : graph.neighbors(v)) {
+        if (depth_of(u) == d - 1 && links.link_up(v, u)) {
+          supported = true;
+          break;
+        }
+      }
+    }
+    if (supported) continue;
+    save(v);
+    depth_of(v) = -1;
+    for (const NodeId w : graph.neighbors(v))
+      if (depth_of(w) == d + 1 && mark(w, kQueued))
+        fifo_.emplace_back(d + 1, w);
+  }
+
+  // 2. Re-seed the invalidated nodes and the changed nodes and endpoints
+  //    from their neighbours, then relax outward in depth order.
+  seeds_.clear();
+  fifo_.clear();
+  si = 0;
+  fi = 0;
+  const auto seed = [&](NodeId v) {
+    if (v == sink_ || !links.node_up(v)) return;
+    int best = -1;
+    for (const NodeId u : graph.neighbors(v)) {
+      const int du = depth_of(u);
+      if (du >= 0 && (best < 0 || du + 1 < best) && links.link_up(v, u))
+        best = du + 1;
+    }
+    if (best < 0 || (depth_of(v) >= 0 && depth_of(v) <= best)) return;
+    save(v);
+    depth_of(v) = best;
+    seeds_.emplace_back(best, v);
+  };
+  const std::size_t invalidated = moved_.size();
+  for (std::size_t i = 0; i < invalidated; ++i) seed(moved_[i].first);
+  for (auto it = first; it != log.end(); ++it) {
+    seed(it->node);
+    if (it->peer >= 0) seed(it->peer);
+  }
+  std::sort(seeds_.begin(), seeds_.end());
+  while (pop(e)) {
+    const auto [d, v] = e;
+    if (depth_of(v) != d) continue;  // lowered again since it was queued
+    for (const NodeId w : graph.neighbors(v)) {
+      if (depth_of(w) >= 0 && depth_of(w) <= d + 1) continue;
+      if (!links.link_up(v, w)) continue;
+      save(w);
+      depth_of(w) = d + 1;
+      fifo_.emplace_back(d + 1, w);
     }
   }
 
-  // Group children by parent (CSR layout; ascending node order keeps each
-  // group id-sorted, and the DFS below then visits them in that order, so
-  // a group is also tin-sorted — the binary search in child_toward relies
-  // on both).
-  std::vector<int> counts(static_cast<std::size_t>(n) + 1, 0);
-  for (NodeId v = 0; v < n; ++v)
-    if (v != sink && parent_[static_cast<std::size_t>(v)] != kInvalidNode)
-      ++counts[static_cast<std::size_t>(
-          parent_[static_cast<std::size_t>(v)])];
-  children_begin_.assign(static_cast<std::size_t>(n) + 1, 0);
-  for (int i = 0; i < n; ++i)
-    children_begin_[static_cast<std::size_t>(i) + 1] =
-        children_begin_[static_cast<std::size_t>(i)] +
-        counts[static_cast<std::size_t>(i)];
-  children_.resize(
-      static_cast<std::size_t>(children_begin_[static_cast<std::size_t>(n)]),
-      kInvalidNode);
-  std::vector<int> fill(children_begin_.begin(), children_begin_.end() - 1);
-  for (NodeId v = 0; v < n; ++v)
-    if (v != sink && parent_[static_cast<std::size_t>(v)] != kInvalidNode)
-      children_[static_cast<std::size_t>(fill[static_cast<std::size_t>(
-          parent_[static_cast<std::size_t>(v)])]++)] = v;
-
-  // Iterative DFS from the sink for the Euler-tour brackets.
-  tin_.assign(static_cast<std::size_t>(n), -1);
-  tout_.assign(static_cast<std::size_t>(n), -1);
-  int clock = 0;
-  // Stack of (node, next-child offset).
-  std::vector<std::pair<NodeId, int>> stack;
-  stack.emplace_back(sink, children_begin_[static_cast<std::size_t>(sink)]);
-  tin_[static_cast<std::size_t>(sink)] = clock++;
-  while (!stack.empty()) {
-    auto& [u, next] = stack.back();
-    if (next < children_begin_[static_cast<std::size_t>(u) + 1]) {
-      const NodeId c = children_[static_cast<std::size_t>(next++)];
-      tin_[static_cast<std::size_t>(c)] = clock++;
-      stack.emplace_back(c, children_begin_[static_cast<std::size_t>(c)]);
+  // 3. Re-choose parents wherever an input of the parent rule changed:
+  //    the nodes whose depth moved and their neighbours, plus the changed
+  //    nodes and link endpoints.
+  for (const auto& [v, before] : moved_) {
+    if (depth_of(v) == before) continue;
+    reparent(v);
+    for (const NodeId w : graph.neighbors(v)) reparent(w);
+  }
+  for (const NodeId v : reparent_) {
+    NodeId& p = parent_[static_cast<std::size_t>(v)];
+    if (v == sink_) {
+      p = sink_;
+    } else if (depth_of(v) < 0) {
+      p = kInvalidNode;
     } else {
-      tout_[static_cast<std::size_t>(u)] = clock++;
-      stack.pop_back();
+      p = best_parent(graph, depth_, v, sink_, &links);
+      BCP_ENSURE(p != kInvalidNode);
     }
   }
-}
 
-bool ConvergecastRouting::in_subtree(NodeId root, NodeId node) const {
-  return tin_[static_cast<std::size_t>(root)] <=
-             tin_[static_cast<std::size_t>(node)] &&
-         tout_[static_cast<std::size_t>(node)] <=
-             tout_[static_cast<std::size_t>(root)];
-}
-
-NodeId ConvergecastRouting::child_toward(NodeId from,
-                                         NodeId descendant) const {
-  // Children intervals partition from's interval; find the last child
-  // whose tin is <= tin[descendant].
-  const int lo = children_begin_[static_cast<std::size_t>(from)];
-  const int hi = children_begin_[static_cast<std::size_t>(from) + 1];
-  const int target = tin_[static_cast<std::size_t>(descendant)];
-  int a = lo;
-  int b = hi;
-  while (b - a > 1) {
-    const int mid = a + (b - a) / 2;
-    if (tin_[static_cast<std::size_t>(
-            children_[static_cast<std::size_t>(mid)])] <= target)
-      a = mid;
-    else
-      b = mid;
-  }
-  const NodeId c = children_[static_cast<std::size_t>(a)];
-  BCP_ENSURE(in_subtree(c, descendant));
-  return c;
+  for (const NodeId v : marked_) mark_[static_cast<std::size_t>(v)] = 0;
+  marked_.clear();
+  revision_ = log.size();
 }
 
 NodeId ConvergecastRouting::parent(NodeId from) const {
@@ -366,10 +460,17 @@ NodeId ConvergecastRouting::next_hop(NodeId from, NodeId to) const {
   BCP_REQUIRE(from >= 0 && from < node_count());
   BCP_REQUIRE(to >= 0 && to < node_count());
   if (from == to) return from;
-  if (depth_[static_cast<std::size_t>(from)] < 0 ||
-      depth_[static_cast<std::size_t>(to)] < 0)
+  const int df = depth_[static_cast<std::size_t>(from)];
+  if (df < 0 || depth_[static_cast<std::size_t>(to)] < 0)
     return kInvalidNode;  // one endpoint is outside the sink's component
-  if (in_subtree(from, to)) return child_toward(from, to);
+  // `to` lies below `from` iff its ancestor one level below `from` hangs
+  // off `from`; that ancestor is then the downward hop.
+  NodeId below = to;
+  while (depth_[static_cast<std::size_t>(below)] > df + 1)
+    below = parent_[static_cast<std::size_t>(below)];
+  if (depth_[static_cast<std::size_t>(below)] == df + 1 &&
+      parent_[static_cast<std::size_t>(below)] == from)
+    return below;
   return parent_[static_cast<std::size_t>(from)];
 }
 
@@ -417,14 +518,22 @@ DynamicRouting::DynamicRouting(const ConnectivityGraph& graph, NodeId sink,
 }
 
 const Router& DynamicRouting::current() const {
+  if (policy_ == RoutePolicy::kShortestPath && !all_pairs_) {
+    if (tree_ == nullptr) {
+      tree_ = std::make_unique<ConvergecastRouting>(graph_, sink_, &links_);
+      ++rebuilds_;
+    } else if (tree_->revision() != links_.revision()) {
+      tree_->repair(graph_, links_);
+      ++rebuilds_;
+    }
+    return *tree_;
+  }
   if (impl_ == nullptr || built_revision_ != links_.revision()) {
     if (policy_ == RoutePolicy::kLifetimeAware)
       impl_ = std::make_unique<ConvergecastRouting>(graph_, sink_, &links_,
                                                     cost_);
-    else if (all_pairs_)
-      impl_ = std::make_unique<RoutingTable>(graph_, &links_);
     else
-      impl_ = std::make_unique<ConvergecastRouting>(graph_, sink_, &links_);
+      impl_ = std::make_unique<RoutingTable>(graph_, &links_);
     built_revision_ = links_.revision();
     ++rebuilds_;
   }

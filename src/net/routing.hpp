@@ -12,6 +12,9 @@
 //                        describes: a single BFS from the sink, O(n + e)
 //                        time and O(n) memory. Scenarios route every data
 //                        packet to the sink, so this is what they use.
+//                        Under churn it repairs itself in place from the
+//                        LinkState change log, in time proportional to
+//                        the part of the tree that changed.
 //
 // Both break shortest-path ties identically: among equal-hop parents
 // prefer the one geometrically closer to the destination, then the lower
@@ -22,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/link_state.hpp"
@@ -29,15 +33,16 @@
 
 namespace bcp::net {
 
-/// How DynamicRouting scores paths when it rebuilds.
+/// How DynamicRouting scores paths.
 ///
 ///   kShortestPath  — hop count only; the historical behaviour, and the
 ///                    default every golden export pins byte-for-byte.
 ///   kLifetimeAware — hop count plus a per-relay cost from NodeCostFn
 ///                    (battery fraction drawn), so convergecast routes
 ///                    bend around nearly-depleted relays. Convergecast
-///                    only: the tree is rebuilt cost-weighted on every
-///                    LinkState revision move.
+///                    only: the tree is rebuilt cost-weighted from
+///                    scratch on every LinkState revision move (costs
+///                    drift globally, so there is nothing to repair).
 enum class RoutePolicy : std::uint8_t { kShortestPath, kLifetimeAware };
 
 const char* to_string(RoutePolicy p);
@@ -105,10 +110,10 @@ class RoutingTable final : public Router {
 /// Routing toward the sink follows the shortest-path tree exactly (the
 /// RoutingTable slice). Other destinations — the BCP control plane sends
 /// wake-up acks *away* from the sink — are routed along tree paths: up
-/// to the nearest common ancestor, then down (an Euler-tour subtree test
-/// plus a binary search over each node's children picks the downward
-/// branch in O(log degree)). Tree paths to non-sink destinations may be
-/// longer than graph-shortest paths; convergecast traffic never is.
+/// to the nearest common ancestor, then down (the downward branch is
+/// `to`'s ancestor one level below `from`, found by climbing parents).
+/// Tree paths to non-sink destinations may be longer than graph-shortest
+/// paths; convergecast traffic never is.
 class ConvergecastRouting final : public Router {
  public:
   /// A non-null `links` masks the graph exactly as in RoutingTable. A
@@ -118,6 +123,23 @@ class ConvergecastRouting final : public Router {
   ConvergecastRouting(const ConnectivityGraph& graph, NodeId sink,
                       const LinkState* links = nullptr,
                       const NodeCostFn& cost = nullptr);
+
+  /// Brings an unweighted tree built over `links` up to date with every
+  /// change `links` logged since revision(), in place. The result is
+  /// parent- and depth-identical to a fresh build over the same graph
+  /// and links, because the parent rule reads only neighbour depths and
+  /// link state:
+  ///   * down changes invalidate only the nodes left with no up
+  ///     neighbour one hop closer (unit-weight Ramalingam–Reps over the
+  ///     old depths, in depth order);
+  ///   * up changes and the invalidated nodes are re-seeded and relaxed
+  ///     outward in depth order;
+  ///   * parents are re-chosen only where a depth or a link changed.
+  /// A kTouch entry, or a change to the sink itself, rebuilds in full.
+  void repair(const ConnectivityGraph& graph, const LinkState& links);
+
+  /// The LinkState revision this tree reflects (0 without links).
+  std::uint64_t revision() const { return revision_; }
 
   NodeId sink() const { return sink_; }
 
@@ -144,26 +166,34 @@ class ConvergecastRouting final : public Router {
   }
 
  private:
-  bool in_subtree(NodeId root, NodeId node) const;
-  NodeId child_toward(NodeId from, NodeId descendant) const;
+  void build(const ConnectivityGraph& graph, const LinkState* links,
+             const NodeCostFn& cost);
 
   NodeId sink_;
+  bool weighted_;
+  std::uint64_t revision_ = 0;
   std::vector<NodeId> parent_;
   std::vector<int> depth_;
-  // Euler-tour order: tin/tout bracket each node's subtree; children are
-  // stored contiguously, sorted by tin.
-  std::vector<int> tin_;
-  std::vector<int> tout_;
-  std::vector<NodeId> children_;       // all children, grouped by parent
-  std::vector<int> children_begin_;    // n+1 offsets into children_
+
+  // repair() scratch, kept across repairs so a repair allocates nothing
+  // once warm. mark_ is all zero between repairs; marked_ lists the nodes
+  // to clear.
+  std::vector<std::uint8_t> mark_;
+  std::vector<NodeId> marked_;
+  std::vector<std::pair<int, NodeId>> seeds_;  // (depth key, node)
+  std::vector<std::pair<int, NodeId>> fifo_;
+  std::vector<std::pair<NodeId, int>> moved_;  // (node, depth before)
+  std::vector<NodeId> reparent_;
 };
 
-/// Fault-aware router: rebuilds an underlying strategy (convergecast tree
-/// or all-pairs tables) over the LinkState-masked graph, but only when the
-/// LinkState's revision actually moved — the incremental-invalidation hook
-/// the fault/churn scenarios route through. Queries between membership
-/// changes are as cheap as the static providers; a crash/recover burst
-/// that flips k nodes costs one rebuild at the next query, not k.
+/// Fault-aware router over the LinkState-masked graph, refreshed only when
+/// the LinkState's revision actually moved. The shortest-path convergecast
+/// tree is repaired in place from the LinkState change log
+/// (ConvergecastRouting::repair); the all-pairs tables and the
+/// lifetime-aware tree are rebuilt from scratch. Queries between
+/// membership changes are as cheap as the static providers; a
+/// crash/recover burst that flips k nodes costs one refresh at the next
+/// query, not k.
 class DynamicRouting final : public Router {
  public:
   /// `graph` and `links` must outlive the router. `all_pairs` picks the
@@ -185,8 +215,8 @@ class DynamicRouting final : public Router {
   }
   int node_count() const override { return graph_.node_count(); }
 
-  /// Underlying builds performed so far (1 after the first query; +1 per
-  /// effective LinkState change that a later query observed).
+  /// Refreshes (builds or repairs) performed so far: 1 after the first
+  /// query, +1 per revision move that a later query observed.
   std::int64_t rebuild_count() const { return rebuilds_; }
 
  private:
@@ -198,7 +228,9 @@ class DynamicRouting final : public Router {
   bool all_pairs_;
   RoutePolicy policy_;
   NodeCostFn cost_;
-  // Lazy cache: queries are logically const; the rebuild is bookkeeping.
+  // Lazy cache: queries are logically const; the refresh is bookkeeping.
+  // tree_ serves kShortestPath convergecast; impl_ everything else.
+  mutable std::unique_ptr<ConvergecastRouting> tree_;
   mutable std::unique_ptr<Router> impl_;
   mutable std::uint64_t built_revision_ = 0;
   mutable std::int64_t rebuilds_ = 0;

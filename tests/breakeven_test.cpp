@@ -5,6 +5,7 @@
 // with idle time and forward progress, and the burst-amortization knee.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "energy/breakeven.hpp"
@@ -131,13 +132,22 @@ TEST(Fig1, SavingsGrowWithDataSize) {
 
 // ---- Fig. 2 claims -------------------------------------------------------
 
-class Fig2Pairs : public ::testing::TestWithParam<
-                      std::pair<const RadioEnergyModel*,
-                                const RadioEnergyModel*>> {};
+// A (low-power, high-power) radio pair. PrintTo names the radios, so the
+// test names gtest prints (and ctest discovers) do not carry addresses.
+struct RadioPair {
+  const RadioEnergyModel* low;
+  const RadioEnergyModel* high;
+};
+
+void PrintTo(const RadioPair& pair, std::ostream* os) {
+  *os << pair.low->name << "/" << pair.high->name;
+}
+
+class Fig2Pairs : public ::testing::TestWithParam<RadioPair> {};
 
 TEST_P(Fig2Pairs, BreakEvenGrowsMonotonicallyWithIdleTime) {
   auto cfg =
-      DualRadioAnalysis::standard(*GetParam().first, *GetParam().second)
+      DualRadioAnalysis::standard(*GetParam().low, *GetParam().high)
           .config();
   Bits prev = 0;
   for (const double idle : {0.001, 0.01, 0.1, 1.0, 10.0}) {
@@ -152,16 +162,16 @@ TEST_P(Fig2Pairs, BreakEvenGrowsMonotonicallyWithIdleTime) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllFeasiblePairs, Fig2Pairs,
-    ::testing::Values(std::make_pair(&mica(), &cabletron_2mbps()),
-                      std::make_pair(&mica(), &lucent_2mbps()),
-                      std::make_pair(&mica(), &lucent_11mbps()),
-                      std::make_pair(&mica2(), &cabletron_2mbps()),
-                      std::make_pair(&mica2(), &lucent_2mbps()),
-                      std::make_pair(&mica2(), &lucent_11mbps()),
-                      std::make_pair(&micaz(), &lucent_11mbps())),
-    [](const ::testing::TestParamInfo<std::pair<const RadioEnergyModel*, const RadioEnergyModel*>>& param_info) {
-      return param_info.param.first->name + "_" +
-             std::string(param_info.param.second->name).substr(0, 6) +
+    ::testing::Values(RadioPair{&mica(), &cabletron_2mbps()},
+                      RadioPair{&mica(), &lucent_2mbps()},
+                      RadioPair{&mica(), &lucent_11mbps()},
+                      RadioPair{&mica2(), &cabletron_2mbps()},
+                      RadioPair{&mica2(), &lucent_2mbps()},
+                      RadioPair{&mica2(), &lucent_11mbps()},
+                      RadioPair{&micaz(), &lucent_11mbps()}),
+    [](const ::testing::TestParamInfo<RadioPair>& param_info) {
+      return param_info.param.low->name + "_" +
+             std::string(param_info.param.high->name).substr(0, 6) +
              std::to_string(param_info.index);
     });
 

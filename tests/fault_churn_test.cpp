@@ -1,11 +1,16 @@
 // Unit + integration tests for the fault/churn subsystem: FaultPlan
-// schedule generation, LinkState semantics, DynamicRouting's
-// rebuild-only-on-membership-change contract, and the churn/lossy
-// registry variants end to end.
+// schedule generation, LinkState semantics and its change log,
+// DynamicRouting's refresh-only-on-membership-change contract, the
+// in-place convergecast repair against a full rebuild under random
+// churn, and the churn/lossy registry variants end to end.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "app/scenario.hpp"
 #include "app/scenario_registry.hpp"
@@ -14,6 +19,7 @@
 #include "net/routing.hpp"
 #include "net/topology.hpp"
 #include "sim/fault_plan.hpp"
+#include "util/rng.hpp"
 
 namespace bcp {
 namespace {
@@ -125,6 +131,29 @@ TEST(LinkState, RevisionBumpsOnlyOnEffectiveChange) {
   EXPECT_EQ(links.revision(), r0 + 2);
 }
 
+TEST(LinkState, ChangeLogRecordsEveryEffectiveChangeInOrder) {
+  using Kind = net::LinkChange::Kind;
+  net::LinkState links(4);
+  links.set_node_up(2, false);
+  links.set_node_up(2, false);     // no-op: not logged
+  links.set_link_up(3, 1, false);
+  links.set_link_up(1, 3, false);  // same pair: not logged
+  links.touch();
+  links.set_node_up(2, true);
+  links.apply({0.0, 0, 1, 3, net::MembershipDelta::Kind::kLinkUp});
+  const std::vector<net::LinkChange>& log = links.changes();
+  ASSERT_EQ(log.size(), 5u);
+  EXPECT_EQ(links.revision(), 5u);
+  const std::vector<std::tuple<Kind, net::NodeId, net::NodeId>> want{
+      {Kind::kNodeDown, 2, -1}, {Kind::kLinkDown, 3, 1},
+      {Kind::kTouch, -1, -1},   {Kind::kNodeUp, 2, -1},
+      {Kind::kLinkUp, 1, 3}};
+  for (std::size_t i = 0; i < want.size(); ++i)
+    EXPECT_EQ(std::make_tuple(log[i].kind, log[i].node, log[i].peer),
+              want[i])
+        << "entry " << i;
+}
+
 // ------------------------------------------------------- DynamicRouting --
 
 TEST(DynamicRouting, RebuildsOnlyOnMembershipChange) {
@@ -169,6 +198,256 @@ TEST(DynamicRouting, MatchesStaticProvidersWhileAllUp) {
     EXPECT_EQ(dyn.next_hop(from, 0), table.next_hop(from, 0));
     EXPECT_EQ(dyn.hops(from, 0), table.hops(from, 0));
   }
+}
+
+// ------------------------------------ convergecast repair vs full rebuild --
+
+bool same_tree(const net::ConvergecastRouting& got,
+               const net::ConvergecastRouting& want) {
+  for (net::NodeId v = 0; v < want.node_count(); ++v) {
+    EXPECT_EQ(got.parent(v), want.parent(v)) << "node " << v;
+    EXPECT_EQ(got.depth(v), want.depth(v)) << "node " << v;
+    if (got.parent(v) != want.parent(v) || got.depth(v) != want.depth(v))
+      return false;
+  }
+  return true;
+}
+
+struct RepairStats {
+  int batches = 0;
+  int peak_stranded = 0;    // alive nodes cut off from the sink, at most
+  int reconnections = 0;    // batches after which fewer were cut off
+};
+
+/// Drives random churn over one placement in batches of 1, 2 and 5–20
+/// effective-or-not changes straight into a LinkState. After every batch
+/// the in-place repair (directly, and through DynamicRouting) must equal
+/// a fresh ConvergecastRouting over the same links: parent and depth for
+/// every node, next_hop and hops for sampled pairs. The mix crashes and
+/// recovers random nodes, the sink's neighbours and tree relays (so cut
+/// vertices strand whole regions), crashes and recovers one node inside
+/// a single batch, and flaps tree and non-tree edges.
+RepairStats churn_against_rebuild(const net::ConnectivityGraph& graph,
+                                  net::NodeId sink, std::uint64_t seed,
+                                  int batches) {
+  const int n = graph.node_count();
+  std::vector<std::pair<net::NodeId, net::NodeId>> edges;
+  for (net::NodeId a = 0; a < n; ++a)
+    for (const net::NodeId b : graph.neighbors(a))
+      if (a < b) edges.emplace_back(a, b);
+  const std::vector<net::NodeId>& sink_neighbors = graph.neighbors(sink);
+
+  net::LinkState links(n);
+  net::ConvergecastRouting tree(graph, sink, &links);
+  const net::DynamicRouting dyn(graph, sink, links, /*all_pairs=*/false);
+  dyn.next_hop(sink, sink);  // the one full build
+  std::int64_t refreshes = 1;
+  util::Xoshiro256 rng(seed);
+  const auto pick = [&rng](std::size_t size) {
+    return static_cast<std::size_t>(rng.uniform_int(size));
+  };
+  const auto any_node = [&] {
+    return static_cast<net::NodeId>(pick(static_cast<std::size_t>(n)));
+  };
+  std::vector<net::NodeId> down;  // crashed, in crash order
+  std::set<std::pair<net::NodeId, net::NodeId>> cut;  // links taken down
+  const auto crash = [&](net::NodeId v) {
+    if (v == sink || !links.node_up(v)) return;
+    links.set_node_up(v, false);
+    down.push_back(v);
+  };
+  const auto recover = [&](std::size_t i) {
+    links.set_node_up(down[i], true);
+    down.erase(down.begin() + static_cast<std::ptrdiff_t>(i));
+  };
+  const auto link = [&](net::NodeId a, net::NodeId b, bool up) {
+    const auto key = std::minmax(a, b);
+    if (up)
+      cut.erase(key);
+    else
+      cut.insert(key);
+    links.set_link_up(a, b, up);
+  };
+  // A node whose tree parent is a relay (not the sink), for aiming
+  // crashes at relays and link flaps at tree edges.
+  const auto relay_child = [&]() -> net::NodeId {
+    for (int tries = 0; tries < 32; ++tries) {
+      const auto v = any_node();
+      if (tree.depth(v) >= 2) return v;
+    }
+    return net::kInvalidNode;
+  };
+
+  RepairStats stats;
+  int stranded_before = 0;
+  for (int b = 0; b < batches; ++b) {
+    const int size =
+        b % 3 == 0 ? 1 : b % 3 == 1 ? 2 : 5 + static_cast<int>(pick(16));
+    std::vector<net::NodeId> recover_at_end;
+    std::vector<std::pair<net::NodeId, net::NodeId>> heal_at_end;
+    for (int c = 0; c < size; ++c) {
+      const double r = rng.uniform();
+      const bool crowded = static_cast<int>(down.size()) > n / 8;
+      if (r < 0.45 && crowded) {
+        recover(pick(down.size()));
+      } else if (r < 0.20) {
+        crash(any_node());
+      } else if (r < 0.28) {
+        crash(sink_neighbors[pick(sink_neighbors.size())]);
+      } else if (r < 0.38) {
+        const net::NodeId v = relay_child();
+        if (v != net::kInvalidNode) crash(tree.parent(v));
+      } else if (r < 0.45) {
+        // Crash and recover the same node inside this batch.
+        const auto v = any_node();
+        if (v != sink && links.node_up(v)) {
+          links.set_node_up(v, false);
+          recover_at_end.push_back(v);
+        }
+      } else if (r < 0.62) {
+        if (!down.empty()) recover(pick(down.size()));
+      } else if (r < 0.74) {
+        const net::NodeId v = relay_child();
+        if (v != net::kInvalidNode) link(v, tree.parent(v), false);
+      } else if (r < 0.84) {
+        const auto& [x, y] = edges[pick(edges.size())];
+        link(x, y, false);
+      } else if (r < 0.94) {
+        if (!cut.empty()) {
+          auto it = cut.begin();
+          std::advance(it, static_cast<std::ptrdiff_t>(pick(cut.size())));
+          link(it->first, it->second, true);
+        }
+      } else {
+        // Flap one link down and back up inside this batch.
+        const auto& [x, y] = edges[pick(edges.size())];
+        if (cut.count(std::minmax(x, y)) == 0) {
+          links.set_link_up(x, y, false);
+          heal_at_end.emplace_back(x, y);
+        }
+      }
+    }
+    for (const net::NodeId v : recover_at_end) links.set_node_up(v, true);
+    for (const auto& [x, y] : heal_at_end) links.set_link_up(x, y, true);
+    refreshes += tree.revision() != links.revision();
+
+    tree.repair(graph, links);
+    const net::ConvergecastRouting fresh(graph, sink, &links);
+    SCOPED_TRACE("batch " + std::to_string(b));
+    if (!same_tree(tree, fresh)) return stats;
+    for (net::NodeId v = 0; v < n; ++v) {
+      EXPECT_EQ(dyn.next_hop(v, sink), fresh.next_hop(v, sink)) << v;
+      EXPECT_EQ(dyn.hops(v, sink), fresh.hops(v, sink)) << v;
+    }
+    for (int s = 0; s < 64; ++s) {
+      const auto from = any_node();
+      const auto to = any_node();
+      EXPECT_EQ(tree.next_hop(from, to), fresh.next_hop(from, to))
+          << from << "->" << to;
+      EXPECT_EQ(tree.hops(from, to), fresh.hops(from, to))
+          << from << "->" << to;
+    }
+    if (::testing::Test::HasFailure()) return stats;
+
+    int stranded = 0;
+    for (const net::NodeId v : fresh.stranded()) stranded += links.node_up(v);
+    stats.peak_stranded = std::max(stats.peak_stranded, stranded);
+    if (stranded < stranded_before) ++stats.reconnections;
+    stranded_before = stranded;
+    ++stats.batches;
+  }
+  EXPECT_EQ(dyn.rebuild_count(), refreshes);
+  return stats;
+}
+
+TEST(ConvergecastRepair, MatchesFullRebuildOnCentralSinkGrid) {
+  // The churn workload's placement: 50×50 at 40 m, range 40 m, so every
+  // node has four neighbours and parents tie on distance constantly.
+  const net::Topology topo = net::Topology::grid(50, 40.0 * 49, 25 * 50 + 25);
+  const net::ConnectivityGraph graph(topo.positions, 40.0);
+  const RepairStats stats = churn_against_rebuild(graph, topo.sink, 1, 240);
+  EXPECT_EQ(stats.batches, 240);
+}
+
+TEST(ConvergecastRepair, MatchesFullRebuildOnCornerSinkGrid) {
+  // 30×30 at 40 m with a 60 m range: diagonals too, sink in the corner.
+  const net::Topology topo = net::Topology::grid(30, 40.0 * 29, 0);
+  const net::ConnectivityGraph graph(topo.positions, 60.0);
+  const RepairStats stats = churn_against_rebuild(graph, topo.sink, 2, 240);
+  EXPECT_EQ(stats.batches, 240);
+}
+
+TEST(ConvergecastRepair, MatchesFullRebuildWhileCutVerticesStrandRegions) {
+  // A sparse random placement: crashing its cut vertices strands whole
+  // regions, and recovering them reconnects the regions.
+  const net::Topology topo = net::Topology::uniform_random(400, 600.0, 3);
+  const net::ConnectivityGraph graph(topo.positions, 48.0);
+  const RepairStats stats = churn_against_rebuild(graph, topo.sink, 3, 300);
+  EXPECT_EQ(stats.batches, 300);
+  EXPECT_GE(stats.peak_stranded, 10);
+  EXPECT_GE(stats.reconnections, 10);
+}
+
+TEST(ConvergecastRepair, TouchAndSinkChangesRebuildInFull) {
+  const net::Topology topo = net::Topology::grid(8, 40.0 * 7, 27);
+  const net::ConnectivityGraph graph(topo.positions, 40.0);
+  net::LinkState links(graph.node_count());
+  net::ConvergecastRouting tree(graph, topo.sink, &links);
+  const auto repaired_matches = [&] {
+    tree.repair(graph, links);
+    EXPECT_EQ(tree.revision(), links.revision());
+    return same_tree(tree, net::ConvergecastRouting(graph, topo.sink, &links));
+  };
+  links.set_node_up(19, false);
+  links.touch();
+  EXPECT_TRUE(repaired_matches());
+  links.set_node_up(topo.sink, false);  // every depth goes to -1
+  EXPECT_TRUE(repaired_matches());
+  EXPECT_EQ(tree.depth(topo.sink), -1);
+  links.set_link_up(3, 4, false);
+  links.set_node_up(19, true);
+  EXPECT_TRUE(repaired_matches());
+  links.set_node_up(topo.sink, true);
+  EXPECT_TRUE(repaired_matches());
+  EXPECT_TRUE(tree.stranded().empty());
+}
+
+TEST(DynamicRouting, LifetimeAwareAndAllPairsMatchAFullRebuildAfterTouch) {
+  const net::Topology topo = net::Topology::grid(6, 200.0, 0);
+  const net::ConnectivityGraph graph(topo.positions, 60.0);
+  const int n = graph.node_count();
+  net::LinkState links(n);
+  std::vector<double> drawn(static_cast<std::size_t>(n), 0.0);
+  const net::NodeCostFn cost = [&drawn](net::NodeId v) {
+    return 4.0 * drawn[static_cast<std::size_t>(v)];
+  };
+  const net::DynamicRouting lifetime(graph, topo.sink, links,
+                                     /*all_pairs=*/false,
+                                     net::RoutePolicy::kLifetimeAware, cost);
+  const net::DynamicRouting table(graph, topo.sink, links,
+                                  /*all_pairs=*/true);
+  util::Xoshiro256 rng(9);
+  for (int round = 0; round < 6; ++round) {
+    // Battery draw drifts everywhere; a touch is the only signal.
+    for (double& d : drawn) d = rng.uniform();
+    links.touch();
+    if (round % 2 == 1)
+      links.set_node_up(static_cast<net::NodeId>(1 + rng.uniform_int(35)),
+                        round % 4 != 1);
+    const net::ConvergecastRouting weighted(graph, topo.sink, &links, cost);
+    const net::RoutingTable pairs(graph, &links);
+    for (net::NodeId from = 0; from < n; ++from) {
+      EXPECT_EQ(lifetime.next_hop(from, topo.sink), weighted.parent(from))
+          << "round " << round << " node " << from;
+      EXPECT_EQ(lifetime.hops(from, topo.sink), weighted.depth(from));
+      for (net::NodeId to = 0; to < n; ++to) {
+        EXPECT_EQ(table.next_hop(from, to), pairs.next_hop(from, to));
+        EXPECT_EQ(table.hops(from, to), pairs.hops(from, to));
+      }
+    }
+  }
+  EXPECT_EQ(lifetime.rebuild_count(), 6);
+  EXPECT_EQ(table.rebuild_count(), 6);
 }
 
 // --------------------------------------------- registry variants, e2e ----

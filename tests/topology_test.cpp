@@ -229,6 +229,40 @@ TEST(Convergecast, TreeRoutesReachEveryPair) {
     }
 }
 
+// FNV-1a over next_hop and hops for every (from, to) pair: the tree's
+// answers in both directions, toward and away from the sink.
+std::uint64_t all_pairs_digest(const ConvergecastRouting& tree) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::int64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= static_cast<std::uint64_t>(v >> (8 * i)) & 0xFFu;
+      h *= 1099511628211ull;
+    }
+  };
+  for (NodeId from = 0; from < tree.node_count(); ++from)
+    for (NodeId to = 0; to < tree.node_count(); ++to) {
+      mix(tree.next_hop(from, to));
+      mix(tree.hops(from, to));
+    }
+  return h;
+}
+
+TEST(Convergecast, PointToPointAnswersArePinned) {
+  // The digests were taken from the subtree-interval (Euler-tour)
+  // implementation of next_hop; any rewrite must reproduce them. The
+  // random placement strands some nodes, so the kInvalidNode / -1 answers
+  // are pinned too.
+  const auto grid = Topology::grid(6, 200.0, 0);
+  const ConvergecastRouting paper(ConnectivityGraph(grid.positions, 40.0),
+                                  grid.sink);
+  const auto random = Topology::uniform_random(200, 300.0, 5);
+  const ConvergecastRouting scattered(
+      ConnectivityGraph(random.positions, 35.0), random.sink);
+  ASSERT_FALSE(scattered.stranded().empty());
+  EXPECT_EQ(all_pairs_digest(paper), 0xf3bf1798e2406143ull);
+  EXPECT_EQ(all_pairs_digest(scattered), 0x4a0e325744582c21ull);
+}
+
 TEST(Convergecast, SinkIdentityMatchesRoutingTableConventions) {
   const auto t = Topology::grid(3, 80.0, 4);
   const ConnectivityGraph g(t.positions, 40.0);
