@@ -179,6 +179,7 @@ class LinkState {
   /// the number of distinct nodes membership deltas ever name, never by n.
   std::unordered_set<NodeId> down_remote_;
   std::unordered_set<std::uint64_t> down_links_;
+  /// Grows with the number of effective changes, never with n.
   std::vector<LinkChange> log_;
   int down_nodes_ = 0;
 };
