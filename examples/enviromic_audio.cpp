@@ -15,6 +15,7 @@
 
 #include "app/nodes.hpp"
 #include "app/workload.hpp"
+#include "mac/mac_params.hpp"
 #include "energy/radio_model.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
@@ -64,12 +65,16 @@ int main(int argc, char** argv) {
   };
   sink.dropped = [&](const net::DataPacket&, const char*) { ++dropped; };
 
+  const app::MacChoice low_mac{mac::sensor_mac_params(),
+                               mac::MacFamily::kAuto, {}, nullptr};
+  const app::MacChoice high_mac{mac::dcf_mac_params(), mac::MacFamily::kAuto,
+                                {}, nullptr};
   std::vector<std::unique_ptr<app::DualRadioNode>> nodes;
   for (net::NodeId id = 0; id < topo.node_count(); ++id)
     nodes.push_back(std::make_unique<app::DualRadioNode>(
         simulator, low_ch, high_ch, low_routes, high_routes, id,
         energy::mica(), energy::cabletron_2mbps(), bcp,
-        phy::OverhearMode::kFull, seed, &sink));
+        phy::OverhearMode::kFull, seed, &sink, low_mac, high_mac));
 
   // Microphones on the nodes farthest from the sink talk in exponential
   // on/off bursts at 8 kbit/s.

@@ -19,7 +19,8 @@ DutyCycledWifiNode::DutyCycledWifiNode(
       delivery_(delivery),
       radio_(sim, channel, self, radio_model, phy::OverhearMode::kFull,
              /*start_on=*/false),
-      mac_(sim, radio_, mac::dcf_mac_params(),
+      mac_params_(mac::dcf_mac_params()),
+      mac_(sim, radio_, mac_params_,
            util::substream(seed, static_cast<std::uint64_t>(self),
                            0x445459u)) {
   BCP_REQUIRE(delivery != nullptr);

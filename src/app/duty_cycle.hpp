@@ -71,6 +71,7 @@ class DutyCycledWifiNode {
   DeliverySink* delivery_;
   bool up_ = true;
   phy::Radio radio_;
+  const mac::MacParams mac_params_;  ///< read in place by mac_
   mac::CsmaCaMac mac_;
   util::SlidingQueue<net::Message> pending_;  ///< waiting for the next window
   bool window_open_ = false;

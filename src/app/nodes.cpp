@@ -4,22 +4,21 @@
 
 #include "app/duty_cycle.hpp"
 #include "mac/mac_params.hpp"
-#include "mac/tdma_mac.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace bcp::app {
 
-std::unique_ptr<mac::Mac> make_mac(sim::Simulator& sim, phy::Radio& radio,
-                                   const MacChoice& choice,
-                                   std::uint64_t seed) {
+MacSlot make_mac(sim::Simulator& sim, phy::Radio& radio,
+                 const MacChoice& choice, std::uint64_t seed) {
   if (choice.family == mac::MacFamily::kTdma) {
     BCP_REQUIRE_MSG(choice.schedule != nullptr,
                     "a TDMA MacChoice needs the shared slot schedule");
     return std::make_unique<mac::TdmaMac>(sim, radio, choice.tdma,
                                           *choice.schedule, seed);
   }
-  return std::make_unique<mac::CsmaCaMac>(sim, radio, choice.csma, seed);
+  return MacSlot(std::in_place_type<mac::CsmaCaMac>, sim, radio, choice.csma,
+                 seed);
 }
 
 // ---------------------------------------------------------- ForwardingNode
@@ -38,9 +37,9 @@ ForwardingNode::ForwardingNode(sim::Simulator& sim, phy::Channel& channel,
                     util::substream(seed, static_cast<std::uint64_t>(self),
                                     0x4D4143u))) {
   BCP_REQUIRE(delivery != nullptr);
-  mac_->set_rx_callback(
+  mac().set_rx_callback(
       [this](const net::Message& m, net::NodeId from) { on_rx(m, from); });
-  mac_->set_tx_done_callback([this](const net::Message& m, net::NodeId,
+  mac().set_tx_done_callback([this](const net::Message& m, net::NodeId,
                                     bool success) {
     if (!success && m.is_data())
       delivery_->dropped(std::get<net::DataPacket>(m.body), "mac-failed");
@@ -62,7 +61,7 @@ void ForwardingNode::send(const net::DataPacket& packet) {
 void ForwardingNode::crash() {
   if (!up_) return;
   up_ = false;
-  mac_->reset_on_crash();
+  mac().reset_on_crash();
   radio_.force_off();
 }
 
@@ -70,7 +69,7 @@ void ForwardingNode::recover() {
   if (up_) return;
   up_ = true;
   radio_.power_on();
-  mac_->on_recover();
+  mac().on_recover();
 }
 
 void ForwardingNode::forward(const net::Message& msg) {
@@ -84,7 +83,7 @@ void ForwardingNode::forward(const net::Message& msg) {
       delivery_->dropped(std::get<net::DataPacket>(msg.body), "no-route");
     return;
   }
-  if (!mac_->enqueue(msg, next)) {
+  if (!mac().enqueue(msg, next)) {
     if (msg.is_data())
       delivery_->dropped(std::get<net::DataPacket>(msg.body), "queue-full");
   }
@@ -129,18 +128,18 @@ DualRadioNode::DualRadioNode(
       agent_(*this, bcp_config) {
   BCP_REQUIRE(delivery != nullptr);
 
-  low_mac_->set_rx_callback(
+  sensor_mac().set_rx_callback(
       [this](const net::Message& m, net::NodeId from) { on_low_rx(m, from); });
-  low_mac_->set_tx_done_callback([this](const net::Message& m, net::NodeId,
-                                        bool success) {
+  sensor_mac().set_tx_done_callback([this](const net::Message& m, net::NodeId,
+                                           bool success) {
     // Only data rides the low radio when the kFallbackLow delay policy is
     // active; account its link-layer losses like the forwarding models do.
     if (!success && m.is_data())
       delivery_->dropped(std::get<net::DataPacket>(m.body), "mac-failed");
   });
-  high_mac_->set_rx_callback(
+  wifi_mac().set_rx_callback(
       [this](const net::Message& m, net::NodeId from) { on_high_rx(m, from); });
-  high_mac_->set_tx_done_callback(
+  wifi_mac().set_tx_done_callback(
       [this](const net::Message&, net::NodeId, bool success) {
         BCP_ENSURE_MSG(!high_done_.empty(),
                        "high-radio completion without a pending send");
@@ -173,8 +172,8 @@ void DualRadioNode::crash() {
   // agent's completion expectations died with it), then the radios go
   // dark, truncating anything mid-air.
   agent_.crash();
-  low_mac_->reset_on_crash();
-  high_mac_->reset_on_crash();
+  sensor_mac().reset_on_crash();
+  wifi_mac().reset_on_crash();
   high_done_.clear();
   low_radio_.force_off();
   high_radio_.force_off();
@@ -186,7 +185,7 @@ void DualRadioNode::recover() {
   // The sensor radio is always-on for a live node; the 802.11 radio stays
   // off until the (freshly reset) agent next acquires it.
   low_radio_.power_on();
-  low_mac_->on_recover();
+  sensor_mac().on_recover();
 }
 
 core::BcpHost::TimerId DualRadioNode::set_timer(
@@ -203,13 +202,13 @@ void DualRadioNode::send_low(net::MessageRef msg) {
   BCP_REQUIRE(msg->dst != self_);
   const net::NodeId next = low_routes_.next_hop(self_, msg->dst);
   if (next == net::kInvalidNode) return;  // unreachable peer: handshake fails
-  low_mac_->enqueue(std::move(msg), next);
+  sensor_mac().enqueue(std::move(msg), next);
 }
 
 void DualRadioNode::send_high(net::MessageRef msg, net::NodeId peer,
                               core::BcpHost::SendDone done) {
   BCP_REQUIRE(peer != self_);
-  if (!high_mac_->enqueue(std::move(msg), peer)) {
+  if (!wifi_mac().enqueue(std::move(msg), peer)) {
     // Queue full (pathological): report failure asynchronously so the
     // caller's state machine is not reentered from inside send_high.
     sim_.schedule_in(0.0, [done = std::move(done)] { done(false); });
@@ -273,7 +272,7 @@ void DualRadioNode::on_low_rx(const net::Message& msg, net::NodeId /*from*/) {
   // Relay the control message one more low-radio hop (below BCP, §3).
   const net::NodeId next = low_routes_.next_hop(self_, msg.dst);
   if (next == net::kInvalidNode) return;
-  low_mac_->enqueue(msg, next);
+  sensor_mac().enqueue(msg, next);
 }
 
 void DualRadioNode::on_high_rx(const net::Message& msg,

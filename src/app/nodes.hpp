@@ -12,20 +12,18 @@
 
 #include <functional>
 #include <memory>
+#include <variant>
 
 #include "core/bcp_agent.hpp"
 #include "core/bcp_host.hpp"
 #include "mac/csma_mac.hpp"
 #include "mac/mac.hpp"
 #include "mac/mac_spec.hpp"
+#include "mac/tdma_mac.hpp"
 #include "net/routing.hpp"
 #include "phy/radio.hpp"
 #include "sim/simulator.hpp"
 #include "util/sliding_queue.hpp"
-
-namespace bcp::mac {
-struct TdmaSchedule;
-}
 
 namespace bcp::app {
 
@@ -38,10 +36,11 @@ struct DeliverySink {
 };
 
 /// Which concrete MAC a node assembly instantiates behind the mac::Mac
-/// seam. The default (kAuto family + the class MacParams) is the
-/// historical CSMA/CA engine, bit-for-bit. A kTdma choice needs resolved
-/// TdmaParams and a schedule that outlives the node (the scenario owns
-/// both).
+/// seam. The kAuto family with the class MacParams is the historical
+/// CSMA/CA engine, bit-for-bit. A kTdma choice needs resolved TdmaParams
+/// and a schedule. The choice is shared by every node of its radio class
+/// and read in place (CSMA MACs keep a reference to `csma`), so it must
+/// outlive the nodes built from it; the scenario owns it.
 struct MacChoice {
   mac::MacParams csma;
   mac::MacFamily family = mac::MacFamily::kAuto;
@@ -49,14 +48,31 @@ struct MacChoice {
   const mac::TdmaSchedule* schedule = nullptr;
 };
 
-/// Instantiates the chosen family. CSMA choices consume `seed` exactly as
-/// the pre-seam concrete members did (the byte-identical contract); TDMA
-/// draws its per-node clock drift from it.
-std::unique_ptr<mac::Mac> make_mac(sim::Simulator& sim, phy::Radio& radio,
-                                   const MacChoice& choice,
-                                   std::uint64_t seed);
+/// A node's MAC. CSMA/CA, the MAC of every figure and of the benchmark,
+/// lives inline in the node; the larger TDMA MAC is boxed so that it does
+/// not widen every CSMA node.
+using MacSlot = std::variant<mac::CsmaCaMac, std::unique_ptr<mac::TdmaMac>>;
 
-/// Single-radio store-and-forward node.
+/// Constructs the chosen family in place. CSMA choices consume `seed`
+/// exactly as the pre-seam concrete members did (the byte-identical
+/// contract); TDMA draws its per-node clock drift from it.
+MacSlot make_mac(sim::Simulator& sim, phy::Radio& radio,
+                 const MacChoice& choice, std::uint64_t seed);
+MacSlot make_mac(sim::Simulator&, phy::Radio&, const MacChoice&&,
+                 std::uint64_t) = delete;
+
+/// The mac::Mac seam over whichever family a slot holds.
+inline mac::Mac& as_mac(MacSlot& slot) {
+  if (auto* csma = std::get_if<mac::CsmaCaMac>(&slot)) return *csma;
+  return *std::get<std::unique_ptr<mac::TdmaMac>>(slot);
+}
+inline const mac::Mac& as_mac(const MacSlot& slot) {
+  if (const auto* csma = std::get_if<mac::CsmaCaMac>(&slot)) return *csma;
+  return *std::get<std::unique_ptr<mac::TdmaMac>>(slot);
+}
+
+/// Single-radio store-and-forward node. `radio_model` and `mac_choice`
+/// are read in place and must outlive the node.
 class ForwardingNode {
  public:
   ForwardingNode(sim::Simulator& sim, phy::Channel& channel,
@@ -79,8 +95,8 @@ class ForwardingNode {
 
   phy::Radio& radio() { return radio_; }
   const phy::Radio& radio() const { return radio_; }
-  mac::Mac& mac() { return *mac_; }
-  const mac::Mac& mac() const { return *mac_; }
+  mac::Mac& mac() { return as_mac(mac_); }
+  const mac::Mac& mac() const { return as_mac(mac_); }
   net::NodeId self() const { return self_; }
 
  private:
@@ -96,11 +112,13 @@ class ForwardingNode {
   phy::Radio radio_;
   // Behind the seam: which family lives here is a MacChoice decision made
   // once per run at construction (not hot-path state).
-  std::unique_ptr<mac::Mac> mac_;
+  MacSlot mac_;
 };
 
 /// Dual-radio node: sensor radio + CSMA MAC for control, 802.11 radio +
-/// DCF MAC for bulk data, and a BcpAgent in between.
+/// DCF MAC for bulk data, and a BcpAgent in between. Both radio models,
+/// `bcp_config` and both MacChoices are read in place and must outlive
+/// the node.
 class DualRadioNode final : public core::BcpHost {
  public:
   DualRadioNode(sim::Simulator& sim, phy::Channel& low_channel,
@@ -110,15 +128,8 @@ class DualRadioNode final : public core::BcpHost {
                 const energy::RadioEnergyModel& wifi_model,
                 const core::BcpConfig& bcp_config,
                 phy::OverhearMode wifi_overhear, std::uint64_t seed,
-                DeliverySink* delivery,
-                const MacChoice& low_mac = MacChoice{mac::sensor_mac_params(),
-                                                     mac::MacFamily::kAuto,
-                                                     {},
-                                                     nullptr},
-                const MacChoice& high_mac = MacChoice{mac::dcf_mac_params(),
-                                                      mac::MacFamily::kAuto,
-                                                      {},
-                                                      nullptr});
+                DeliverySink* delivery, const MacChoice& low_mac,
+                const MacChoice& high_mac);
 
   /// Entry point for locally generated packets (goes through BCP). While
   /// the node is down, packets are dropped with reason "node-down".
@@ -139,10 +150,10 @@ class DualRadioNode final : public core::BcpHost {
   const phy::Radio& sensor_radio() const { return low_radio_; }
   phy::Radio& wifi_radio() { return high_radio_; }
   const phy::Radio& wifi_radio() const { return high_radio_; }
-  mac::Mac& sensor_mac() { return *low_mac_; }
-  const mac::Mac& sensor_mac() const { return *low_mac_; }
-  mac::Mac& wifi_mac() { return *high_mac_; }
-  const mac::Mac& wifi_mac() const { return *high_mac_; }
+  mac::Mac& sensor_mac() { return as_mac(low_mac_); }
+  const mac::Mac& sensor_mac() const { return as_mac(low_mac_); }
+  mac::Mac& wifi_mac() { return as_mac(high_mac_); }
+  const mac::Mac& wifi_mac() const { return as_mac(high_mac_); }
 
   // core::BcpHost:
   net::NodeId self() const override { return self_; }
@@ -178,8 +189,8 @@ class DualRadioNode final : public core::BcpHost {
   // agent, which binds to *this as its BcpHost).
   phy::Radio low_radio_;
   phy::Radio high_radio_;
-  std::unique_ptr<mac::Mac> low_mac_;
-  std::unique_ptr<mac::Mac> high_mac_;
+  MacSlot low_mac_;
+  MacSlot high_mac_;
   core::BcpAgent agent_;
   /// Completion callbacks for in-flight high-radio sends, FIFO with the
   /// MAC's single queue.

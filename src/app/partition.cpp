@@ -140,12 +140,24 @@ SharedNet::SharedNet(const ScenarioConfig& cfg, int partitions)
       senders(pick_senders(cfg.seed, n, sink, cfg.n_senders)),
       bcp(cfg.bcp) {
   bcp.set_burst_packets(cfg.burst_packets, cfg.packet_bits);
-  // One graph per radio class the model uses, shared by every channel
-  // partition and router of the run. Each channel's capture (SINR) noise
-  // floor is its radio's datasheet value.
+  // One graph per distinct range the model uses, shared by every channel
+  // partition and router of the run: the 802.11 class reuses the sensor
+  // class's graph and routes when both reach equally far (every sh
+  // preset). Channel parameters and seeds stay per class; each channel's
+  // capture (SINR) noise floor is its radio's datasheet value.
   const auto add_class = [&](RadioClass& rc, const char* radio_name,
                              const energy::RadioEnergyModel& radio,
                              util::Metres range, std::uint64_t seed) {
+    rc.params = phy::Channel::Params{cfg.frame_loss_prob, cfg.propagation};
+    rc.params.capture.enabled = cfg.capture_enabled;
+    rc.params.capture.threshold_db = cfg.capture_threshold_db;
+    rc.params.capture.noise_floor_dbm = radio.noise_floor_dbm;
+    rc.seed = seed;
+    if (low.graph && range == cfg.sensor_radio.range) {
+      rc.graph = low.graph;
+      rc.routes = low.routes;
+      return;
+    }
     rc.graph = std::make_shared<net::ConnectivityGraph>(topo.positions, range);
     // A silent kInvalidNode route at runtime would just bleed packets as
     // "no-route" drops, so a stranded node is a configuration error.
@@ -157,20 +169,15 @@ SharedNet::SharedNet(const ScenarioConfig& cfg, int partitions)
                         std::to_string(stranded.size()) +
                         " node(s) cannot reach sink " + std::to_string(sink) +
                         ": " + net::format_node_list(stranded));
-    // Static membership: one Router per class, shared by all partitions
+    // Static membership: one Router per graph, shared by all partitions
     // (RoutingTable/ConvergecastRouting queries are const and
     // thread-safe).
     if (!has_links) {
       if (all_pairs)
-        rc.routes = std::make_unique<net::RoutingTable>(*rc.graph);
+        rc.routes = std::make_shared<net::RoutingTable>(*rc.graph);
       else
-        rc.routes = std::make_unique<net::ConvergecastRouting>(*rc.graph, sink);
+        rc.routes = std::make_shared<net::ConvergecastRouting>(*rc.graph, sink);
     }
-    rc.params = phy::Channel::Params{cfg.frame_loss_prob, cfg.propagation};
-    rc.params.capture.enabled = cfg.capture_enabled;
-    rc.params.capture.threshold_db = cfg.capture_threshold_db;
-    rc.params.capture.noise_floor_dbm = radio.noise_floor_dbm;
-    rc.seed = seed;
   };
   if (cfg.model == EvalModel::kSensor || cfg.model == EvalModel::kDualRadio)
     add_class(low, "sensor", cfg.sensor_radio, cfg.sensor_radio.range,
@@ -265,56 +272,51 @@ void Partition::build(const SharedNet& net, int shard, sim::Simulator& sim,
 
   switch (config.model) {
     case EvalModel::kSensor: {
-      const MacChoice choice = resolve(
-          config.sensor_mac, mac::sensor_mac_params(),
-          mac::tdma_sensor_params(), *low_r, config.sensor_radio.rate,
-          low_schedule_);
-      fwd_.resize(owned);
+      low_mac_ = resolve(config.sensor_mac, mac::sensor_mac_params(),
+                         mac::tdma_sensor_params(), *low_r,
+                         config.sensor_radio.rate, low_schedule_);
+      fwd_ = std::vector<std::optional<ForwardingNode>>(owned);
       for (std::size_t l = 0; l < owned; ++l)
-        fwd_[l] = std::make_unique<ForwardingNode>(
-            sim, *low, *low_r, ids[l], net.sink, config.sensor_radio,
-            phy::OverhearMode::kHeaderOnly, choice, config.seed, &delivery_);
+        fwd_[l].emplace(sim, *low, *low_r, ids[l], net.sink,
+                        config.sensor_radio, phy::OverhearMode::kHeaderOnly,
+                        low_mac_, config.seed, &delivery_);
       break;
     }
     case EvalModel::kWifi: {
-      const MacChoice choice = resolve(
-          config.wifi_mac, mac::dcf_mac_params(), mac::tdma_wifi_params(),
-          *high_r, config.wifi_radio.rate, high_schedule_);
-      fwd_.resize(owned);
+      high_mac_ = resolve(config.wifi_mac, mac::dcf_mac_params(),
+                          mac::tdma_wifi_params(), *high_r,
+                          config.wifi_radio.rate, high_schedule_);
+      fwd_ = std::vector<std::optional<ForwardingNode>>(owned);
       for (std::size_t l = 0; l < owned; ++l)
-        fwd_[l] = std::make_unique<ForwardingNode>(
-            sim, *high, *high_r, ids[l], net.sink, config.wifi_radio,
-            phy::OverhearMode::kFull, choice, config.seed, &delivery_);
+        fwd_[l].emplace(sim, *high, *high_r, ids[l], net.sink,
+                        config.wifi_radio, phy::OverhearMode::kFull,
+                        high_mac_, config.seed, &delivery_);
       break;
     }
     case EvalModel::kWifiDutyCycled: {
       DutyCycledWifiNode::Schedule schedule;
       schedule.period = config.duty_period;
       schedule.duty = config.duty_cycle;
-      duty_.resize(owned);
+      duty_ = std::vector<std::optional<DutyCycledWifiNode>>(owned);
       for (std::size_t l = 0; l < owned; ++l)
-        duty_[l] = std::make_unique<DutyCycledWifiNode>(
-            sim, *high, *high_r, ids[l], net.sink, config.wifi_radio,
-            schedule, config.seed, &delivery_);
+        duty_[l].emplace(sim, *high, *high_r, ids[l], net.sink,
+                         config.wifi_radio, schedule, config.seed,
+                         &delivery_);
       break;
     }
     case EvalModel::kDualRadio: {
-      const MacChoice low_choice = resolve(
-          config.sensor_mac, mac::sensor_mac_params(),
-          mac::tdma_sensor_params(), *low_r, config.sensor_radio.rate,
-          low_schedule_);
-      const MacChoice high_choice{mac::dcf_mac_params(),
-                                  mac::MacFamily::kAuto,
-                                  {},
-                                  nullptr};
-      dual_.resize(owned);
+      low_mac_ = resolve(config.sensor_mac, mac::sensor_mac_params(),
+                         mac::tdma_sensor_params(), *low_r,
+                         config.sensor_radio.rate, low_schedule_);
+      high_mac_ = MacChoice{mac::dcf_mac_params(), mac::MacFamily::kAuto, {},
+                            nullptr};
+      dual_ = std::vector<std::optional<DualRadioNode>>(owned);
       for (std::size_t l = 0; l < owned; ++l)
-        dual_[l] = std::make_unique<DualRadioNode>(
-            sim, *low, *high, *low_r, *high_r, ids[l], config.sensor_radio,
-            config.wifi_radio, net.bcp,
-            config.wifi_promiscuous ? phy::OverhearMode::kFull
-                                    : phy::OverhearMode::kNone,
-            config.seed, &delivery_, low_choice, high_choice);
+        dual_[l].emplace(sim, *low, *high, *low_r, *high_r, ids[l],
+                         config.sensor_radio, config.wifi_radio, net.bcp,
+                         config.wifi_promiscuous ? phy::OverhearMode::kFull
+                                                 : phy::OverhearMode::kNone,
+                         config.seed, &delivery_, low_mac_, high_mac_);
       break;
     }
   }
@@ -387,9 +389,9 @@ void Partition::build(const SharedNet& net, int shard, sim::Simulator& sim,
 }
 
 void Partition::crash(std::size_t local, net::NodeId node) {
-  crash_node(fwd_.empty() ? nullptr : fwd_[local].get(),
-             dual_.empty() ? nullptr : dual_[local].get(),
-             duty_.empty() ? nullptr : duty_[local].get(), node,
+  crash_node(fwd_.empty() ? nullptr : &*fwd_[local],
+             dual_.empty() ? nullptr : &*dual_[local],
+             duty_.empty() ? nullptr : &*duty_[local], node,
              links ? &*links : nullptr);
 }
 
@@ -469,10 +471,10 @@ void Partition::collect(util::Seconds end) {
   if (high_ != nullptr) add_channel_stats(m, *high_);
   for (const auto& w : workloads_) m.generated += w->generated();
   const bool charge_sensor = net_->config.model == EvalModel::kSensor;
-  for (const auto& node : fwd_)
+  for (auto& node : fwd_)
     collect_forwarding(m, *node, charge_sensor, end);
-  for (const auto& node : duty_) collect_duty(m, *node, end);
-  for (const auto& node : dual_) collect_dual(m, *node, end);
+  for (auto& node : duty_) collect_duty(m, *node, end);
+  for (auto& node : dual_) collect_dual(m, *node, end);
   for (const auto& battery : batteries) {
     if (battery == nullptr) continue;
     m.battery_max_drawn_fraction = std::max(

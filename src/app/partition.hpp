@@ -46,10 +46,11 @@ namespace bcp::app::detail {
 /// evaluation model does not use the class), its static routes (null for
 /// runs whose membership changes — those build DynamicRouting per
 /// partition), and the channel parameters and seed every engine feeds its
-/// channels.
+/// channels. When both classes have the same range they share one graph
+/// and one router.
 struct RadioClass {
   std::shared_ptr<const net::ConnectivityGraph> graph;
-  std::unique_ptr<net::Router> routes;
+  std::shared_ptr<const net::Router> routes;
   phy::Channel::Params params;
   std::uint64_t seed = 0;
 };
@@ -131,6 +132,14 @@ class Partition {
   RunMetrics m;
   double delay_sum = 0;
 
+  /// Introspection after build(): an owned dual-radio node (local id) and
+  /// the per-class MAC choices every node of the partition reads.
+  const DualRadioNode& dual_node(std::size_t local) const {
+    return *dual_[local];
+  }
+  const MacChoice& low_mac() const { return low_mac_; }
+  const MacChoice& high_mac() const { return high_mac_; }
+
  private:
   void crash(std::size_t local, net::NodeId node);
   void on_battery_death(net::NodeId node);
@@ -147,13 +156,18 @@ class Partition {
   DeliverySink delivery_;
   std::unique_ptr<net::DynamicRouting> low_dyn_;
   std::unique_ptr<net::DynamicRouting> high_dyn_;
-  // TDMA slot schedules; nodes hold references into them.
+  // TDMA slot schedules and the resolved per-class MAC choices; nodes
+  // hold references into them for the whole run.
   std::optional<mac::TdmaSchedule> low_schedule_;
   std::optional<mac::TdmaSchedule> high_schedule_;
-  // Exactly one node family is populated, one entry per owned node.
-  std::vector<std::unique_ptr<ForwardingNode>> fwd_;
-  std::vector<std::unique_ptr<DualRadioNode>> dual_;
-  std::vector<std::unique_ptr<DutyCycledWifiNode>> duty_;
+  MacChoice low_mac_;
+  MacChoice high_mac_;
+  // Exactly one node family is populated, one entry per owned node. Each
+  // family is one allocation: nodes are constructed in place (the
+  // optional only defers construction) and never move.
+  std::vector<std::optional<ForwardingNode>> fwd_;
+  std::vector<std::optional<DualRadioNode>> dual_;
+  std::vector<std::optional<DutyCycledWifiNode>> duty_;
   std::vector<std::unique_ptr<CbrWorkload>> workloads_;
 };
 

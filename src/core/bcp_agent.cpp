@@ -50,7 +50,7 @@ std::vector<net::BulkFrame> assemble_frames(
 
 }  // namespace
 
-BcpAgent::BcpAgent(BcpHost& host, BcpConfig config)
+BcpAgent::BcpAgent(BcpHost& host, const BcpConfig& config)
     : host_(host),
       config_(config),
       buffer_(config.buffer_capacity_bits) {

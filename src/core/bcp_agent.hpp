@@ -64,7 +64,10 @@ class BcpAgent {
     std::int64_t packets_lost_to_crash = 0; ///< buffered data lost at crash
   };
 
-  BcpAgent(BcpHost& host, BcpConfig config);
+  /// `config` is the run's shared configuration, read in place: it must
+  /// outlive the agent (a temporary is rejected).
+  BcpAgent(BcpHost& host, const BcpConfig& config);
+  BcpAgent(BcpHost&, const BcpConfig&&) = delete;
 
   BcpAgent(const BcpAgent&) = delete;
   BcpAgent& operator=(const BcpAgent&) = delete;
@@ -180,7 +183,7 @@ class BcpAgent {
   util::Bits grantable_bits() const;
 
   BcpHost& host_;
-  BcpConfig config_;
+  const BcpConfig& config_;
   BulkBuffer buffer_;
   Stats stats_;
   BcpObserver* observer_ = nullptr;

@@ -89,10 +89,10 @@ class EmulNode final : public core::BcpHost {
         log_(log),
         deliver_(std::move(deliver)),
         low_(sim, config.sensor_radio, /*starts_on=*/true),
-        high_(sim, config.wifi_radio, /*starts_on=*/false) {
-    core::BcpConfig bcp = config.bcp;
-    bcp.burst_threshold_bits = config.threshold_bits;
-    agent_ = std::make_unique<core::BcpAgent>(*this, bcp);
+        high_(sim, config.wifi_radio, /*starts_on=*/false),
+        bcp_(config.bcp) {
+    bcp_.burst_threshold_bits = config.threshold_bits;
+    agent_ = std::make_unique<core::BcpAgent>(*this, bcp_);
   }
 
   void connect(EmulNode* peer) { peer_ = peer; }
@@ -223,6 +223,7 @@ class EmulNode final : public core::BcpHost {
   EmulRadio low_;
   EmulRadio high_;
   EmulNode* peer_ = nullptr;
+  core::BcpConfig bcp_;  ///< read in place by agent_
   std::unique_ptr<core::BcpAgent> agent_;
 };
 

@@ -27,16 +27,16 @@ ChargingPolicy ChargingPolicy::ideal_tx_rx() {
 
 ChargingPolicy ChargingPolicy::full() { return ChargingPolicy{}; }
 
-EnergyMeter::EnergyMeter(const RadioEnergyModel& model) : model_(model) {}
+EnergyMeter::EnergyMeter(const RadioEnergyModel& model) : model_(&model) {}
 
 util::Watts EnergyMeter::power_of(EnergyCategory c) const {
   switch (c) {
     case EnergyCategory::kOff:      return 0.0;
-    case EnergyCategory::kSleep:    return model_.p_sleep;
-    case EnergyCategory::kIdle:     return model_.p_idle;
-    case EnergyCategory::kRx:       return model_.p_rx;
-    case EnergyCategory::kOverhear: return model_.p_rx;
-    case EnergyCategory::kTx:       return model_.p_tx;
+    case EnergyCategory::kSleep:    return model_->p_sleep;
+    case EnergyCategory::kIdle:     return model_->p_idle;
+    case EnergyCategory::kRx:       return model_->p_rx;
+    case EnergyCategory::kOverhear: return model_->p_rx;
+    case EnergyCategory::kTx:       return model_->p_tx;
     // The wake-up transition is charged as the Table 1 lump, not by power
     // integration, so the waking interval itself draws nothing extra.
     case EnergyCategory::kWaking:   return 0.0;
@@ -53,7 +53,7 @@ void EnergyMeter::transition(EnergyCategory c, util::Seconds now) {
 
 void EnergyMeter::add_wakeup_charge() {
   energy_[static_cast<std::size_t>(EnergyCategory::kWaking)] +=
-      model_.e_wakeup;
+      model_->e_wakeup;
   ++wakeups_;
 }
 

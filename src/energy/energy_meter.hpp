@@ -51,7 +51,10 @@ struct ChargingPolicy {
 
 class EnergyMeter {
  public:
+  /// The meter reads `model` in place: every radio of one class shares one
+  /// model, so `model` must outlive the meter (a temporary is rejected).
   explicit EnergyMeter(const RadioEnergyModel& model);
+  explicit EnergyMeter(const RadioEnergyModel&&) = delete;
 
   /// Moves the radio into category `c` at time `now`, charging the elapsed
   /// interval to the previous category. `now` must be non-decreasing.
@@ -94,12 +97,12 @@ class EnergyMeter {
   /// Number of wake-up transitions charged.
   std::int64_t wakeup_count() const { return wakeups_; }
 
-  const RadioEnergyModel& model() const { return model_; }
+  const RadioEnergyModel& model() const { return *model_; }
 
  private:
   util::Watts power_of(EnergyCategory c) const;
 
-  RadioEnergyModel model_;
+  const RadioEnergyModel* model_;
   EnergyCategory current_ = EnergyCategory::kOff;
   util::Seconds last_transition_ = 0.0;
   std::int64_t wakeups_ = 0;

@@ -7,8 +7,8 @@
 
 namespace bcp::mac {
 
-CsmaCaMac::CsmaCaMac(sim::Simulator& sim, phy::Radio& radio, MacParams params,
-                     std::uint64_t seed)
+CsmaCaMac::CsmaCaMac(sim::Simulator& sim, phy::Radio& radio,
+                     const MacParams& params, std::uint64_t seed)
     : sim_(sim),
       radio_(radio),
       params_(params),
@@ -174,7 +174,7 @@ void CsmaCaMac::on_frame_received(const phy::Frame& frame) {
     pending_acks_.push_back(PendingAck{frame.tx_node, frame.mac_seq});
     if (!ack_tx_timer_.running() && radio_.state() != phy::RadioState::kTx)
       ack_tx_timer_.start(params_.sifs);
-    auto& last = delivered_seq_[frame.tx_node];
+    std::uint32_t& last = delivered_seq(frame.tx_node);
     if (frame.mac_seq <= last) {
       ++stats_.rx_duplicates;  // retransmission whose ack we lost — re-ack
       return;
@@ -183,6 +183,13 @@ void CsmaCaMac::on_frame_received(const phy::Frame& frame) {
   }
   ++stats_.rx_delivered;
   if (rx_cb_) rx_cb_(*frame.message, frame.tx_node);
+}
+
+std::uint32_t& CsmaCaMac::delivered_seq(net::NodeId from) {
+  for (DeliveredSeq& d : delivered_seq_)
+    if (d.from == from) return d.seq;
+  delivered_seq_.push_back({from, 0});
+  return delivered_seq_.back().seq;
 }
 
 void CsmaCaMac::finish_head(bool success) {

@@ -20,7 +20,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "mac/mac.hpp"
 #include "mac/mac_params.hpp"
@@ -39,8 +39,12 @@ class CsmaCaMac final : public Mac {
     std::int64_t acks_suppressed = 0;///< radio busy at ack time
   };
 
-  CsmaCaMac(sim::Simulator& sim, phy::Radio& radio, MacParams params,
+  /// `params` is the radio class's shared parameter set, read in place:
+  /// it must outlive the MAC (a temporary is rejected).
+  CsmaCaMac(sim::Simulator& sim, phy::Radio& radio, const MacParams& params,
             std::uint64_t seed);
+  CsmaCaMac(sim::Simulator&, phy::Radio&, const MacParams&&,
+            std::uint64_t) = delete;
 
   /// Queues a message for `next_hop` (net::kBroadcastNode for broadcast).
   /// Returns false (and counts a drop) when the queue is full.
@@ -86,10 +90,11 @@ class CsmaCaMac final : public Mac {
   void finish_head(bool success);
   util::Seconds ack_duration() const;
   phy::Frame make_data_frame(const Outgoing& out) const;
+  std::uint32_t& delivered_seq(net::NodeId from);
 
   sim::Simulator& sim_;
   phy::Radio& radio_;
-  MacParams params_;
+  const MacParams& params_;
   util::Xoshiro256 rng_;
   Stats stats_;
 
@@ -100,8 +105,13 @@ class CsmaCaMac final : public Mac {
   std::uint32_t next_seq_ = 1;
   sim::Timer backoff_timer_;
   sim::Timer ack_timer_;
-  // Highest seq delivered per neighbour, for duplicate suppression.
-  std::unordered_map<net::NodeId, std::uint32_t> delivered_seq_;
+  // Highest seq delivered per neighbour, for duplicate suppression. A
+  // node hears a handful of neighbours, so a flat list beats a hash map.
+  struct DeliveredSeq {
+    net::NodeId from;
+    std::uint32_t seq;
+  };
+  std::vector<DeliveredSeq> delivered_seq_;
   // Pending ack (serialized through the single radio).
   struct PendingAck {
     net::NodeId to;

@@ -55,10 +55,13 @@ class Radio final : public ChannelListener {
   };
 
   /// `start_on` = true puts the radio straight into kIdle with no wake-up
-  /// charge (how the always-on sensor radios start).
+  /// charge (how the always-on sensor radios start). `model` is shared,
+  /// not copied: it must outlive the radio.
   Radio(sim::Simulator& sim, Channel& channel, net::NodeId self,
         const energy::RadioEnergyModel& model, OverhearMode overhear,
         bool start_on);
+  Radio(sim::Simulator&, Channel&, net::NodeId,
+        const energy::RadioEnergyModel&&, OverhearMode, bool) = delete;
 
   Radio(const Radio&) = delete;
   Radio& operator=(const Radio&) = delete;

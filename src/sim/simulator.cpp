@@ -146,7 +146,7 @@ void Simulator::run_until(TimePoint end) {
   if (!stopped_) now_ = end;
 }
 
-Timer::Timer(Simulator& sim, Simulator::Callback on_expire)
+Timer::Timer(Simulator& sim, Callback on_expire)
     : sim_(sim), on_expire_(std::move(on_expire)) {
   BCP_REQUIRE(on_expire_ != nullptr);
 }

@@ -157,7 +157,12 @@ class Simulator {
 /// Protocol state machines (MAC retries, BCP handshake timeouts) use this.
 class Timer {
  public:
-  Timer(Simulator& sim, Simulator::Callback on_expire);
+  /// Expiry callback. Every MAC timer captures only its owner's `this`,
+  /// and three of them sit in each node's MAC, so the inline buffer is
+  /// two pointers wide rather than the event queue's 64 bytes.
+  using Callback = util::InlineFunction<void(), 16>;
+
+  Timer(Simulator& sim, Callback on_expire);
 
   // The simulator holds no reference back to the timer, but moving would
   // invalidate the `this` captured via the bound callback's closure state in
@@ -176,7 +181,7 @@ class Timer {
 
  private:
   Simulator& sim_;
-  Simulator::Callback on_expire_;
+  Callback on_expire_;
   Simulator::EventHandle handle_;
 };
 

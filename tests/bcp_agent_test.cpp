@@ -118,7 +118,7 @@ class BcpSenderTest : public ::testing::Test {
  protected:
   BcpSenderTest() : host_(sim_, 0) {
     host_.routes[9] = 5;  // destination 9 via high-radio next hop 5
-    agent_ = std::make_unique<BcpAgent>(host_, small_config());
+    agent_ = std::make_unique<BcpAgent>(host_, config_);
     host_.agent = agent_.get();
   }
   void submit_n(int n, net::NodeId dest = 9) {
@@ -127,6 +127,7 @@ class BcpSenderTest : public ::testing::Test {
   }
   sim::Simulator sim_;
   FakeHost host_;
+  const BcpConfig config_ = small_config();
   std::unique_ptr<BcpAgent> agent_;
 };
 
@@ -336,8 +337,7 @@ class BcpReceiverTest : public ::testing::Test {
  protected:
   BcpReceiverTest() : host_(sim_, 5) {
     host_.routes[9] = 9;  // this node forwards to 9 directly if needed
-    BcpConfig cfg = small_config();
-    agent_ = std::make_unique<BcpAgent>(host_, cfg);
+    agent_ = std::make_unique<BcpAgent>(host_, config_);
     host_.agent = agent_.get();
   }
   net::Message wakeup(net::NodeId from, std::uint32_t hs, util::Bits burst) {
@@ -363,6 +363,7 @@ class BcpReceiverTest : public ::testing::Test {
   }
   sim::Simulator sim_;
   FakeHost host_;
+  const BcpConfig config_ = small_config();
   std::unique_ptr<BcpAgent> agent_;
 };
 
@@ -548,10 +549,11 @@ TEST(BcpShortcuts, IgnoredWhenDisabledOrIrrelevant) {
   EXPECT_FALSE(agent.shortcut_for(9).has_value());
 
   // Enabled, but the frame carries other nodes' packets: nothing learned.
-  cfg.enable_shortcuts = true;
+  BcpConfig cfg2 = cfg;
+  cfg2.enable_shortcuts = true;
   FakeHost host2(sim, 0);
   host2.routes[9] = 5;
-  BcpAgent agent2(host2, cfg);
+  BcpAgent agent2(host2, cfg2);
   net::BulkFrame g;
   g.sender = 5;
   g.receiver = 7;

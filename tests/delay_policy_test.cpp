@@ -81,7 +81,8 @@ TEST(DelayPolicy, UnboundedNeverActsBelowThreshold) {
   sim::Simulator sim;
   Host host(sim, 0);
   host.routes[9] = 5;
-  BcpAgent agent(host, policy_config(DelayPolicy::kUnbounded, 5.0));
+  const BcpConfig cfg = policy_config(DelayPolicy::kUnbounded, 5.0);
+  BcpAgent agent(host, cfg);
   host.agent = &agent;
   agent.submit(pkt(1, 0.0));
   sim.run_until(100.0);
@@ -93,7 +94,8 @@ TEST(DelayPolicy, FlushHighWakesRadioAtDeadline) {
   sim::Simulator sim;
   Host host(sim, 0);
   host.routes[9] = 5;
-  BcpAgent agent(host, policy_config(DelayPolicy::kFlushHigh, 5.0));
+  const BcpConfig cfg = policy_config(DelayPolicy::kFlushHigh, 5.0);
+  BcpAgent agent(host, cfg);
   host.agent = &agent;
   agent.submit(pkt(1, 0.0));
   agent.submit(pkt(2, 0.0));
@@ -110,7 +112,8 @@ TEST(DelayPolicy, FlushHighDeadlineMeasuresOldestPacket) {
   sim::Simulator sim;
   Host host(sim, 0);
   host.routes[9] = 5;
-  BcpAgent agent(host, policy_config(DelayPolicy::kFlushHigh, 10.0));
+  const BcpConfig cfg = policy_config(DelayPolicy::kFlushHigh, 10.0);
+  BcpAgent agent(host, cfg);
   host.agent = &agent;
   sim.schedule_at(3.0, [&] { agent.submit(pkt(1, 3.0)); });
   sim.run_until(12.9);  // oldest created at 3.0 -> deadline 13.0
@@ -123,7 +126,8 @@ TEST(DelayPolicy, FlushHighRechecksWithoutSpinningWhenSessionActive) {
   sim::Simulator sim;
   Host host(sim, 0);
   host.routes[9] = 5;
-  BcpAgent agent(host, policy_config(DelayPolicy::kFlushHigh, 2.0));
+  const BcpConfig cfg = policy_config(DelayPolicy::kFlushHigh, 2.0);
+  BcpAgent agent(host, cfg);
   host.agent = &agent;
   agent.submit(pkt(1, 0.0));
   // No ack ever arrives: the handshake retries inside its own machinery;
@@ -138,7 +142,8 @@ TEST(DelayPolicy, FallbackLowSendsExpiredPacketsOverLowRadio) {
   sim::Simulator sim;
   Host host(sim, 0);
   host.routes[9] = 5;
-  BcpAgent agent(host, policy_config(DelayPolicy::kFallbackLow, 5.0));
+  const BcpConfig cfg = policy_config(DelayPolicy::kFallbackLow, 5.0);
+  BcpAgent agent(host, cfg);
   host.agent = &agent;
   agent.submit(pkt(1, 0.0));
   agent.submit(pkt(2, 0.0));
@@ -157,7 +162,8 @@ TEST(DelayPolicy, FallbackLowKeepsUnexpiredPackets) {
   sim::Simulator sim;
   Host host(sim, 0);
   host.routes[9] = 5;
-  BcpAgent agent(host, policy_config(DelayPolicy::kFallbackLow, 5.0));
+  const BcpConfig cfg = policy_config(DelayPolicy::kFallbackLow, 5.0);
+  BcpAgent agent(host, cfg);
   host.agent = &agent;
   agent.submit(pkt(1, 0.0));
   sim.schedule_at(4.0, [&] { agent.submit(pkt(2, 4.0)); });
@@ -173,7 +179,8 @@ TEST(DelayPolicy, ThresholdStillPreemptsDeadline) {
   sim::Simulator sim;
   Host host(sim, 0);
   host.routes[9] = 5;
-  BcpAgent agent(host, policy_config(DelayPolicy::kFallbackLow, 50.0));
+  const BcpConfig cfg = policy_config(DelayPolicy::kFallbackLow, 50.0);
+  BcpAgent agent(host, cfg);
   host.agent = &agent;
   for (std::uint32_t i = 1; i <= 10; ++i) agent.submit(pkt(i, 0.0));
   // Threshold (10 packets) reached immediately: normal wake-up handshake,

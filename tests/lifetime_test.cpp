@@ -66,10 +66,6 @@ struct SensorWorld {
       last_drop_reason = reason;
       ++dropped;
     };
-    const app::MacChoice mac_choice{mac::sensor_mac_params(),
-                                    mac::MacFamily::kAuto,
-                                    {},
-                                    nullptr};
     for (net::NodeId id = 0; id < 2; ++id)
       nodes.push_back(std::make_unique<app::ForwardingNode>(
           sim, channel, routes, id, 0, energy::mica(),
@@ -80,6 +76,8 @@ struct SensorWorld {
   phy::Channel channel;
   net::RoutingTable routes;
   app::DeliverySink delivery;
+  const app::MacChoice mac_choice{mac::sensor_mac_params(),
+                                  mac::MacFamily::kAuto, {}, nullptr};
   std::vector<std::unique_ptr<app::ForwardingNode>> nodes;
   int delivered = 0;
   int dropped = 0;

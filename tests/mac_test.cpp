@@ -44,8 +44,7 @@ class MacTest : public ::testing::Test {
       st.radio = std::make_unique<phy::Radio>(sim_, *channel_, i,
                                               energy::micaz(),
                                               phy::OverhearMode::kNone, true);
-      st.mac = std::make_unique<CsmaCaMac>(sim_, *st.radio,
-                                           sensor_mac_params(),
+      st.mac = std::make_unique<CsmaCaMac>(sim_, *st.radio, params_,
                                            1000 + static_cast<std::uint64_t>(i));
       st.mac->set_rx_callback([&st](const net::Message& m, NodeId) {
         st.received.push_back(m);
@@ -57,6 +56,7 @@ class MacTest : public ::testing::Test {
     }
   }
   sim::Simulator sim_;
+  const MacParams params_ = sensor_mac_params();
   std::unique_ptr<phy::Channel> channel_;
   Station stations_[3];
 };
@@ -246,8 +246,9 @@ TEST(MacDcf, HighRateTransferIsFast) {
                 phy::OverhearMode::kNone, true);
   phy::Radio r1(sim, ch, 1, energy::lucent_11mbps(),
                 phy::OverhearMode::kNone, true);
-  CsmaCaMac m0(sim, r0, dcf_mac_params(), 1);
-  CsmaCaMac m1(sim, r1, dcf_mac_params(), 2);
+  const MacParams dcf = dcf_mac_params();
+  CsmaCaMac m0(sim, r0, dcf, 1);
+  CsmaCaMac m1(sim, r1, dcf, 2);
   int got = 0;
   m1.set_rx_callback([&](const net::Message&, NodeId) { ++got; });
   for (std::uint32_t i = 1; i <= 80; ++i) {

@@ -121,8 +121,9 @@ TEST_P(MacLossSweep, DeliveryDegradesGracefullyNeverDuplicates) {
                 true);
   phy::Radio r1(sim, channel, 1, energy::micaz(), phy::OverhearMode::kNone,
                 true);
-  mac::CsmaCaMac m0(sim, r0, mac::sensor_mac_params(), 1);
-  mac::CsmaCaMac m1(sim, r1, mac::sensor_mac_params(), 2);
+  const mac::MacParams params = mac::sensor_mac_params();
+  mac::CsmaCaMac m0(sim, r0, params, 1);
+  mac::CsmaCaMac m1(sim, r1, params, 2);
   std::vector<std::uint32_t> delivered;
   m1.set_rx_callback([&](const net::Message& m, net::NodeId) {
     delivered.push_back(std::get<net::DataPacket>(m.body).seq);
