@@ -798,7 +798,8 @@ TEST(ShardedScenario, ShardCountAboveNodeCountIsRejected) {
 // These values were captured on the globally-sized (pre stripe-local)
 // partitions; the stripe-local refactor must reproduce every one of them
 // bit for bit. A mismatch means the id translation changed behavior, not
-// just layout.
+// just layout. Each cell also re-runs on 4 worker threads and must match
+// its inline run on every RunMetrics field.
 
 app::ScenarioConfig golden_grid_config(int nodes, int shards, double duration,
                                        int senders) {
@@ -821,9 +822,21 @@ app::ScenarioConfig golden_grid_config(int nodes, int shards, double duration,
   return cfg;
 }
 
+// Runs a pinned cell as configured (sim_threads = 1) and again on 4
+// worker threads, and requires every RunMetrics field to agree: the
+// thread-count determinism gate at 900 and 10k nodes. Returns the inline
+// run, which the caller checks against its pinned values.
+app::RunMetrics run_inline_and_threaded(app::ScenarioConfig cfg) {
+  const app::RunMetrics inline_run = app::run_scenario(cfg);
+  cfg.sim_threads = 4;
+  const app::RunMetrics threaded_run = app::run_scenario(cfg);
+  EXPECT_EQ(app::first_metric_difference(inline_run, threaded_run), nullptr);
+  return inline_run;
+}
+
 TEST(ShardedGolden, Grid900Nodes4ShardsIsBytePinned) {
   const app::RunMetrics m =
-      app::run_scenario(golden_grid_config(900, 4, 20.0, 10));
+      run_inline_and_threaded(golden_grid_config(900, 4, 20.0, 10));
   EXPECT_EQ(m.generated, 1564);
   EXPECT_EQ(m.delivered, 432);
   EXPECT_EQ(m.events_processed, 117125u);
@@ -837,7 +850,7 @@ TEST(ShardedGolden, Grid900Nodes4ShardsIsBytePinned) {
 
 TEST(ShardedGolden, Grid10000Nodes8ShardsIsBytePinned) {
   const app::RunMetrics m =
-      app::run_scenario(golden_grid_config(10000, 8, 12.0, 10));
+      run_inline_and_threaded(golden_grid_config(10000, 8, 12.0, 10));
   EXPECT_EQ(m.generated, 938);
   EXPECT_EQ(m.delivered, 70);
   EXPECT_EQ(m.events_processed, 136855u);
@@ -869,7 +882,7 @@ TEST(ShardedGolden, Churn900Nodes4ShardsWithBatteriesIsBytePinned) {
   cfg.battery.enabled = true;
   cfg.battery.sensor_initial_j = 2.0;
   cfg.battery.wifi_initial_j = 2.0;
-  const app::RunMetrics m = app::run_scenario(cfg);
+  const app::RunMetrics m = run_inline_and_threaded(cfg);
   EXPECT_EQ(m.generated, 4689);
   EXPECT_EQ(m.delivered, 130);
   EXPECT_EQ(m.events_processed, 42143u);
