@@ -22,9 +22,8 @@
 // graceful-degradation knob. Writes BENCH_lifetime.json; battery and
 // routing-policy meta keys are emitted only for non-default runs (the
 // conditional-meta contract). --budget-s is the CI smoke tripwire;
-// --compare-threads hard-gates sharded thread-count determinism on the
-// churn+battery cell; --headline-nodes runs one 100k-node sharded
-// lifetime cell and reports deaths + events/sec.
+// --headline-nodes runs one 100k-node sharded lifetime cell and reports
+// deaths + events/sec.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -60,10 +59,6 @@ int main(int argc, char** argv) {
       .add_int("jobs", 0, "sweep worker threads (0 = all hardware cores)")
       .add_double("budget-s", 0,
                   "fail (exit 2) if the bench wall-clock exceeds this")
-      .add_int("compare-threads", 0,
-               "run the churn+battery sharded cell with 1 and 2 worker "
-               "threads and fail (exit 2) unless the metrics are "
-               "byte-identical (the membership-epoch determinism gate)")
       .add_int("headline-nodes", 0,
                "also run one sharded dual-radio lifetime cell with this "
                "many nodes (the 100k headline; 0 disables)")
@@ -214,37 +209,6 @@ int main(int argc, char** argv) {
                    .mean() * runs;
   if (refused > 0) sink.set_meta("fault_recoveries_refused", refused);
 
-  // ---- Determinism gate: churn + batteries across worker threads ---------
-  // Crashes, recoveries, link flaps, battery deaths and the lifetime
-  // reroute tick all flow through membership epochs at window barriers;
-  // the result must be a pure function of (config, shard count). Exit 2
-  // if two thread counts disagree on any RunMetrics field, naming the
-  // first one that differs.
-  bool determinism_ok = true;
-  if (opt.get_int("compare-threads") > 0) {
-    app::ScenarioConfig cfg = app::ScenarioRegistry::builtin().make(
-        "lifetime-mh/dual", scenario_point(0, cells.back()));
-    cfg.seed = seed;
-    cfg.faults.node_crashes = 4;
-    cfg.faults.link_flaps = 2;
-    cfg.shards = 4;
-    cfg.sim_threads = 1;
-    const app::RunMetrics a = app::run_scenario(cfg);
-    cfg.sim_threads = 2;
-    const app::RunMetrics b = app::run_scenario(cfg);
-    const char* differs = app::first_metric_difference(a, b);
-    determinism_ok = differs == nullptr;
-    std::printf(
-        "[compare] churn+battery sharded4: %lld deaths, ttfd %.1f s, "
-        "%d crashes, %d refused recoveries — thread-count determinism "
-        "%s%s\n",
-        static_cast<long long>(a.battery_deaths), a.time_to_first_death,
-        static_cast<int>(a.fault_node_crashes),
-        static_cast<int>(a.fault_recoveries_refused),
-        determinism_ok ? "OK" : "BROKEN at ", determinism_ok ? "" : differs);
-    sink.set_meta("compare_threads_determinism", determinism_ok ? 1.0 : 0.0);
-  }
-
   // ---- Headline cell: lifetime at 100k+ nodes on the sharded engine ------
   const int headline_nodes = static_cast<int>(opt.get_int("headline-nodes"));
   if (headline_nodes > 0) {
@@ -299,13 +263,6 @@ int main(int argc, char** argv) {
                  "battery re-arm path (one event per radio state change) "
                  "or the lifetime-routing rebuild cadence\n",
                  elapsed_s, budget);
-    return 2;
-  }
-  if (!determinism_ok) {
-    std::fprintf(stderr,
-                 "DETERMINISM BROKEN: the churn+battery sharded cell "
-                 "disagrees across worker thread counts — look for shared "
-                 "state mutated outside the window-barrier epoch hook\n");
     return 2;
   }
   return 0;

@@ -3,7 +3,13 @@
 // 2500 nodes across the placement generators, plus a short dual-radio
 // simulation point per grid size, so the scale trajectory is measurable
 // run over run and an accidental O(n²) regression shows up as a blown
-// wall-clock budget (--budget-s, used by the CI smoke step).
+// wall-clock budget (--budget-s, used by the CI smoke step). The sweep
+// runs its points one at a time, so the events/sec floor on the largest
+// grid point (--min-events-per-sec) measures that point alone.
+//
+// --max-rss-mib adds the 1M-node memory cell: one sharded dual-radio run
+// on a 1000x1000 grid with a central sink, which must deliver packets and
+// stay under the given peak RSS.
 //
 // Placements keep the paper grid's density (40 m spacing = sensor range)
 // for the grid and line generators; random and clustered placements get
@@ -85,7 +91,6 @@ int main(int argc, char** argv) {
       .add_int("senders", 10, "CBR senders per scenario point")
       .add_int("burst", 50, "dual-radio burst threshold in 32 B packets")
       .add_int("seed", 1, "base seed")
-      .add_int("jobs", 0, "sweep worker threads (0 = all hardware cores)")
       .add_double("budget-s", 0,
                   "fail (exit 2) if the whole sweep exceeds this wall "
                   "clock; 0 disables")
@@ -93,25 +98,10 @@ int main(int argc, char** argv) {
                   "fail (exit 2) if the largest grid point's simulation "
                   "dispatches fewer events/sec; 0 disables (CI tripwire, "
                   "set a generous floor)")
-      .add_int("headline-nodes", 0,
-               "run one sharded dual-radio simulation on a grid of this "
-               "many nodes (the 100k headline cell; 0 disables) and report "
-               "events/sec + peak RSS")
-      .add_int("headline-shards", 8, "shard count for the headline cell")
-      .add_double("headline-duration", 5.0,
-                  "simulated seconds for the headline cell")
-      .add_double("headline-min-events-per-sec", 0,
-                  "fail (exit 2) if the headline cell dispatches fewer "
-                  "events/sec (wall clock includes scenario construction); "
-                  "0 disables")
       .add_double("max-rss-mib", 0,
-                  "fail (exit 2) if peak RSS after the headline cell "
-                  "exceeds this many MiB — the O(n/shards + halo) "
-                  "partition-memory tripwire; 0 disables")
-      .add_int("compare-shards", 0,
-               "re-run the largest grid point single-queue vs this many "
-               "shards (sim_threads auto) and report the wall-clock "
-               "speedup plus a thread-count determinism check; 0 disables");
+                  "run the 1M-node, 16-shard memory cell and fail (exit 2) "
+                  "if it delivers nothing or peak RSS exceeds this many "
+                  "MiB; 0 skips the cell");
   if (!opt.parse(argc, argv)) return 1;
   const auto t_bench = std::chrono::steady_clock::now();
   const int max_nodes = static_cast<int>(opt.get_int("max-nodes"));
@@ -229,7 +219,9 @@ int main(int argc, char** argv) {
   app::SweepOptions sweep;
   sweep.replications = 1;
   sweep.base_seed = seed;
-  sweep.threads = static_cast<int>(opt.get_int("jobs"));
+  // One worker: a concurrent sweep shares the cores with the gated point
+  // and makes its events/sec floor flaky.
+  sweep.threads = 1;
   const app::SweepRunner runner(sweep);
   stats::ResultSink sink = runner.run(grid, fn);
   for (std::size_t gi = 0; gi < generators.size(); ++gi)
@@ -241,7 +233,7 @@ int main(int argc, char** argv) {
   stats::print_titled(
       "Scale sweep — build + routing + dual-radio simulation vs node count",
       sink.to_table());
-  // The largest grid point is the headline hot-path number (and the CI
+  // The largest grid point is the gated hot-path number (and the CI
   // tripwire): its simulation leg always runs and its event count is
   // deterministic.
   const std::size_t top_grid = grid.index_of({0, sizes.size() - 1});
@@ -254,96 +246,40 @@ int main(int argc, char** argv) {
   sink.set_meta("lossy_propagation",
                 to_string(phy::PropagationKind::kLogDistance));
 
-  // ---- Sharded-vs-single comparison on the largest grid point ------------
-  // Same scenario three ways: single queue, sharded with auto threads, and
-  // sharded with one inline thread. The last two must agree on every
-  // RunMetrics field (the engine's determinism contract — exit 2 naming
-  // the first field that differs); the first two give the wall-clock
-  // speedup on this machine's cores.
-  const int compare_shards = static_cast<int>(opt.get_int("compare-shards"));
-  bool determinism_ok = true;
-  if (compare_shards > 1) {
+  // ---- Memory cell: one sharded simulation at 1M nodes -------------------
+  // Each partition owns only its stripe's node-indexed state, so the peak
+  // is dominated by the O(n) per-node objects and graphs. The sink sits in
+  // the middle of the grid so that the nearest senders' first bursts (2 Kbps,
+  // burst 10) reach it inside 5 s; a 3 s run delivers nothing.
+  const double rss_budget = opt.get_double("max-rss-mib");
+  long long memory_delivered = 0;
+  double memory_rss_mib = 0;
+  if (rss_budget > 0) {
+    constexpr int kSide = 1000;
+    constexpr int kShards = 16;
     app::ScenarioConfig cfg = app::ScenarioConfig::single_hop(
-        app::EvalModel::kDualRadio, std::min(senders, sizes.back() - 1),
-        burst);
-    cfg.topology = make_spec(net::TopologyKind::kGrid, sizes.back(), seed);
+        app::EvalModel::kDualRadio, /*senders=*/1000, /*burst_packets=*/10);
+    cfg.topology = make_spec(net::TopologyKind::kGrid, kSide * kSide, 1);
+    cfg.topology.sink = (kSide / 2) * kSide + kSide / 2;
     cfg.rate_bps = 2000.0;
-    cfg.duration = duration;
-    cfg.seed = seed;
-    auto t0 = std::chrono::steady_clock::now();
-    const app::RunMetrics single = app::run_scenario(cfg);
-    const double single_ms = ms_since(t0);
-    cfg.shards = compare_shards;
-    cfg.sim_threads = 0;  // auto
-    t0 = std::chrono::steady_clock::now();
-    const app::RunMetrics sharded = app::run_scenario(cfg);
-    const double sharded_ms = ms_since(t0);
-    cfg.sim_threads = 1;
-    const app::RunMetrics inline_run = app::run_scenario(cfg);
-    const char* differs = app::first_metric_difference(sharded, inline_run);
-    determinism_ok = differs == nullptr;
-    const double speedup = sharded_ms > 0 ? single_ms / sharded_ms : 0;
-    std::printf(
-        "[compare] grid-%d dual-radio: single %.0f ms (%d delivered), "
-        "%d shards %.0f ms (%d delivered, %lld boundary frames) — "
-        "%.2fx, thread-count determinism %s%s\n",
-        sizes.back(), single_ms, static_cast<int>(single.delivered),
-        compare_shards, sharded_ms, static_cast<int>(sharded.delivered),
-        static_cast<long long>(sharded.boundary_frames), speedup,
-        determinism_ok ? "OK" : "BROKEN at ", determinism_ok ? "" : differs);
-    sink.set_meta("compare_shards", static_cast<double>(compare_shards));
-    sink.set_meta("compare_single_ms", single_ms);
-    sink.set_meta("compare_sharded_ms", sharded_ms);
-    sink.set_meta("compare_speedup", speedup);
-  }
-
-  // ---- Headline cell: one sharded simulation at 100k+ nodes --------------
-  const int headline_nodes = static_cast<int>(opt.get_int("headline-nodes"));
-  double headline_events_per_sec = 0;
-  double headline_rss_mib = 0;
-  if (headline_nodes > 0) {
-    const int headline_shards =
-        static_cast<int>(opt.get_int("headline-shards"));
-    const int headline_senders =
-        std::max(10, std::min(headline_nodes / 1000, headline_nodes - 1));
-    // Burst threshold 10 (not --burst): a sender fills a burst every
-    // 1.28 s at 2 Kbps, so even a 5 s headline run drives several full
-    // wake-up/transfer cycles per sender instead of idling.
-    app::ScenarioConfig cfg = app::ScenarioConfig::single_hop(
-        app::EvalModel::kDualRadio, headline_senders, /*burst_packets=*/10);
-    cfg.topology =
-        make_spec(net::TopologyKind::kGrid, headline_nodes, seed);
-    cfg.rate_bps = 2000.0;
-    cfg.duration = opt.get_double("headline-duration");
-    cfg.seed = seed;
-    cfg.shards = headline_shards;
+    cfg.duration = 5.0;
+    cfg.seed = 1;
+    cfg.shards = kShards;
     cfg.sim_threads = 0;  // auto
     const auto t0 = std::chrono::steady_clock::now();
     const app::RunMetrics m = app::run_scenario(cfg);
     const double wall_ms = ms_since(t0);
-    if (wall_ms > 0)
-      headline_events_per_sec =
-          static_cast<double>(m.events_processed) / (wall_ms / 1e3);
-    const double rss = util::peak_rss_mib();
-    headline_rss_mib = rss;
+    memory_delivered = m.delivered;
+    memory_rss_mib = util::peak_rss_mib();
     std::printf(
-        "[headline] %d nodes, %d shards, %.1f s simulated: %.0f ms wall, "
-        "%llu events (%.0f events/sec), %lld boundary frames, %d delivered, "
-        "peak RSS %.0f MiB\n",
-        headline_nodes, headline_shards, cfg.duration, wall_ms,
+        "[memory] %d nodes, %d shards, central sink, %.1f s simulated: "
+        "%.0f ms wall, %llu events, %lld delivered, peak RSS %.0f MiB "
+        "(budget %.0f)\n",
+        kSide * kSide, kShards, cfg.duration, wall_ms,
         static_cast<unsigned long long>(m.events_processed),
-        headline_events_per_sec, static_cast<long long>(m.boundary_frames),
-        static_cast<int>(m.delivered), rss);
-    std::printf("[headline] per-shard events:");
-    for (std::size_t s = 0; s < m.shard_events.size(); ++s)
-      std::printf(" %llu",
-                  static_cast<unsigned long long>(m.shard_events[s]));
-    std::printf("\n");
-    sink.set_meta("headline_nodes", static_cast<double>(headline_nodes));
-    sink.set_meta("headline_shards", static_cast<double>(headline_shards));
-    sink.set_meta("headline_events_per_sec", headline_events_per_sec);
-    sink.set_meta("headline_wall_ms", wall_ms);
-    sink.set_meta("headline_peak_rss_mib", rss);
+        memory_delivered, memory_rss_mib, rss_budget);
+    sink.set_meta("memory_delivered", static_cast<double>(memory_delivered));
+    sink.set_meta("peak_rss_mib", memory_rss_mib);
   }
   export_json("scale_nodes", sink);
 
@@ -369,34 +305,21 @@ int main(int argc, char** argv) {
                  top_events_per_sec, floor, sizes.back());
     return 2;
   }
-  const double headline_floor = opt.get_double("headline-min-events-per-sec");
-  if (headline_floor > 0 && headline_nodes > 0 &&
-      headline_events_per_sec < headline_floor) {
-    std::fprintf(stderr,
-                 "EVENTS/SEC FLOOR MISSED: %.0f < %.0f at the %d-node "
-                 "headline cell — the sharded engine (window barriers, "
-                 "mailbox exchange, or the per-shard hot path) or scenario "
-                 "construction at scale regressed\n",
-                 headline_events_per_sec, headline_floor, headline_nodes);
-    return 2;
-  }
-  const double rss_budget = opt.get_double("max-rss-mib");
-  if (rss_budget > 0 && headline_nodes > 0 &&
-      headline_rss_mib > rss_budget) {
+  if (rss_budget > 0 && memory_rss_mib > rss_budget) {
     std::fprintf(stderr,
                  "RSS BUDGET EXCEEDED: %.0f MiB > %.0f MiB after the "
-                 "%d-node headline cell — a per-partition structure is "
+                 "1M-node memory cell — a per-partition structure is "
                  "sized by the global population again (stripe-local "
                  "node state, halo growth, or a drain buffer retaining "
-                 "its high-water capacity)\n",
-                 headline_rss_mib, rss_budget, headline_nodes);
+                 "its high-water capacity) or a node assembly grew\n",
+                 memory_rss_mib, rss_budget);
     return 2;
   }
-  if (!determinism_ok) {
+  if (rss_budget > 0 && memory_delivered == 0) {
     std::fprintf(stderr,
-                 "DETERMINISM BROKEN: sharded metrics differ across "
-                 "sim_threads at a fixed shard count — a cross-shard "
-                 "ordering or thread-affinity bug in the parallel engine\n");
+                 "NOTHING DELIVERED: the 1M-node memory cell delivered 0 "
+                 "packets to its central sink — the sharded run no longer "
+                 "does the paper's work at scale\n");
     return 2;
   }
   return 0;

@@ -186,8 +186,7 @@ std::string ResultSink::to_json(const std::string& bench_name) const {
         append_quoted(out, e.value);
       else
         out += e.value;
-      sharded |= e.key == "shards" || e.key == "headline_shards" ||
-                 e.key == "compare_shards";
+      sharded |= e.key == "shards" || e.key == "headline_shards";
       has_rss |= e.key == "peak_rss_mib";
     }
     // Sharded runs carry the process peak RSS in their meta automatically:

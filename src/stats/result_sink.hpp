@@ -91,11 +91,10 @@ class ResultSink {
   TextTable to_table() const;
 
   /// Exports with one automatic addition: when the meta names a sharded
-  /// run ("shards", "headline_shards" or "compare_shards") and no
-  /// explicit "peak_rss_mib" was set, the process peak RSS is sampled at
-  /// export time and appended to the meta — the memory-model audit trail
-  /// for every sharded cell. Meta without those keys exports exactly the
-  /// entries that were set.
+  /// run ("shards" or "headline_shards") and no explicit "peak_rss_mib"
+  /// was set, the process peak RSS is sampled at export time and appended
+  /// to the meta — the memory-model audit trail for every sharded cell.
+  /// Meta without those keys exports exactly the entries that were set.
   std::string to_json(const std::string& bench_name) const;
 
   /// Writes to_json() to `path`. Returns false (and logs) on I/O failure.

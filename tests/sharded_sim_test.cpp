@@ -830,7 +830,8 @@ app::RunMetrics run_inline_and_threaded(app::ScenarioConfig cfg) {
   const app::RunMetrics inline_run = app::run_scenario(cfg);
   cfg.sim_threads = 4;
   const app::RunMetrics threaded_run = app::run_scenario(cfg);
-  EXPECT_EQ(app::first_metric_difference(inline_run, threaded_run), nullptr);
+  const char* differs = app::first_metric_difference(inline_run, threaded_run);
+  EXPECT_EQ(differs, nullptr) << "first field that differs: " << differs;
   return inline_run;
 }
 

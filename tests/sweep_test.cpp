@@ -272,7 +272,7 @@ TEST(ResultSinkMeta, EmittedInJsonWhenSet) {
 TEST(ResultSinkMeta, ShardedExportsCarryPeakRss) {
   // Any sharded meta key triggers the automatic peak-RSS sample — the
   // memory-model audit trail every sharded BENCH_*.json must carry.
-  for (const char* key : {"shards", "headline_shards", "compare_shards"}) {
+  for (const char* key : {"shards", "headline_shards"}) {
     stats::ResultSink sink;
     sink.add(0, {{"x", 1}}, {{"m", 2.0}});
     sink.set_meta(key, 4.0);
