@@ -40,21 +40,20 @@ ShardedSimulator::ShardedSimulator(Params params) {
   for (int s = 0; s < shards_; ++s)
     sims_.push_back(std::make_unique<Simulator>());
   drains_.resize(static_cast<std::size_t>(shards_));
-  if (threads_ > 1) {
-    workers_.reserve(static_cast<std::size_t>(threads_));
-    for (int w = 0; w < threads_; ++w)
-      workers_.emplace_back([this, w] { worker_loop(w); });
-  }
+  // Worker 0 is the caller; only the others get a thread.
+  helpers_.reserve(static_cast<std::size_t>(threads_ - 1));
+  for (int w = 1; w < threads_; ++w)
+    helpers_.emplace_back([this, w] { worker_loop(w); });
 }
 
 ShardedSimulator::~ShardedSimulator() {
-  if (!workers_.empty()) {
+  if (!helpers_.empty()) {
     Job job;
     job.kind = Job::kExit;
     done_count_.store(0, std::memory_order_relaxed);
     job_ = job;
     job_epoch_.fetch_add(1, std::memory_order_release);
-    for (auto& t : workers_) t.join();
+    for (auto& t : helpers_) t.join();
   }
 }
 
@@ -101,14 +100,22 @@ void ShardedSimulator::execute(int worker, const Job& job) {
 }
 
 void ShardedSimulator::dispatch(const Job& job) {
-  if (workers_.empty()) {
-    execute(0, job);
-  } else {
+  const auto helpers = static_cast<int>(helpers_.size());
+  if (helpers > 0) {
     done_count_.store(0, std::memory_order_relaxed);
     job_ = job;
     job_epoch_.fetch_add(1, std::memory_order_release);
+  }
+  // Worker 0's shards run here, alongside the helpers. Its exception is
+  // held like a helper's, so every worker has finished before it leaves.
+  try {
+    execute(0, job);
+  } catch (...) {
+    record_error();
+  }
+  if (helpers > 0) {
     spin_until([&] {
-      return done_count_.load(std::memory_order_acquire) == threads_;
+      return done_count_.load(std::memory_order_acquire) == helpers;
     });
   }
   if (first_error_) {

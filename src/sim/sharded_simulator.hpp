@@ -38,12 +38,16 @@
 // across thread counts. The suite's sharded determinism test pins this.
 //
 // Threading model: shard s is pinned to worker (s/2) % threads (the /2
-// keeps each worker loaded in both parity phases). All shard state —
-// nodes, channels, pooled message payloads (net::MessagePool is
-// thread-local) — must be created, used, and destroyed on that worker:
-// run setup and teardown through for_each_shard, which executes a
-// callback for every shard on its pinned thread. threads == 1 runs
-// everything inline on the caller's thread in ascending shard order.
+// keeps each worker loaded in both parity phases). Worker 0 is the
+// calling thread itself: the engine spawns threads - 1 helper threads for
+// workers 1.., and each dispatch runs worker 0's shards on the caller
+// while the helpers run theirs, so `threads` workers occupy exactly
+// `threads` cores. All shard state — nodes, channels, pooled message
+// payloads (net::MessagePool is thread-local) — must be created, used,
+// and destroyed on its worker: run setup and teardown through
+// for_each_shard, which executes a callback for every shard on its pinned
+// thread. threads == 1 runs everything on the caller's thread in
+// ascending shard order.
 #pragma once
 
 #include <atomic>
@@ -107,8 +111,8 @@ class ShardedSimulator {
   /// Coordinator barrier hook: runs on the calling thread after both
   /// parity phases of a window have finished and before the next window
   /// starts, with the just-completed window index and the barrier time
-  /// every shard has reached. Workers are quiescent here (spinning on the
-  /// job epoch), and the dispatch acquire/release pairs order all shard
+  /// every shard has reached. Helper threads are quiescent here (spinning
+  /// on the job epoch), and the dispatch acquire/release pairs order all shard
   /// writes before the hook and all hook writes before the next phase —
   /// so the hook may read and mutate any shard state without extra
   /// synchronization. This is where membership epochs (fault/churn and
@@ -119,7 +123,8 @@ class ShardedSimulator {
 
   /// Runs fn(shard) for every shard on its pinned worker thread,
   /// concurrently across workers; returns when all shards are done. The
-  /// first exception thrown by any shard is rethrown here.
+  /// first exception thrown by any shard (the caller's own included) is
+  /// rethrown here, once every worker has finished.
   void for_each_shard(const std::function<void(int shard)>& fn);
 
   /// Advances every shard to `horizon` window by window, then runs two
@@ -142,8 +147,8 @@ class ShardedSimulator {
 
   void worker_loop(int worker);
   void execute(int worker, const Job& job);
-  /// Publishes `job` to the workers and blocks until all have finished it
-  /// (or executes it inline when there are no workers).
+  /// Publishes `job` to the helper threads, runs worker 0's part of it on
+  /// the caller, then blocks until every helper has finished.
   void dispatch(const Job& job);
   void step_window(util::Seconds end);
   void record_error();
@@ -158,12 +163,12 @@ class ShardedSimulator {
   BarrierHook barrier_hook_;
 
   // Worker rendezvous: the caller publishes job_ then release-bumps
-  // job_epoch_; each worker acquire-spins on the epoch, runs its shards,
+  // job_epoch_; each helper acquire-spins on the epoch, runs its shards,
   // and release-bumps done_count_. The acquire/release pairs order every
   // plain field (job_, window_index_, all shard state) across the
-  // barrier. Workers are only ever spinning or working between dispatch
+  // barrier. Helpers are only ever spinning or working between dispatch
   // calls, so the caller may freely mutate shared state in between.
-  std::vector<std::thread> workers_;
+  std::vector<std::thread> helpers_;  ///< workers 1 .. threads - 1
   Job job_;
   std::atomic<std::uint64_t> job_epoch_{0};
   std::atomic<int> done_count_{0};
