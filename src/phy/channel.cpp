@@ -48,10 +48,8 @@ Channel::Channel(sim::Simulator& sim,
   const auto n = static_cast<std::size_t>(graph_->node_count());
   listeners_.resize(n, nullptr);
   arrivals_.resize(n);
-  arrival_power_mw_.resize(n, 0.0);
+  if (capture_) arrival_power_mw_.resize(n, 0.0);
   transmitting_.resize(n, 0);
-  own_tx_end_.resize(n, 0.0);
-  own_tx_start_.resize(n, 0.0);
   arrival_max_end_.resize(n, 0.0);
 }
 
@@ -74,10 +72,8 @@ void Channel::enable_sharding(ShardingSpec spec) {
   const auto m = static_cast<std::size_t>(spec.owned_count);
   std::vector<ChannelListener*>(m, nullptr).swap(listeners_);
   std::vector<std::vector<Arrival>>(m).swap(arrivals_);
-  std::vector<double>(m, 0.0).swap(arrival_power_mw_);
+  if (capture_) std::vector<double>(m, 0.0).swap(arrival_power_mw_);
   std::vector<std::uint64_t>(m, 0).swap(transmitting_);
-  std::vector<util::Seconds>(m, 0.0).swap(own_tx_end_);
-  std::vector<util::Seconds>(m, 0.0).swap(own_tx_start_);
   std::vector<util::Seconds>(m, 0.0).swap(arrival_max_end_);
   remote_seen_.assign(static_cast<std::size_t>(spec.shard_count), 0);
   remote_dsts_.clear();
@@ -126,8 +122,6 @@ void Channel::start_tx(net::NodeId src, const Frame& frame,
   // Copying the frame shares its pooled message payload — no deep copy.
   tx_slots_[slot].tx = Transmission{src, frame, end, now, false};
   transmitting_[li(src)] = tx_id;
-  own_tx_end_[li(src)] = end;
-  own_tx_start_[li(src)] = now;
   ++stats_.frames;
 
   // Half-duplex: whatever the transmitter was hearing is lost to it.
@@ -265,7 +259,7 @@ void Channel::begin_remote(std::uint64_t tx_id) {
     // Half-duplex over the true interval: the hearer's own transmission
     // collides only if it actually shared air time with [s, e).
     const bool tx_overlap =
-        transmitting_[li(r)] != 0 && own_tx_start_[li(r)] < e;
+        transmitting_[li(r)] != 0 && own_tx(li(r)).start < e;
     bool clean;
     double rx_mw = 0.0;
     double interference_mw = 0.0;
@@ -412,7 +406,7 @@ util::Seconds Channel::clear_at(net::NodeId node) const {
   BCP_REQUIRE_MSG(owned(node), "carrier sense at a node another shard owns");
   const std::size_t i = li(node);
   util::Seconds t = sim_.now();
-  if (transmitting_[i] != 0) t = std::max(t, own_tx_end_[i]);
+  if (transmitting_[i] != 0) t = std::max(t, own_tx(i).end);
   // Every arrival already removed ended at or before now, so the running
   // max is exact for the live set once clamped to now.
   return std::max(t, arrival_max_end_[i]);

@@ -291,6 +291,12 @@ class Channel {
   void finish_tx(std::uint64_t tx_id);
   std::vector<Arrival>& arrivals(net::NodeId node);
   std::uint32_t acquire_tx_slot();
+  /// The transmission of the node at per-node index `i`; only valid while
+  /// transmitting_[i] is set (its slot stays live until finish_tx clears
+  /// the mask).
+  const Transmission& own_tx(std::size_t i) const {
+    return tx_slots_[static_cast<std::uint32_t>(transmitting_[i])].tx;
+  }
   bool owned(net::NodeId node) const {
     return shard_of_ == nullptr || shard_of_[node] == my_shard_;
   }
@@ -337,11 +343,12 @@ class Channel {
   // Capture mode: per node, the running sum of live arrival rx powers —
   // an arrival's instantaneous interference is this sum minus its own
   // power. Reset to exactly 0 whenever the arrival list empties, so
-  // floating-point residue cannot outlive a busy period.
+  // floating-point residue cannot outlive a busy period. Empty (never
+  // read) when capture is off.
   std::vector<double> arrival_power_mw_;
-  std::vector<std::uint64_t> transmitting_;      // per node: own tx id or 0
-  std::vector<util::Seconds> own_tx_end_;        // valid when transmitting_
-  std::vector<util::Seconds> own_tx_start_;      // valid when transmitting_
+  // Per node: own tx id or 0. The transmission's start and end are read
+  // from its slot (own_tx).
+  std::vector<std::uint64_t> transmitting_;
 
   // Sharded operation (null/empty when off).
   const std::int32_t* shard_of_ = nullptr;
