@@ -69,12 +69,14 @@ int main(int argc, char** argv) {
                                mac::MacFamily::kAuto, {}, nullptr};
   const app::MacChoice high_mac{mac::dcf_mac_params(), mac::MacFamily::kAuto,
                                 {}, nullptr};
+  app::NodeCounters counters;  // every node's MACs and agent add into it
   std::vector<std::unique_ptr<app::DualRadioNode>> nodes;
   for (net::NodeId id = 0; id < topo.node_count(); ++id)
     nodes.push_back(std::make_unique<app::DualRadioNode>(
         simulator, low_ch, high_ch, low_routes, high_routes, id,
         energy::mica(), energy::cabletron_2mbps(), bcp,
-        phy::OverhearMode::kFull, seed, &sink, low_mac, high_mac));
+        phy::OverhearMode::kFull, seed, &sink, low_mac, high_mac,
+        counters));
 
   // Microphones on the nodes farthest from the sink talk in exponential
   // on/off bursts at 8 kbit/s.

@@ -1,5 +1,6 @@
 #include "app/duty_cycle.hpp"
 
+#include "energy/battery.hpp"
 #include "mac/mac_params.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -10,7 +11,7 @@ DutyCycledWifiNode::DutyCycledWifiNode(
     sim::Simulator& sim, phy::Channel& channel,
     const net::Router& routes, net::NodeId self, net::NodeId sink,
     const energy::RadioEnergyModel& radio_model, Schedule schedule,
-    std::uint64_t seed, DeliverySink* delivery)
+    std::uint64_t seed, DeliverySink* delivery, mac::Mac::Stats& mac_stats)
     : sim_(sim),
       routes_(routes),
       self_(self),
@@ -22,27 +23,39 @@ DutyCycledWifiNode::DutyCycledWifiNode(
       mac_params_(mac::dcf_mac_params()),
       mac_(sim, radio_, mac_params_,
            util::substream(seed, static_cast<std::uint64_t>(self),
-                           0x445459u)) {
+                           0x445459u),
+           mac_stats) {
   BCP_REQUIRE(delivery != nullptr);
   BCP_REQUIRE(schedule_.period > 0);
   BCP_REQUIRE(schedule_.duty > 0 && schedule_.duty <= 1.0);
-  mac_.set_rx_callback(
-      [this](const net::Message& m, net::NodeId from) { on_rx(m, from); });
-  mac_.set_tx_done_callback([this](const net::Message& m, net::NodeId,
-                                    bool success) {
-    if (!success && m.is_data())
-      delivery_->dropped(std::get<net::DataPacket>(m.body), "mac-failed");
-    if (awaiting_quiesce_ && mac_.idle()) on_window_close();
-  });
+  radio_.set_owner(this);
+  mac_.set_host(this);
+  // All nodes share the synchronized schedule, first window at t=0.
+  sim_.schedule_in(0.0, [this] { on_window_open(); });
+}
+
+void DutyCycledWifiNode::set_battery(energy::Battery& battery) {
+  battery.attach(&radio_.meter());
+  battery_ = &battery;
+}
+
+void DutyCycledWifiNode::on_radio_wake_complete(phy::Radio&) {
   // The usable window begins once the radio's off->on transition finishes
   // (a PSM radio starts waking ahead of the window; equivalently, the
   // window here is wake + duty*period of usable air time).
-  radio_.callbacks().wake_complete = [this] {
-    window_open_ = true;
-    pump();
-  };
-  // All nodes share the synchronized schedule, first window at t=0.
-  sim_.schedule_in(0.0, [this] { on_window_open(); });
+  window_open_ = true;
+  pump();
+}
+
+void DutyCycledWifiNode::on_radio_energy_changed(phy::Radio&) {
+  if (battery_ != nullptr) battery_->rearm();
+}
+
+void DutyCycledWifiNode::on_mac_tx_done(mac::Mac&, const net::Message& msg,
+                                        net::NodeId, bool success) {
+  if (!success && msg.is_data())
+    delivery_->dropped(std::get<net::DataPacket>(msg.body), "mac-failed");
+  if (awaiting_quiesce_ && mac_.idle()) on_window_close();
 }
 
 void DutyCycledWifiNode::crash() {
@@ -82,7 +95,7 @@ void DutyCycledWifiNode::on_window_open() {
   awaiting_quiesce_ = false;
   ++window_generation_;
   const std::uint64_t generation = window_generation_;
-  radio_.power_on();  // charges the wake-up lump; wake_complete opens
+  radio_.power_on();  // charges the wake-up lump; its end opens the window
   // A close that lands after the next window already opened is stale
   // (high duty factors make wake + usable time overrun the period; at
   // duty = 1 the radio is effectively always on).
@@ -127,7 +140,8 @@ void DutyCycledWifiNode::forward(const net::Message& msg) {
   }
 }
 
-void DutyCycledWifiNode::on_rx(const net::Message& msg, net::NodeId) {
+void DutyCycledWifiNode::on_mac_rx(mac::Mac&, const net::Message& msg,
+                                   net::NodeId) {
   if (msg.dst == self_) {
     if (msg.is_data())
       delivery_->delivered(std::get<net::DataPacket>(msg.body));

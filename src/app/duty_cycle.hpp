@@ -25,7 +25,8 @@
 
 namespace bcp::app {
 
-class DutyCycledWifiNode {
+class DutyCycledWifiNode final : private phy::RadioOwner,
+                                 private mac::MacHost {
  public:
   struct Schedule {
     util::Seconds period = 1.0;  ///< wake-up interval
@@ -37,7 +38,7 @@ class DutyCycledWifiNode {
                      net::NodeId sink,
                      const energy::RadioEnergyModel& radio_model,
                      Schedule schedule, std::uint64_t seed,
-                     DeliverySink* delivery);
+                     DeliverySink* delivery, mac::Mac::Stats& mac_stats);
 
   /// Entry point for locally generated packets; queued until the next
   /// on-window. While the node is down, packets are dropped with reason
@@ -51,6 +52,10 @@ class DutyCycledWifiNode {
   void crash();
   bool up() const { return up_; }
 
+  /// Draws the radio from `battery` (attaching its meter) and re-arms the
+  /// battery on every power-state change. Not owned.
+  void set_battery(energy::Battery& battery);
+
   phy::Radio& radio() { return radio_; }
   const phy::Radio& radio() const { return radio_; }
   mac::CsmaCaMac& mac() { return mac_; }
@@ -60,8 +65,17 @@ class DutyCycledWifiNode {
   void on_window_open();
   void on_window_close();
   void pump();
-  void on_rx(const net::Message& msg, net::NodeId from);
   void forward(const net::Message& msg);
+
+  // phy::RadioOwner:
+  void on_radio_wake_complete(phy::Radio& radio) override;
+  void on_radio_frame_overheard(phy::Radio&, const phy::Frame&) override {}
+  void on_radio_energy_changed(phy::Radio& radio) override;
+  // mac::MacHost:
+  void on_mac_rx(mac::Mac& mac, const net::Message& msg,
+                 net::NodeId from) override;
+  void on_mac_tx_done(mac::Mac& mac, const net::Message& msg,
+                      net::NodeId next_hop, bool success) override;
 
   sim::Simulator& sim_;
   const net::Router& routes_;
@@ -69,6 +83,7 @@ class DutyCycledWifiNode {
   net::NodeId sink_;
   Schedule schedule_;
   DeliverySink* delivery_;
+  energy::Battery* battery_ = nullptr;
   bool up_ = true;
   phy::Radio radio_;
   const mac::MacParams mac_params_;  ///< read in place by mac_

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "app/duty_cycle.hpp"
+#include "energy/battery.hpp"
 #include "mac/mac_params.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -10,15 +11,16 @@
 namespace bcp::app {
 
 MacSlot make_mac(sim::Simulator& sim, phy::Radio& radio,
-                 const MacChoice& choice, std::uint64_t seed) {
+                 const MacChoice& choice, std::uint64_t seed,
+                 mac::Mac::Stats& stats) {
   if (choice.family == mac::MacFamily::kTdma) {
     BCP_REQUIRE_MSG(choice.schedule != nullptr,
                     "a TDMA MacChoice needs the shared slot schedule");
     return std::make_unique<mac::TdmaMac>(sim, radio, choice.tdma,
-                                          *choice.schedule, seed);
+                                          *choice.schedule, seed, stats);
   }
   return MacSlot(std::in_place_type<mac::CsmaCaMac>, sim, radio, choice.csma,
-                 seed);
+                 seed, stats);
 }
 
 // ---------------------------------------------------------- ForwardingNode
@@ -29,21 +31,38 @@ ForwardingNode::ForwardingNode(sim::Simulator& sim, phy::Channel& channel,
                                const energy::RadioEnergyModel& radio_model,
                                phy::OverhearMode overhear,
                                const MacChoice& mac_choice,
-                               std::uint64_t seed, DeliverySink* delivery)
+                               std::uint64_t seed, DeliverySink* delivery,
+                               mac::Mac::Stats& mac_stats)
     : sim_(sim), routes_(routes), self_(self), sink_(sink),
       delivery_(delivery),
       radio_(sim, channel, self, radio_model, overhear, /*start_on=*/true),
       mac_(make_mac(sim, radio_, mac_choice,
                     util::substream(seed, static_cast<std::uint64_t>(self),
-                                    0x4D4143u))) {
+                                    0x4D4143u),
+                    mac_stats)) {
   BCP_REQUIRE(delivery != nullptr);
-  mac().set_rx_callback(
-      [this](const net::Message& m, net::NodeId from) { on_rx(m, from); });
-  mac().set_tx_done_callback([this](const net::Message& m, net::NodeId,
-                                    bool success) {
-    if (!success && m.is_data())
-      delivery_->dropped(std::get<net::DataPacket>(m.body), "mac-failed");
-  });
+  radio_.set_owner(this);
+  mac().set_host(this);
+}
+
+void ForwardingNode::set_battery(energy::Battery& battery) {
+  battery.attach(&radio_.meter());
+  battery_ = &battery;
+}
+
+void ForwardingNode::on_radio_energy_changed(phy::Radio&) {
+  if (battery_ != nullptr) battery_->rearm();
+}
+
+void ForwardingNode::on_mac_rx(mac::Mac&, const net::Message& msg,
+                               net::NodeId) {
+  forward(msg);
+}
+
+void ForwardingNode::on_mac_tx_done(mac::Mac&, const net::Message& msg,
+                                    net::NodeId, bool success) {
+  if (!success && msg.is_data())
+    delivery_->dropped(std::get<net::DataPacket>(msg.body), "mac-failed");
 }
 
 void ForwardingNode::send(const net::DataPacket& packet) {
@@ -89,10 +108,6 @@ void ForwardingNode::forward(const net::Message& msg) {
   }
 }
 
-void ForwardingNode::on_rx(const net::Message& msg, net::NodeId /*from*/) {
-  forward(msg);
-}
-
 // ----------------------------------------------------------- DualRadioNode
 
 DualRadioNode::DualRadioNode(
@@ -102,7 +117,7 @@ DualRadioNode::DualRadioNode(
     const energy::RadioEnergyModel& wifi_model,
     const core::BcpConfig& bcp_config, phy::OverhearMode wifi_overhear,
     std::uint64_t seed, DeliverySink* delivery, const MacChoice& low_mac,
-    const MacChoice& high_mac)
+    const MacChoice& high_mac, NodeCounters& counters)
     : sim_(sim),
       high_channel_(high_channel),
       low_routes_(low_routes),
@@ -120,40 +135,65 @@ DualRadioNode::DualRadioNode(
       low_mac_(make_mac(sim, low_radio_, low_mac,
                         util::substream(seed,
                                         static_cast<std::uint64_t>(self),
-                                        0x4C4F57u))),
+                                        0x4C4F57u),
+                        counters.low_mac)),
       high_mac_(make_mac(sim, high_radio_, high_mac,
                          util::substream(seed,
                                          static_cast<std::uint64_t>(self),
-                                         0x484957u))),
-      agent_(*this, bcp_config) {
+                                         0x484957u),
+                         counters.high_mac)),
+      agent_(*this, bcp_config, counters.agent) {
   BCP_REQUIRE(delivery != nullptr);
+  low_radio_.set_owner(this);
+  high_radio_.set_owner(this);
+  sensor_mac().set_host(this);
+  wifi_mac().set_host(this);
+}
 
-  sensor_mac().set_rx_callback(
-      [this](const net::Message& m, net::NodeId from) { on_low_rx(m, from); });
-  sensor_mac().set_tx_done_callback([this](const net::Message& m, net::NodeId,
-                                           bool success) {
+void DualRadioNode::set_battery(energy::Battery& battery) {
+  battery.attach(&low_radio_.meter());
+  battery.attach(&high_radio_.meter());
+  battery_ = &battery;
+}
+
+void DualRadioNode::on_radio_wake_complete(phy::Radio& radio) {
+  // The sensor radio only wakes on recovery, with nothing waiting on it.
+  if (&radio == &high_radio_) agent_.on_high_radio_ready();
+}
+
+void DualRadioNode::on_radio_frame_overheard(phy::Radio& radio,
+                                             const phy::Frame& frame) {
+  if (&radio == &high_radio_ && frame.message && frame.message->is_bulk())
+    agent_.on_bulk_frame_overheard(
+        std::get<net::BulkFrame>(frame.message->body));
+}
+
+void DualRadioNode::on_radio_energy_changed(phy::Radio&) {
+  if (battery_ != nullptr) battery_->rearm();
+}
+
+void DualRadioNode::on_mac_rx(mac::Mac& mac, const net::Message& msg,
+                              net::NodeId) {
+  if (&mac == &sensor_mac())
+    on_low_rx(msg);
+  else
+    on_high_rx(msg);
+}
+
+void DualRadioNode::on_mac_tx_done(mac::Mac& mac, const net::Message& msg,
+                                   net::NodeId, bool success) {
+  if (&mac == &sensor_mac()) {
     // Only data rides the low radio when the kFallbackLow delay policy is
     // active; account its link-layer losses like the forwarding models do.
-    if (!success && m.is_data())
-      delivery_->dropped(std::get<net::DataPacket>(m.body), "mac-failed");
-  });
-  wifi_mac().set_rx_callback(
-      [this](const net::Message& m, net::NodeId from) { on_high_rx(m, from); });
-  wifi_mac().set_tx_done_callback(
-      [this](const net::Message&, net::NodeId, bool success) {
-        BCP_ENSURE_MSG(!high_done_.empty(),
-                       "high-radio completion without a pending send");
-        auto done = std::move(high_done_.front());
-        high_done_.pop_front();
-        if (done) done(success);
-      });
-  high_radio_.callbacks().wake_complete = [this] {
-    agent_.on_high_radio_ready();
-  };
-  high_radio_.callbacks().frame_overheard = [this](const phy::Frame& f) {
-    if (f.message && f.message->is_bulk())
-      agent_.on_bulk_frame_overheard(std::get<net::BulkFrame>(f.message->body));
-  };
+    if (!success && msg.is_data())
+      delivery_->dropped(std::get<net::DataPacket>(msg.body), "mac-failed");
+    return;
+  }
+  BCP_ENSURE_MSG(!high_done_.empty(),
+                 "high-radio completion without a pending send");
+  auto done = std::move(high_done_.front());
+  high_done_.pop_front();
+  if (done) done(success);
 }
 
 void DualRadioNode::send(const net::DataPacket& packet) {
@@ -238,8 +278,8 @@ bool DualRadioNode::high_radio_ready() const {
   // "able to transmit this instant". The radio may be mid-TX (e.g. sending
   // a link ack for a concurrent receiver session) when a wake-up ack
   // arrives; the MAC's carrier sense absorbs that. Requiring Radio::ready()
-  // here would strand the sender session waiting for a wake_complete that
-  // never fires (the radio is already awake).
+  // here would strand the sender session waiting for a wake-up completion
+  // that never fires (the radio is already awake).
   const phy::RadioState s = high_radio_.state();
   return s != phy::RadioState::kOff && s != phy::RadioState::kWaking;
 }
@@ -264,7 +304,7 @@ void DualRadioNode::packet_dropped(const net::DataPacket& packet,
   delivery_->dropped(packet, reason);
 }
 
-void DualRadioNode::on_low_rx(const net::Message& msg, net::NodeId /*from*/) {
+void DualRadioNode::on_low_rx(const net::Message& msg) {
   if (msg.dst == self_) {
     agent_.on_low_message(msg);
     return;
@@ -275,8 +315,7 @@ void DualRadioNode::on_low_rx(const net::Message& msg, net::NodeId /*from*/) {
   sensor_mac().enqueue(msg, next);
 }
 
-void DualRadioNode::on_high_rx(const net::Message& msg,
-                               net::NodeId /*from*/) {
+void DualRadioNode::on_high_rx(const net::Message& msg) {
   if (const auto* frame = std::get_if<net::BulkFrame>(&msg.body)) {
     agent_.on_bulk_frame(*frame);
   }

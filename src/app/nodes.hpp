@@ -8,6 +8,11 @@
 //   the routed wake-up handshake (relayed below BCP by this class), the
 //   802.11 radio carries bulk frames, and core::BcpAgent does the rest.
 //   This class is the simulator's implementation of core::BcpHost.
+//
+// Every assembly is the owner of its radios (phy::RadioOwner) and the host
+// of its MACs (mac::MacHost): the radios and MACs hold one pointer back to
+// the node instead of a callback per event. Counters live outside the
+// node, in the NodeCounters blocks of the scenario partition.
 #pragma once
 
 #include <functional>
@@ -25,9 +30,24 @@
 #include "sim/simulator.hpp"
 #include "util/sliding_queue.hpp"
 
+namespace bcp::energy {
+class Battery;
+}  // namespace bcp::energy
+
 namespace bcp::app {
 
 class DutyCycledWifiNode;
+
+/// The counter blocks the nodes of one scenario partition add into: one
+/// MAC block per radio class and one BCP-agent block. Every counter is an
+/// integer the run only ever sums, so one shared block yields the same
+/// RunMetrics as a copy per node. Each block starts its own cache line,
+/// so partitions running on different threads never share one.
+struct NodeCounters {
+  alignas(64) mac::Mac::Stats low_mac;   ///< sensor-radio MACs
+  alignas(64) mac::Mac::Stats high_mac;  ///< 802.11 MACs
+  alignas(64) core::BcpAgent::Stats agent;
+};
 
 /// Where delivered packets and drop notices end up (owned by the scenario).
 struct DeliverySink {
@@ -53,13 +73,15 @@ struct MacChoice {
 /// not widen every CSMA node.
 using MacSlot = std::variant<mac::CsmaCaMac, std::unique_ptr<mac::TdmaMac>>;
 
-/// Constructs the chosen family in place. CSMA choices consume `seed`
-/// exactly as the pre-seam concrete members did (the byte-identical
-/// contract); TDMA draws its per-node clock drift from it.
+/// Constructs the chosen family in place, adding into `stats`. CSMA
+/// choices consume `seed` exactly as the pre-seam concrete members did
+/// (the byte-identical contract); TDMA draws its per-node clock drift
+/// from it.
 MacSlot make_mac(sim::Simulator& sim, phy::Radio& radio,
-                 const MacChoice& choice, std::uint64_t seed);
+                 const MacChoice& choice, std::uint64_t seed,
+                 mac::Mac::Stats& stats);
 MacSlot make_mac(sim::Simulator&, phy::Radio&, const MacChoice&&,
-                 std::uint64_t) = delete;
+                 std::uint64_t, mac::Mac::Stats&) = delete;
 
 /// The mac::Mac seam over whichever family a slot holds.
 inline mac::Mac& as_mac(MacSlot& slot) {
@@ -72,14 +94,16 @@ inline const mac::Mac& as_mac(const MacSlot& slot) {
 }
 
 /// Single-radio store-and-forward node. `radio_model` and `mac_choice`
-/// are read in place and must outlive the node.
-class ForwardingNode {
+/// are read in place and must outlive the node, as must `mac_stats`, the
+/// block its MAC adds into.
+class ForwardingNode final : private phy::RadioOwner, private mac::MacHost {
  public:
   ForwardingNode(sim::Simulator& sim, phy::Channel& channel,
                  const net::Router& routes, net::NodeId self,
                  net::NodeId sink, const energy::RadioEnergyModel& radio_model,
                  phy::OverhearMode overhear, const MacChoice& mac_choice,
-                 std::uint64_t seed, DeliverySink* delivery);
+                 std::uint64_t seed, DeliverySink* delivery,
+                 mac::Mac::Stats& mac_stats);
 
   /// Entry point for locally generated packets. While the node is down,
   /// packets are dropped with reason "node-down".
@@ -93,6 +117,10 @@ class ForwardingNode {
   void recover();
   bool up() const { return up_; }
 
+  /// Draws the radio from `battery` (attaching its meter) and re-arms the
+  /// battery on every power-state change. Not owned.
+  void set_battery(energy::Battery& battery);
+
   phy::Radio& radio() { return radio_; }
   const phy::Radio& radio() const { return radio_; }
   mac::Mac& mac() { return as_mac(mac_); }
@@ -101,13 +129,23 @@ class ForwardingNode {
 
  private:
   void forward(const net::Message& msg);
-  void on_rx(const net::Message& msg, net::NodeId from);
+
+  // phy::RadioOwner:
+  void on_radio_wake_complete(phy::Radio&) override {}
+  void on_radio_frame_overheard(phy::Radio&, const phy::Frame&) override {}
+  void on_radio_energy_changed(phy::Radio& radio) override;
+  // mac::MacHost:
+  void on_mac_rx(mac::Mac& mac, const net::Message& msg,
+                 net::NodeId from) override;
+  void on_mac_tx_done(mac::Mac& mac, const net::Message& msg,
+                      net::NodeId next_hop, bool success) override;
 
   sim::Simulator& sim_;
   const net::Router& routes_;
   net::NodeId self_;
   net::NodeId sink_;
   DeliverySink* delivery_;
+  energy::Battery* battery_ = nullptr;
   bool up_ = true;
   phy::Radio radio_;
   // Behind the seam: which family lives here is a MacChoice decision made
@@ -117,9 +155,11 @@ class ForwardingNode {
 
 /// Dual-radio node: sensor radio + CSMA MAC for control, 802.11 radio +
 /// DCF MAC for bulk data, and a BcpAgent in between. Both radio models,
-/// `bcp_config` and both MacChoices are read in place and must outlive
-/// the node.
-class DualRadioNode final : public core::BcpHost {
+/// `bcp_config`, both MacChoices and the `counters` the MACs and agent add
+/// into are read in place and must outlive the node.
+class DualRadioNode final : public core::BcpHost,
+                            private phy::RadioOwner,
+                            private mac::MacHost {
  public:
   DualRadioNode(sim::Simulator& sim, phy::Channel& low_channel,
                 phy::Channel& high_channel, const net::Router& low_routes,
@@ -129,7 +169,7 @@ class DualRadioNode final : public core::BcpHost {
                 const core::BcpConfig& bcp_config,
                 phy::OverhearMode wifi_overhear, std::uint64_t seed,
                 DeliverySink* delivery, const MacChoice& low_mac,
-                const MacChoice& high_mac);
+                const MacChoice& high_mac, NodeCounters& counters);
 
   /// Entry point for locally generated packets (goes through BCP). While
   /// the node is down, packets are dropped with reason "node-down".
@@ -143,6 +183,11 @@ class DualRadioNode final : public core::BcpHost {
   void crash();
   void recover();
   bool up() const { return up_; }
+
+  /// Draws both radios from `battery` (attaching the sensor meter, then
+  /// the 802.11 meter) and re-arms the battery on every power-state
+  /// change of either. Not owned.
+  void set_battery(energy::Battery& battery);
 
   core::BcpAgent& agent() { return agent_; }
   const core::BcpAgent& agent() const { return agent_; }
@@ -174,17 +219,29 @@ class DualRadioNode final : public core::BcpHost {
                       const char* reason) override;
 
  private:
-  void on_low_rx(const net::Message& msg, net::NodeId from);
-  void on_high_rx(const net::Message& msg, net::NodeId from);
+  void on_low_rx(const net::Message& msg);
+  void on_high_rx(const net::Message& msg);
   void try_power_off();
+
+  // phy::RadioOwner:
+  void on_radio_wake_complete(phy::Radio& radio) override;
+  void on_radio_frame_overheard(phy::Radio& radio,
+                                const phy::Frame& frame) override;
+  void on_radio_energy_changed(phy::Radio& radio) override;
+  // mac::MacHost:
+  void on_mac_rx(mac::Mac& mac, const net::Message& msg,
+                 net::NodeId from) override;
+  void on_mac_tx_done(mac::Mac& mac, const net::Message& msg,
+                      net::NodeId next_hop, bool success) override;
 
   sim::Simulator& sim_;
   const phy::Channel& high_channel_;
   const net::Router& low_routes_;
   const net::Router& high_routes_;
   net::NodeId self_;
-  DeliverySink* delivery_;
   bool up_ = true;
+  DeliverySink* delivery_;
+  energy::Battery* battery_ = nullptr;
   // Constructed in declaration order (radios before MACs before the
   // agent, which binds to *this as its BcpHost).
   phy::Radio low_radio_;

@@ -73,28 +73,34 @@ void add_channel_stats(RunMetrics& m, const phy::Channel& channel) {
   m.chan_rx_live_at_end += channel.live_arrivals();
 }
 
-/// MAC counters of one forwarding or dual-radio node MAC.
-void add_mac_stats(RunMetrics& m, const mac::Mac& mc) {
-  m.mac_tx_attempts += mc.stats().tx_attempts;
-  m.mac_tx_failed += mc.stats().tx_failed;
-  m.mac_crash_drops += mc.stats().crash_drops;
-  if (const auto* tdma = dynamic_cast<const mac::TdmaMac*>(&mc)) {
-    m.tdma_beacons_sent += tdma->stats().beacons_sent;
-    m.tdma_beacons_heard += tdma->stats().beacons_heard;
-    m.tdma_slots_skipped += tdma->stats().slots_skipped_unsynced;
-  }
+/// The counters of one radio class's MAC block (forwarding and dual-radio
+/// nodes).
+void add_mac_stats(RunMetrics& m, const mac::Mac::Stats& s) {
+  m.mac_tx_attempts += s.tx_attempts;
+  m.mac_tx_failed += s.tx_failed;
+  m.mac_crash_drops += s.crash_drops;
+  m.tdma_beacons_sent += s.beacons_sent;
+  m.tdma_beacons_heard += s.beacons_heard;
+  m.tdma_slots_skipped += s.slots_skipped_unsynced;
 }
 
-// Per-node metric collection: finalizes the node's meter(s) at `end` and
-// accumulates energies and MAC/protocol counters. One call per node, in
-// node-id order, fixes the accumulation arithmetic of every engine.
+void add_agent_stats(RunMetrics& m, const core::BcpAgent::Stats& s) {
+  m.bcp_packets_lost_to_crash += s.packets_lost_to_crash;
+  m.bcp_wakeups += s.wakeups_sent;
+  m.bcp_handshakes_failed += s.handshakes_failed;
+  m.bcp_sender_sessions += s.sender_sessions_completed;
+  m.bcp_receiver_timeouts += s.receiver_sessions_timed_out;
+}
+
+// Per-node energy collection: finalizes the node's meter(s) at `end` and
+// accumulates its energies. One call per node, in node-id order, fixes the
+// floating-point accumulation of every engine.
 
 void collect_forwarding(RunMetrics& m, ForwardingNode& node,
                         bool charge_sensor, util::Seconds end) {
   energy::EnergyMeter& meter = node.radio().meter();
   meter.finalize(end);
   accumulate(charge_sensor ? m.sensor_energy : m.wifi_energy, meter);
-  add_mac_stats(m, node.mac());
 }
 
 void collect_duty(RunMetrics& m, DutyCycledWifiNode& node,
@@ -102,8 +108,6 @@ void collect_duty(RunMetrics& m, DutyCycledWifiNode& node,
   energy::EnergyMeter& meter = node.radio().meter();
   meter.finalize(end);
   accumulate(m.wifi_energy, meter);
-  m.mac_tx_attempts += node.mac().stats().tx_attempts;
-  m.mac_tx_failed += node.mac().stats().tx_failed;
   m.wifi_wakeup_transitions += meter.wakeup_count();
   m.wifi_on_seconds += on_seconds(meter);
 }
@@ -113,14 +117,6 @@ void collect_dual(RunMetrics& m, DualRadioNode& node, util::Seconds end) {
   node.wifi_radio().meter().finalize(end);
   accumulate(m.sensor_energy, node.sensor_radio().meter());
   accumulate(m.wifi_energy, node.wifi_radio().meter());
-  add_mac_stats(m, node.sensor_mac());
-  add_mac_stats(m, node.wifi_mac());
-  const auto& astats = node.agent().stats();
-  m.bcp_packets_lost_to_crash += astats.packets_lost_to_crash;
-  m.bcp_wakeups += astats.wakeups_sent;
-  m.bcp_handshakes_failed += astats.handshakes_failed;
-  m.bcp_sender_sessions += astats.sender_sessions_completed;
-  m.bcp_receiver_timeouts += astats.receiver_sessions_timed_out;
   m.wifi_wakeup_transitions += node.wifi_radio().meter().wakeup_count();
   m.wifi_on_seconds += on_seconds(node.wifi_radio().meter());
 }
@@ -279,7 +275,7 @@ void Partition::build(const SharedNet& net, int shard, sim::Simulator& sim,
       for (std::size_t l = 0; l < owned; ++l)
         fwd_[l].emplace(sim, *low, *low_r, ids[l], net.sink,
                         config.sensor_radio, phy::OverhearMode::kHeaderOnly,
-                        low_mac_, config.seed, &delivery_);
+                        low_mac_, config.seed, &delivery_, counters_.low_mac);
       break;
     }
     case EvalModel::kWifi: {
@@ -290,7 +286,8 @@ void Partition::build(const SharedNet& net, int shard, sim::Simulator& sim,
       for (std::size_t l = 0; l < owned; ++l)
         fwd_[l].emplace(sim, *high, *high_r, ids[l], net.sink,
                         config.wifi_radio, phy::OverhearMode::kFull,
-                        high_mac_, config.seed, &delivery_);
+                        high_mac_, config.seed, &delivery_,
+                        counters_.high_mac);
       break;
     }
     case EvalModel::kWifiDutyCycled: {
@@ -301,7 +298,7 @@ void Partition::build(const SharedNet& net, int shard, sim::Simulator& sim,
       for (std::size_t l = 0; l < owned; ++l)
         duty_[l].emplace(sim, *high, *high_r, ids[l], net.sink,
                          config.wifi_radio, schedule, config.seed,
-                         &delivery_);
+                         &delivery_, counters_.high_mac);
       break;
     }
     case EvalModel::kDualRadio: {
@@ -316,7 +313,8 @@ void Partition::build(const SharedNet& net, int shard, sim::Simulator& sim,
                          config.sensor_radio, config.wifi_radio, net.bcp,
                          config.wifi_promiscuous ? phy::OverhearMode::kFull
                                                  : phy::OverhearMode::kNone,
-                         config.seed, &delivery_, low_mac_, high_mac_);
+                         config.seed, &delivery_, low_mac_, high_mac_,
+                         counters_);
       break;
     }
   }
@@ -324,9 +322,9 @@ void Partition::build(const SharedNet& net, int shard, sim::Simulator& sim,
   // ---- Finite batteries ----
   // One battery per node, drained by every radio the node owns; death is
   // the fault plan's crash teardown, minus the possibility of recovery.
-  // The death instant is always a scheduled event: Battery re-arms it
-  // from the radios' energy observer on every power-state change, so no
-  // polling is involved and depletion lands at its exact analytic time.
+  // The death instant is always a scheduled event: the node re-arms it on
+  // every power-state change of its radios, so no polling is involved and
+  // depletion lands at its exact analytic time.
   util::Joules capacity = 0;
   if (net.low.graph) capacity += config.battery.sensor_initial_j;
   if (net.high.graph) capacity += config.battery.wifi_initial_j;
@@ -335,19 +333,12 @@ void Partition::build(const SharedNet& net, int shard, sim::Simulator& sim,
       const net::NodeId id = ids[l];
       auto battery = std::make_unique<energy::Battery>(
           sim, capacity, [this, id] { on_battery_death(id); });
-      energy::Battery* b = battery.get();
-      const auto watch = [b](phy::Radio& radio) {
-        b->attach(&radio.meter());
-        radio.set_energy_observer([b] { b->rearm(); });
-      };
-      if (!fwd_.empty()) {
-        watch(fwd_[l]->radio());
-      } else if (!duty_.empty()) {
-        watch(duty_[l]->radio());
-      } else {
-        watch(dual_[l]->sensor_radio());
-        watch(dual_[l]->wifi_radio());
-      }
+      if (!fwd_.empty())
+        fwd_[l]->set_battery(*battery);
+      else if (!duty_.empty())
+        duty_[l]->set_battery(*battery);
+      else
+        dual_[l]->set_battery(*battery);
       battery->rearm();  // arm against the boot power state
       batteries[l] = std::move(battery);
     }
@@ -475,6 +466,17 @@ void Partition::collect(util::Seconds end) {
     collect_forwarding(m, *node, charge_sensor, end);
   for (auto& node : duty_) collect_duty(m, *node, end);
   for (auto& node : dual_) collect_dual(m, *node, end);
+  // Integer counters: the blocks hold exactly the per-node sums. A class
+  // no node of this partition used contributes zeros.
+  if (duty_.empty()) {
+    add_mac_stats(m, counters_.low_mac);
+    add_mac_stats(m, counters_.high_mac);
+  } else {
+    // Duty-cycled runs report attempts and failures only.
+    m.mac_tx_attempts += counters_.high_mac.tx_attempts;
+    m.mac_tx_failed += counters_.high_mac.tx_failed;
+  }
+  add_agent_stats(m, counters_.agent);
   for (const auto& battery : batteries) {
     if (battery == nullptr) continue;
     m.battery_max_drawn_fraction = std::max(

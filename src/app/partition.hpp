@@ -113,7 +113,8 @@ class Partition {
              MembershipFn on_change);
 
   /// Finalizes every owned node's meters at `end` and accumulates this
-  /// partition's counters into `m`, in ascending node-id order.
+  /// partition's energies (per node, in ascending node-id order) and
+  /// counter blocks into `m`.
   void collect(util::Seconds end);
 
   /// Destroys batteries, workloads and nodes. The sharded engine calls it
@@ -132,13 +133,15 @@ class Partition {
   RunMetrics m;
   double delay_sum = 0;
 
-  /// Introspection after build(): an owned dual-radio node (local id) and
-  /// the per-class MAC choices every node of the partition reads.
+  /// Introspection after build(): an owned dual-radio node (local id),
+  /// the per-class MAC choices every node of the partition reads, and
+  /// the counter blocks every node adds into.
   const DualRadioNode& dual_node(std::size_t local) const {
     return *dual_[local];
   }
   const MacChoice& low_mac() const { return low_mac_; }
   const MacChoice& high_mac() const { return high_mac_; }
+  const NodeCounters& counters() const { return counters_; }
 
  private:
   void crash(std::size_t local, net::NodeId node);
@@ -162,6 +165,7 @@ class Partition {
   std::optional<mac::TdmaSchedule> high_schedule_;
   MacChoice low_mac_;
   MacChoice high_mac_;
+  NodeCounters counters_;
   // Exactly one node family is populated, one entry per owned node. Each
   // family is one allocation: nodes are constructed in place (the
   // optional only defers construction) and never move.

@@ -50,10 +50,11 @@ std::vector<net::BulkFrame> assemble_frames(
 
 }  // namespace
 
-BcpAgent::BcpAgent(BcpHost& host, const BcpConfig& config)
+BcpAgent::BcpAgent(BcpHost& host, const BcpConfig& config, Stats& stats)
     : host_(host),
       config_(config),
-      buffer_(config.buffer_capacity_bits) {
+      buffer_(config.buffer_capacity_bits),
+      stats_(&stats) {
   config_.validate();
 }
 
@@ -81,23 +82,23 @@ util::Bits BcpAgent::grantable_bits() const {
 void BcpAgent::submit(net::DataPacket packet) {
   BCP_REQUIRE(packet.payload_bits > 0);
   if (packet.destination == host_.self()) {
-    ++stats_.packets_delivered;
+    ++stats_->packets_delivered;
     host_.deliver(packet);
     return;
   }
   const net::NodeId next_hop = route_next_hop(packet.destination);
   if (next_hop == net::kInvalidNode) {
-    ++stats_.packets_dropped_no_route;
+    ++stats_->packets_dropped_no_route;
     host_.packet_dropped(packet, "no-route");
     return;
   }
   BCP_ENSURE(next_hop != host_.self());
   if (!buffer_.push(next_hop, packet)) {
-    ++stats_.packets_dropped_buffer_full;
+    ++stats_->packets_dropped_buffer_full;
     host_.packet_dropped(packet, "buffer-full");
     return;
   }
-  ++stats_.packets_buffered;
+  ++stats_->packets_buffered;
   if (observer_) observer_->on_packet_buffered(host_.now(), next_hop, packet);
   if (config_.delay_policy != DelayPolicy::kUnbounded)
     arm_deadline(next_hop);
@@ -107,7 +108,7 @@ void BcpAgent::submit(net::DataPacket packet) {
 void BcpAgent::schedule_deadline(net::NodeId next_hop,
                                  util::Seconds delay) {
   if (deadline_timers_.count(next_hop) != 0) return;  // already pending
-  deadline_timers_.emplace(
+  deadline_timers_.try_emplace(
       next_hop, host_.set_timer(delay, [this, next_hop] {
         deadline_timers_.erase(next_hop);
         on_deadline(next_hop);
@@ -139,7 +140,7 @@ void BcpAgent::on_deadline(net::NodeId next_hop) {
       // flush is a no-op; re-check after a full delay period instead of
       // re-arming on the (already expired) oldest packet, which would
       // spin at the current instant.
-      ++stats_.deadline_flushes;
+      ++stats_->deadline_flushes;
       flush(next_hop);
       schedule_deadline(next_hop, config_.max_buffering_delay);
       return;
@@ -158,7 +159,7 @@ void BcpAgent::on_deadline(net::NodeId next_hop) {
         msg.dst = packet->destination;
         msg.body = *packet;
         host_.send_low(net::make_message(std::move(msg)));
-        ++stats_.packets_sent_low;
+        ++stats_->packets_sent_low;
       }
       break;
     }
@@ -186,15 +187,19 @@ void BcpAgent::maybe_start_handshake(net::NodeId next_hop, bool force) {
   SenderSession s;
   s.peer = next_hop;
   s.handshake_id = next_handshake_id_++;
-  const auto [it, inserted] = sender_sessions_.emplace(next_hop, std::move(s));
+  const bool inserted =
+      sender_sessions_.try_emplace(next_hop, std::move(s)).second;
   BCP_ENSURE(inserted);
-  send_wakeup(it->second);
+  send_wakeup(next_hop);
 }
 
-void BcpAgent::send_wakeup(SenderSession& s) {
+void BcpAgent::send_wakeup(net::NodeId peer) {
+  const auto it = sender_sessions_.find(peer);
+  BCP_ENSURE(it != sender_sessions_.end());
+  SenderSession& s = it->second;
   // Refresh the advertised burst: data kept arriving since the last try.
   s.offered_bits = buffer_.buffered_bits(s.peer);
-  ++stats_.wakeups_sent;
+  ++stats_->wakeups_sent;
   if (observer_)
     observer_->on_wakeup_sent(host_.now(), s.peer, s.handshake_id,
                               s.offered_bits, s.wakeup_attempts);
@@ -204,9 +209,11 @@ void BcpAgent::send_wakeup(SenderSession& s) {
   msg.body = net::WakeupRequest{host_.self(), s.peer, s.handshake_id,
                                 s.offered_bits};
   host_.send_low(net::make_message(std::move(msg)));
-  const net::NodeId peer = s.peer;
-  s.ack_timer = host_.set_timer(config_.wakeup_ack_timeout,
-                                [this, peer] { on_ack_timeout(peer); });
+  // send_low may re-enter the agent: find the session again.
+  const auto sit = sender_sessions_.find(peer);
+  BCP_ENSURE(sit != sender_sessions_.end());
+  sit->second.ack_timer = host_.set_timer(
+      config_.wakeup_ack_timeout, [this, peer] { on_ack_timeout(peer); });
 }
 
 void BcpAgent::on_ack_timeout(net::NodeId peer) {
@@ -217,8 +224,8 @@ void BcpAgent::on_ack_timeout(net::NodeId peer) {
   s.ack_timer = BcpHost::kInvalidTimer;
   if (s.wakeup_attempts < config_.max_wakeup_retries) {
     ++s.wakeup_attempts;
-    ++stats_.wakeup_retries;
-    send_wakeup(s);
+    ++stats_->wakeup_retries;
+    send_wakeup(peer);
     return;
   }
   abandon_handshake(peer);
@@ -229,7 +236,7 @@ void BcpAgent::abandon_handshake(net::NodeId peer) {
   const auto it = sender_sessions_.find(peer);
   BCP_ENSURE(it != sender_sessions_.end());
   host_.cancel_timer(it->second.ack_timer);
-  ++stats_.handshakes_failed;
+  ++stats_->handshakes_failed;
   if (observer_)
     observer_->on_sender_session_ended(host_.now(), peer,
                                        SessionEnd::kHandshakeFailed);
@@ -239,7 +246,7 @@ void BcpAgent::abandon_handshake(net::NodeId peer) {
         cooldowns_.erase(peer);
         maybe_start_handshake(peer);
       });
-  cooldowns_.emplace(peer, timer);
+  cooldowns_.try_emplace(peer, timer);
 }
 
 void BcpAgent::on_low_message(const net::Message& msg) {
@@ -327,7 +334,7 @@ void BcpAgent::send_next_frame(net::NodeId peer) {
     finish_sender_session(peer);
     return;
   }
-  ++stats_.frames_sent;
+  ++stats_->frames_sent;
   if (observer_)
     observer_->on_frame_sent(host_.now(), peer, s.frames[s.next_frame].index,
                              s.frames[s.next_frame].total);
@@ -342,7 +349,7 @@ void BcpAgent::send_next_frame(net::NodeId peer) {
                   [this, peer](bool success) {
     const auto sit = sender_sessions_.find(peer);
     if (sit == sender_sessions_.end()) return;
-    if (!success) ++stats_.frames_send_failed;
+    if (!success) ++stats_->frames_send_failed;
     ++sit->second.next_frame;
     send_next_frame(peer);
   });
@@ -353,7 +360,7 @@ void BcpAgent::finish_sender_session(net::NodeId peer) {
   BCP_ENSURE(it != sender_sessions_.end());
   const bool held = it->second.holds_radio;
   host_.cancel_timer(it->second.ack_timer);
-  ++stats_.sender_sessions_completed;
+  ++stats_->sender_sessions_completed;
   if (observer_)
     observer_->on_sender_session_ended(host_.now(), peer,
                                        SessionEnd::kCompleted);
@@ -391,13 +398,13 @@ void BcpAgent::crash() {
     host_.cancel_timer(radio_off_timer_);
     radio_off_timer_ = BcpHost::kInvalidTimer;
   }
-  stats_.packets_lost_to_crash +=
+  stats_->packets_lost_to_crash +=
       static_cast<std::int64_t>(buffer_.clear());
   shortcuts_.clear();
   committed_bits_ = 0;
   radio_holds_ = 0;
   ++epoch_;
-  ++stats_.crashes;
+  ++stats_->crashes;
 }
 
 // -------------------------------------------------------------- receiver --
@@ -418,25 +425,26 @@ void BcpAgent::on_wakeup_request(const net::WakeupRequest& req) {
   const util::Bits grant = std::min(req.burst_bits, grantable_bits());
   if (grant <= 0) {
     // §3: "If the receiver's buffer is full, no ack is sent."
-    ++stats_.acks_suppressed_full;
+    ++stats_->acks_suppressed_full;
     return;
   }
+  const net::NodeId peer = req.requester;
   ReceiverSession r;
-  r.peer = req.requester;
+  r.peer = peer;
   r.handshake_id = req.handshake_id;
   r.granted_bits = grant;
   committed_bits_ += grant;
-  const auto [rit, inserted] =
-      receiver_sessions_.emplace(req.requester, std::move(r));
+  const bool inserted = receiver_sessions_.try_emplace(peer, r).second;
   BCP_ENSURE(inserted);
   acquire_radio();
-  ++stats_.acks_sent;
+  ++stats_->acks_sent;
   if (observer_)
-    observer_->on_ack_sent(host_.now(), rit->second.peer,
-                           rit->second.handshake_id,
-                           rit->second.granted_bits);
-  send_wakeup_ack(rit->second);
-  const net::NodeId peer = req.requester;
+    observer_->on_ack_sent(host_.now(), peer, r.handshake_id, grant);
+  send_wakeup_ack(r);
+  // acquire_radio() and send_low may re-enter the agent: find the
+  // session again.
+  const auto rit = receiver_sessions_.find(peer);
+  BCP_ENSURE(rit != receiver_sessions_.end());
   rit->second.data_timer = host_.set_timer(
       config_.first_data_timeout, [this, peer] { on_receiver_timeout(peer); });
 }
@@ -457,7 +465,7 @@ void BcpAgent::on_bulk_frame(const net::BulkFrame& frame) {
       it->second.handshake_id != frame.handshake_id)
     return;  // late frame from an aborted session
   ReceiverSession& r = it->second;
-  ++stats_.frames_received;
+  ++stats_->frames_received;
   if (observer_)
     observer_->on_frame_received(host_.now(), frame.sender, frame.index,
                                  frame.total);
@@ -473,10 +481,10 @@ void BcpAgent::on_bulk_frame(const net::BulkFrame& frame) {
 
   for (const auto& p : frame.packets) {
     if (p.destination == host_.self()) {
-      ++stats_.packets_delivered;
+      ++stats_->packets_delivered;
       host_.deliver(p);
     } else {
-      ++stats_.packets_forwarded;
+      ++stats_->packets_forwarded;
       submit(p);
     }
   }
@@ -487,7 +495,7 @@ void BcpAgent::on_bulk_frame(const net::BulkFrame& frame) {
   if (rr.frames_received >= frame.total) {
     // "The receiver turns off its high-power radio when it receives the
     // total number of packets advertised."
-    ++stats_.receiver_sessions_completed;
+    ++stats_->receiver_sessions_completed;
     finish_receiver_session(frame.sender, SessionEnd::kCompleted);
   } else {
     host_.cancel_timer(rr.data_timer);
@@ -502,7 +510,7 @@ void BcpAgent::on_receiver_timeout(net::NodeId peer) {
   const auto it = receiver_sessions_.find(peer);
   if (it == receiver_sessions_.end()) return;
   it->second.data_timer = BcpHost::kInvalidTimer;
-  ++stats_.receiver_sessions_timed_out;
+  ++stats_->receiver_sessions_timed_out;
   finish_receiver_session(peer, SessionEnd::kTimedOut);
 }
 
@@ -557,7 +565,7 @@ void BcpAgent::on_bulk_frame_overheard(const net::BulkFrame& frame) {
     const auto it = shortcuts_.find(p.destination);
     if (it == shortcuts_.end() || it->second != frame.receiver) {
       shortcuts_[p.destination] = frame.receiver;
-      ++stats_.shortcuts_learned;
+      ++stats_->shortcuts_learned;
     }
     break;
   }

@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -34,11 +33,15 @@
 #include "core/bcp_observer.hpp"
 #include "core/bulk_buffer.hpp"
 #include "net/message.hpp"
+#include "util/flat_map.hpp"
 
 namespace bcp::core {
 
 class BcpAgent {
  public:
+  /// Protocol counters. Integers only, so agents may share a block (a
+  /// scenario partition gives all its agents one) and its totals are the
+  /// per-agent sums.
   struct Stats {
     std::int64_t packets_buffered = 0;
     std::int64_t packets_dropped_buffer_full = 0;
@@ -65,9 +68,10 @@ class BcpAgent {
   };
 
   /// `config` is the run's shared configuration, read in place: it must
-  /// outlive the agent (a temporary is rejected).
-  BcpAgent(BcpHost& host, const BcpConfig& config);
-  BcpAgent(BcpHost&, const BcpConfig&&) = delete;
+  /// outlive the agent (a temporary is rejected). `stats` is the block the
+  /// agent adds into; it must outlive the agent too.
+  BcpAgent(BcpHost& host, const BcpConfig& config, Stats& stats);
+  BcpAgent(BcpHost&, const BcpConfig&&, Stats&) = delete;
 
   BcpAgent(const BcpAgent&) = delete;
   BcpAgent& operator=(const BcpAgent&) = delete;
@@ -118,7 +122,8 @@ class BcpAgent {
   // ---- Introspection ----
 
   const BulkBuffer& buffer() const { return buffer_; }
-  const Stats& stats() const { return stats_; }
+  /// The block this agent adds into (shared in a scenario run).
+  const Stats& stats() const { return *stats_; }
   const BcpConfig& config() const { return config_; }
   bool has_sender_session(net::NodeId peer) const {
     return sender_sessions_.count(peer) != 0;
@@ -161,7 +166,7 @@ class BcpAgent {
   void schedule_deadline(net::NodeId next_hop, util::Seconds delay);
   void arm_deadline(net::NodeId next_hop);
   void on_deadline(net::NodeId next_hop);
-  void send_wakeup(SenderSession& s);
+  void send_wakeup(net::NodeId peer);
   void on_wakeup_ack(const net::WakeupAck& ack);
   void on_ack_timeout(net::NodeId peer);
   void abandon_handshake(net::NodeId peer);
@@ -185,21 +190,24 @@ class BcpAgent {
   BcpHost& host_;
   const BcpConfig& config_;
   BulkBuffer buffer_;
-  Stats stats_;
+  Stats* stats_;
   BcpObserver* observer_ = nullptr;
 
   std::uint32_t next_handshake_id_ = 1;
-  std::map<net::NodeId, SenderSession> sender_sessions_;
-  std::map<net::NodeId, ReceiverSession> receiver_sessions_;
+  // Keyed by peer (or next hop). Flat maps: host calls can re-enter the
+  // agent and insert or erase, so no reference into one is held across a
+  // host call — entries are looked up again by key.
+  util::FlatMap<net::NodeId, SenderSession> sender_sessions_;
+  util::FlatMap<net::NodeId, ReceiverSession> receiver_sessions_;
   /// Next hops under post-failure cooldown, with the retry timer.
-  std::map<net::NodeId, BcpHost::TimerId> cooldowns_;
+  util::FlatMap<net::NodeId, BcpHost::TimerId> cooldowns_;
   /// One pending buffering-deadline timer per next hop (delay policy).
-  std::map<net::NodeId, BcpHost::TimerId> deadline_timers_;
+  util::FlatMap<net::NodeId, BcpHost::TimerId> deadline_timers_;
   /// Sum of outstanding receiver grants, reserved against the buffer.
   util::Bits committed_bits_ = 0;
   int radio_holds_ = 0;
   BcpHost::TimerId radio_off_timer_ = BcpHost::kInvalidTimer;
-  std::map<net::NodeId, net::NodeId> shortcuts_;  // dest -> next hop
+  util::FlatMap<net::NodeId, net::NodeId> shortcuts_;  // dest -> next hop
   /// Bumped by crash(); untracked timers (the shortcut-listen linger)
   /// capture it and no-op when stale instead of firing into reset state.
   std::uint64_t epoch_ = 0;

@@ -46,7 +46,7 @@ std::vector<net::DataPacket> BulkBuffer::pop_up_to(net::NodeId next_hop,
   total_bits_ -= used;
   total_packets_ -= take;
   // A drained queue is reset but kept: its vector's capacity (and its map
-  // node) are reused by the next burst toward this hop instead of churning
+  // entry) are reused by the next burst toward this hop instead of churning
   // the allocator every push/pop cycle.
   if (q.head == q.packets.size()) {
     q.packets.clear();

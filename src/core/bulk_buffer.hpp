@@ -6,11 +6,11 @@
 // 5000 × 32 B buffer), not a per-queue quota.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <vector>
 
 #include "net/message.hpp"
+#include "util/flat_map.hpp"
 #include "util/units.hpp"
 
 namespace bcp::core {
@@ -63,7 +63,7 @@ class BulkBuffer {
   util::Bits capacity_;
   util::Bits total_bits_ = 0;
   std::size_t total_packets_ = 0;
-  std::map<net::NodeId, Queue> queues_;
+  util::FlatMap<net::NodeId, Queue> queues_;
 };
 
 }  // namespace bcp::core

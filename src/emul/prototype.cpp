@@ -92,7 +92,7 @@ class EmulNode final : public core::BcpHost {
         high_(sim, config.wifi_radio, /*starts_on=*/false),
         bcp_(config.bcp) {
     bcp_.burst_threshold_bits = config.threshold_bits;
-    agent_ = std::make_unique<core::BcpAgent>(*this, bcp_);
+    agent_ = std::make_unique<core::BcpAgent>(*this, bcp_, agent_stats_);
   }
 
   void connect(EmulNode* peer) { peer_ = peer; }
@@ -224,6 +224,7 @@ class EmulNode final : public core::BcpHost {
   EmulRadio high_;
   EmulNode* peer_ = nullptr;
   core::BcpConfig bcp_;  ///< read in place by agent_
+  core::BcpAgent::Stats agent_stats_;  ///< agent_ adds into it
   std::unique_ptr<core::BcpAgent> agent_;
 };
 

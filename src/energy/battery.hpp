@@ -55,7 +55,7 @@ struct BatterySpec {
 /// Runtime budget for one node. Construct with the node's total capacity
 /// and a death action, attach the node's meter(s), then rearm() once after
 /// the radios reach their boot state and again on every radio state change
-/// (wired via Radio::set_energy_observer).
+/// (the node assemblies forward their radios' on_radio_energy_changed).
 class Battery {
  public:
   Battery(sim::Simulator& sim, util::Joules capacity,

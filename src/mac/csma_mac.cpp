@@ -8,8 +8,10 @@
 namespace bcp::mac {
 
 CsmaCaMac::CsmaCaMac(sim::Simulator& sim, phy::Radio& radio,
-                     const MacParams& params, std::uint64_t seed)
-    : sim_(sim),
+                     const MacParams& params, std::uint64_t seed,
+                     Stats& stats)
+    : Mac(stats),
+      sim_(sim),
       radio_(radio),
       params_(params),
       rng_(seed),
@@ -21,7 +23,7 @@ CsmaCaMac::CsmaCaMac(sim::Simulator& sim, phy::Radio& radio,
         if (radio_.state() == phy::RadioState::kTx || !radio_.ready()) {
           // Our own transmission (or a power-down) wins; the data sender
           // will time out and retransmit.
-          ++stats_.acks_suppressed;
+          ++stats_->acks_suppressed;
           pending_acks_.pop_front();
           return;
         }
@@ -36,17 +38,14 @@ CsmaCaMac::CsmaCaMac(sim::Simulator& sim, phy::Radio& radio,
         f.header_bits = params_.ack_bits;
         f.preamble = params_.preamble;
         tx_is_ack_ = true;
-        ++stats_.acks_sent;
+        ++stats_->acks_sent;
         radio_.transmit(f);
       }) {
   BCP_REQUIRE(params_.slot > 0);
   BCP_REQUIRE(params_.cw_min >= 0 && params_.cw_max >= params_.cw_min);
   BCP_REQUIRE(params_.retry_limit >= 0);
   BCP_REQUIRE(params_.max_queue > 0);
-  radio_.callbacks().tx_done = [this] { on_radio_tx_done(); };
-  radio_.callbacks().frame_received = [this](const phy::Frame& f) {
-    on_frame_received(f);
-  };
+  radio_.set_link(this);
 }
 
 bool CsmaCaMac::enqueue(net::MessageRef msg, net::NodeId next_hop) {
@@ -54,10 +53,10 @@ bool CsmaCaMac::enqueue(net::MessageRef msg, net::NodeId next_hop) {
   BCP_REQUIRE(next_hop == net::kBroadcastNode || next_hop >= 0);
   BCP_REQUIRE(next_hop != radio_.self());
   if (queue_.size() >= params_.max_queue) {
-    ++stats_.queue_drops;
+    ++stats_->queue_drops;
     return false;
   }
-  ++stats_.enqueued;
+  ++stats_->enqueued;
   Outgoing out;
   out.size_bits = msg->size_bits();  // once, not per retry
   out.msg = std::move(msg);
@@ -116,7 +115,7 @@ void CsmaCaMac::transmit_head() {
   Outgoing& head = queue_.front();
   if (head.seq == 0) head.seq = next_seq_++;  // same seq across retries
   ++head.attempts;
-  ++stats_.tx_attempts;
+  ++stats_->tx_attempts;
   tx_is_ack_ = false;
   radio_.transmit(make_data_frame(head));
 }
@@ -155,7 +154,7 @@ void CsmaCaMac::on_ack_timeout() {
   arm_backoff(0.0);
 }
 
-void CsmaCaMac::on_frame_received(const phy::Frame& frame) {
+void CsmaCaMac::on_radio_frame_received(const phy::Frame& frame) {
   if (frame.kind == phy::FrameKind::kBeacon) return;  // not our family
   if (frame.kind == phy::FrameKind::kAck) {
     if (awaiting_ack_ && !queue_.empty() &&
@@ -176,13 +175,13 @@ void CsmaCaMac::on_frame_received(const phy::Frame& frame) {
       ack_tx_timer_.start(params_.sifs);
     std::uint32_t& last = delivered_seq(frame.tx_node);
     if (frame.mac_seq <= last) {
-      ++stats_.rx_duplicates;  // retransmission whose ack we lost — re-ack
+      ++stats_->rx_duplicates;  // retransmission whose ack we lost — re-ack
       return;
     }
     last = frame.mac_seq;
   }
-  ++stats_.rx_delivered;
-  if (rx_cb_) rx_cb_(*frame.message, frame.tx_node);
+  ++stats_->rx_delivered;
+  deliver_up(*frame.message, frame.tx_node);
 }
 
 std::uint32_t& CsmaCaMac::delivered_seq(net::NodeId from) {
@@ -201,10 +200,10 @@ void CsmaCaMac::finish_head(bool success) {
   backoff_timer_.cancel();
   ack_timer_.cancel();
   if (success)
-    ++stats_.tx_success;
+    ++stats_->tx_success;
   else
-    ++stats_.tx_failed;
-  if (tx_done_cb_) tx_done_cb_(*done.msg, done.next_hop, success);
+    ++stats_->tx_failed;
+  report_tx_done(*done.msg, done.next_hop, success);
   if (!in_flight_ && !queue_.empty()) start_cycle();
 }
 
@@ -215,8 +214,8 @@ void CsmaCaMac::reset_on_crash() {
   in_flight_ = false;
   awaiting_ack_ = false;
   tx_is_ack_ = false;
-  ++stats_.crash_resets;
-  stats_.crash_drops += static_cast<std::int64_t>(queue_.size());
+  ++stats_->crash_resets;
+  stats_->crash_drops += static_cast<std::int64_t>(queue_.size());
   queue_.clear();
   pending_acks_.clear();
   delivered_seq_.clear();
@@ -230,8 +229,8 @@ void CsmaCaMac::flush_queue() {
   util::SlidingQueue<Outgoing> failed;
   failed.swap(queue_);
   for (auto& out : failed) {
-    ++stats_.tx_failed;
-    if (tx_done_cb_) tx_done_cb_(*out.msg, out.next_hop, false);
+    ++stats_->tx_failed;
+    report_tx_done(*out.msg, out.next_hop, false);
   }
 }
 

@@ -33,18 +33,13 @@ namespace bcp::mac {
 
 class CsmaCaMac final : public Mac {
  public:
-  /// Base counters plus the ack bookkeeping only contention access has.
-  struct Stats : Mac::Stats {
-    std::int64_t acks_sent = 0;
-    std::int64_t acks_suppressed = 0;///< radio busy at ack time
-  };
-
   /// `params` is the radio class's shared parameter set, read in place:
-  /// it must outlive the MAC (a temporary is rejected).
+  /// it must outlive the MAC (a temporary is rejected). `stats` is the
+  /// block the MAC adds into (see Mac::Stats).
   CsmaCaMac(sim::Simulator& sim, phy::Radio& radio, const MacParams& params,
-            std::uint64_t seed);
-  CsmaCaMac(sim::Simulator&, phy::Radio&, const MacParams&&,
-            std::uint64_t) = delete;
+            std::uint64_t seed, Stats& stats);
+  CsmaCaMac(sim::Simulator&, phy::Radio&, const MacParams&&, std::uint64_t,
+            Stats&) = delete;
 
   /// Queues a message for `next_hop` (net::kBroadcastNode for broadcast).
   /// Returns false (and counts a drop) when the queue is full.
@@ -54,7 +49,6 @@ class CsmaCaMac final : public Mac {
   /// True when nothing is queued or in flight.
   bool idle() const override { return queue_.empty() && !in_flight_; }
   std::size_t queue_size() const override { return queue_.size(); }
-  const Stats& stats() const override { return stats_; }
   const MacParams& params() const { return params_; }
 
   /// Fails every queued frame (used when the owner powers the radio down
@@ -65,7 +59,7 @@ class CsmaCaMac final : public Mac {
   /// state — queued frames (their pooled payload refs included), pending
   /// acks, the in-flight cycle, and the duplicate-suppression history (a
   /// rebooted node forgets what it delivered). Unlike flush_queue, no
-  /// tx_done callbacks fire: the owner is crashing, and its upper layers
+  /// tx_done upcalls fire: the owner is crashing, and its upper layers
   /// are being reset with it. Counted in Stats::crash_drops/crash_resets.
   void reset_on_crash() override;
 
@@ -83,9 +77,9 @@ class CsmaCaMac final : public Mac {
   void arm_backoff(util::Seconds extra_wait);
   void on_backoff_expired();
   void transmit_head();
-  void on_radio_tx_done();
+  void on_radio_tx_done() override;
   void on_ack_timeout();
-  void on_frame_received(const phy::Frame& frame);
+  void on_radio_frame_received(const phy::Frame& frame) override;
   void send_ack(net::NodeId to, std::uint32_t seq);
   void finish_head(bool success);
   util::Seconds ack_duration() const;
@@ -96,7 +90,6 @@ class CsmaCaMac final : public Mac {
   phy::Radio& radio_;
   const MacParams& params_;
   util::Xoshiro256 rng_;
-  Stats stats_;
 
   util::SlidingQueue<Outgoing> queue_;
   bool in_flight_ = false;        // head frame mid-cycle (backoff/tx/ack)

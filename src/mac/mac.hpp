@@ -8,26 +8,47 @@
 //
 // The seam covers exactly what the assemblies use:
 //   * enqueue toward a next hop (broadcast allowed), with tail-drop;
-//   * the rx / tx-done callback pair the forwarding and BCP layers hook;
+//   * the MacHost upcalls (rx and tx-done) the forwarding and BCP layers
+//     implement;
+//   * the radio's link observer (phy::RadioLink): a MAC is the link its
+//     radio reports to;
 //   * crash teardown (reset_on_crash) and queue abort (flush_queue), so
 //     FaultPlan churn works for any family;
-//   * the shared Stats block, including crash accounting. Families extend
-//     Stats covariantly (CsmaCaMac adds ack counters, TdmaMac beacon/slot
-//     counters); scenario aggregation reads only the base fields.
+//   * the Stats block, including crash accounting. A MAC adds into a block
+//     it does not own: the scenario gives every MAC of a radio class in a
+//     partition the same block, since the run only ever reads the sums.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "net/message.hpp"
 #include "net/message_ref.hpp"
+#include "phy/radio.hpp"
 
 namespace bcp::mac {
 
-class Mac {
+class Mac;
+
+/// The node a MAC serves. Both upcalls name the MAC, so one host can own
+/// several.
+class MacHost {
  public:
-  /// Counters every family maintains. Concrete MACs derive from this and
-  /// override stats() covariantly to expose their family-specific extras.
+  /// A clean frame delivered to this node.
+  virtual void on_mac_rx(Mac& mac, const net::Message& msg,
+                         net::NodeId from) = 0;
+  /// A frame left the MAC: sent successfully, or dropped (retries
+  /// exhausted, no slot schedule, radio down, queue flush).
+  virtual void on_mac_tx_done(Mac& mac, const net::Message& msg,
+                              net::NodeId next_hop, bool success) = 0;
+
+ protected:
+  ~MacHost() = default;
+};
+
+class Mac : public phy::RadioLink {
+ public:
+  /// Counters of every family. Integers only, so MACs may share a block
+  /// and its totals are the per-MAC sums.
   struct Stats {
     std::int64_t enqueued = 0;
     std::int64_t queue_drops = 0;    ///< tail drops (queue full)
@@ -38,17 +59,22 @@ class Mac {
     std::int64_t crash_resets = 0;   ///< reset_on_crash invocations
     std::int64_t rx_delivered = 0;
     std::int64_t rx_duplicates = 0;
+    // Contention access (CsmaCaMac) only.
+    std::int64_t acks_sent = 0;
+    std::int64_t acks_suppressed = 0;///< radio busy at ack time
+    // Slotted access (TdmaMac) only.
+    std::int64_t beacons_sent = 0;
+    std::int64_t beacons_heard = 0;
+    /// Slots that passed untransmitted because the last beacon was too old
+    /// (missed-beacon rule) — the node stayed silent rather than risk a
+    /// collision on a schedule it can no longer trust.
+    std::int64_t slots_skipped_unsynced = 0;
+    /// Frames dropped because their airtime exceeds the slot data budget.
+    std::int64_t oversize_drops = 0;
   };
 
-  /// Called for every clean frame delivered to this node.
-  using RxCallback =
-      std::function<void(const net::Message&, net::NodeId from)>;
-  /// Called when a frame leaves the MAC: sent successfully, or dropped
-  /// (retries exhausted, no slot schedule, radio down, queue flush).
-  using TxDoneCallback = std::function<void(
-      const net::Message&, net::NodeId next_hop, bool success)>;
-
-  Mac() = default;
+  /// `stats` is the block this MAC adds into; it must outlive the MAC.
+  explicit Mac(Stats& stats) : stats_(&stats) {}
   Mac(const Mac&) = delete;
   Mac& operator=(const Mac&) = delete;
   virtual ~Mac() = default;
@@ -62,13 +88,15 @@ class Mac {
     return enqueue(net::make_message(std::move(msg)), next_hop);
   }
 
-  void set_rx_callback(RxCallback cb) { rx_cb_ = std::move(cb); }
-  void set_tx_done_callback(TxDoneCallback cb) { tx_done_cb_ = std::move(cb); }
+  /// Attaches the node the upcalls go to (nullptr detaches). Not owned.
+  void set_host(MacHost* host) { host_ = host; }
 
   /// True when nothing is queued or in flight.
   virtual bool idle() const = 0;
   virtual std::size_t queue_size() const = 0;
-  virtual const Stats& stats() const = 0;
+  /// The block this MAC adds into (shared with its radio-class peers in a
+  /// scenario run).
+  const Stats& stats() const { return *stats_; }
 
   /// Fails every queued frame (used when the owner powers the radio down
   /// with traffic pending — BCP aborting a session).
@@ -76,7 +104,7 @@ class Mac {
 
   /// Crash reset: cancels every pending timer and silently discards all
   /// state — queued frames (their pooled payload refs included) and any
-  /// in-progress transmit cycle. Unlike flush_queue, no tx_done callbacks
+  /// in-progress transmit cycle. Unlike flush_queue, no tx_done upcalls
   /// fire: the owner is crashing, and its upper layers are being reset
   /// with it. Counted in Stats::crash_drops/crash_resets.
   virtual void reset_on_crash() = 0;
@@ -88,8 +116,18 @@ class Mac {
   virtual void on_recover() {}
 
  protected:
-  RxCallback rx_cb_;
-  TxDoneCallback tx_done_cb_;
+  void deliver_up(const net::Message& msg, net::NodeId from) {
+    if (host_ != nullptr) host_->on_mac_rx(*this, msg, from);
+  }
+  void report_tx_done(const net::Message& msg, net::NodeId next_hop,
+                      bool success) {
+    if (host_ != nullptr) host_->on_mac_tx_done(*this, msg, next_hop, success);
+  }
+
+  Stats* stats_;
+
+ private:
+  MacHost* host_ = nullptr;
 };
 
 }  // namespace bcp::mac

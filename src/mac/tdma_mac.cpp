@@ -79,8 +79,9 @@ TdmaSchedule TdmaSchedule::from_tree(const net::Router& routes,
 
 TdmaMac::TdmaMac(sim::Simulator& sim, phy::Radio& radio,
                  const TdmaParams& params, const TdmaSchedule& schedule,
-                 std::uint64_t seed)
-    : sim_(sim),
+                 std::uint64_t seed, Stats& stats)
+    : Mac(stats),
+      sim_(sim),
       radio_(radio),
       params_(params),
       schedule_(schedule),
@@ -102,10 +103,7 @@ TdmaMac::TdmaMac(sim::Simulator& sim, phy::Radio& radio,
     util::Xoshiro256 rng(seed);
     drift_rate_ = rng.uniform(-params_.sync_drift, params_.sync_drift);
   }
-  radio_.callbacks().tx_done = [this] { on_radio_tx_done(); };
-  radio_.callbacks().frame_received = [this](const phy::Frame& f) {
-    on_frame_received(f);
-  };
+  radio_.set_link(this);
   if (is_coordinator_) arm_beacon();
 }
 
@@ -137,10 +135,10 @@ bool TdmaMac::enqueue(net::MessageRef msg, net::NodeId next_hop) {
   BCP_REQUIRE(next_hop == net::kBroadcastNode || next_hop >= 0);
   BCP_REQUIRE(next_hop != radio_.self());
   if (queue_.size() >= params_.max_queue) {
-    ++stats_.queue_drops;
+    ++stats_->queue_drops;
     return false;
   }
-  ++stats_.enqueued;
+  ++stats_->enqueued;
   Outgoing out;
   out.size_bits = msg->size_bits();
   out.msg = std::move(msg);
@@ -206,7 +204,7 @@ void TdmaMac::on_slot_start() {
   // trusted — stay silent, count the skip, keep the clock running so a
   // future beacon picks scheduling back up.
   if (!synced() || pending_superframe_ >= sync_superframe_ + 2) {
-    ++stats_.slots_skipped_unsynced;
+    ++stats_->slots_skipped_unsynced;
     arm_next_slot();
     return;
   }
@@ -249,7 +247,7 @@ void TdmaMac::continue_slot() {
     const util::Seconds air = airtime(current_->size_bits);
     if (air > data_budget_ + 1e-12) {
       // Can never fit in any slot — head-of-line deadlock otherwise.
-      ++stats_.oversize_drops;
+      ++stats_->oversize_drops;
       finish_current(false);
       continue;
     }
@@ -257,7 +255,7 @@ void TdmaMac::continue_slot() {
       end_slot();  // keep the frame for our next slot
       return;
     }
-    ++stats_.tx_attempts;
+    ++stats_->tx_attempts;
     phy::Frame f;
     f.tx_node = radio_.self();
     f.rx_node = current_->next_hop;
@@ -283,16 +281,16 @@ void TdmaMac::finish_current(bool success) {
   Outgoing done = std::move(*current_);
   current_.reset();
   if (success)
-    ++stats_.tx_success;
+    ++stats_->tx_success;
   else
-    ++stats_.tx_failed;
-  if (tx_done_cb_) tx_done_cb_(*done.msg, done.next_hop, success);
+    ++stats_->tx_failed;
+  report_tx_done(*done.msg, done.next_hop, success);
 }
 
 void TdmaMac::on_radio_tx_done() {
   if (tx_is_beacon_) {
     tx_is_beacon_ = false;
-    ++stats_.beacons_sent;
+    ++stats_->beacons_sent;
     if (in_slot_) continue_slot();  // relay beacon done — data follows
     return;
   }
@@ -304,10 +302,10 @@ void TdmaMac::on_radio_tx_done() {
   if (in_slot_) continue_slot();
 }
 
-void TdmaMac::on_frame_received(const phy::Frame& frame) {
+void TdmaMac::on_radio_frame_received(const phy::Frame& frame) {
   if (frame.kind == phy::FrameKind::kBeacon) {
     if (is_coordinator_) return;  // relayed copies of our own schedule
-    ++stats_.beacons_heard;
+    ++stats_->beacons_heard;
     const auto seq = static_cast<std::uint64_t>(frame.mac_seq);
     if (ever_synced_ && seq < sync_superframe_) return;  // stale relay
     ever_synced_ = true;
@@ -318,8 +316,8 @@ void TdmaMac::on_frame_received(const phy::Frame& frame) {
   }
   if (frame.kind != phy::FrameKind::kData) return;
   BCP_ENSURE(frame.message);
-  ++stats_.rx_delivered;  // no retransmissions => no duplicates to filter
-  if (rx_cb_) rx_cb_(*frame.message, frame.tx_node);
+  ++stats_->rx_delivered;  // no retransmissions => no duplicates to filter
+  deliver_up(*frame.message, frame.tx_node);
 }
 
 // ---- teardown ---------------------------------------------------------
@@ -328,14 +326,14 @@ void TdmaMac::flush_queue() {
   util::SlidingQueue<Outgoing> failed;
   failed.swap(queue_);
   if (current_) {
-    ++stats_.tx_failed;
+    ++stats_->tx_failed;
     const Outgoing done = std::move(*current_);
     current_.reset();
-    if (tx_done_cb_) tx_done_cb_(*done.msg, done.next_hop, false);
+    report_tx_done(*done.msg, done.next_hop, false);
   }
   for (auto& out : failed) {
-    ++stats_.tx_failed;
-    if (tx_done_cb_) tx_done_cb_(*out.msg, out.next_hop, false);
+    ++stats_->tx_failed;
+    report_tx_done(*out.msg, out.next_hop, false);
   }
 }
 
@@ -344,8 +342,8 @@ void TdmaMac::reset_on_crash() {
   slot_timer_.cancel();
   in_slot_ = false;
   tx_is_beacon_ = false;
-  ++stats_.crash_resets;
-  stats_.crash_drops +=
+  ++stats_->crash_resets;
+  stats_->crash_drops +=
       static_cast<std::int64_t>(queue_.size()) + (current_ ? 1 : 0);
   current_.reset();
   queue_.clear();

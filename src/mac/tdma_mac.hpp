@@ -61,23 +61,12 @@ struct TdmaSchedule {
 
 class TdmaMac final : public Mac {
  public:
-  /// Base counters plus the schedule-health extras only TDMA has.
-  struct Stats : Mac::Stats {
-    std::int64_t beacons_sent = 0;
-    std::int64_t beacons_heard = 0;
-    /// Slots that passed untransmitted because the last beacon was too old
-    /// (missed-beacon rule) — the node stayed silent rather than risk a
-    /// collision on a schedule it can no longer trust.
-    std::int64_t slots_skipped_unsynced = 0;
-    /// Frames dropped because their airtime exceeds the slot data budget.
-    std::int64_t oversize_drops = 0;
-  };
-
   /// `params` must be resolved (beacon_period > 0; see
   /// TdmaParams::resolved_for). `schedule` is shared and must outlive the
-  /// MAC. `seed` draws the node's clock-drift rate.
+  /// MAC. `seed` draws the node's clock-drift rate. `stats` is the block
+  /// the MAC adds into (see Mac::Stats).
   TdmaMac(sim::Simulator& sim, phy::Radio& radio, const TdmaParams& params,
-          const TdmaSchedule& schedule, std::uint64_t seed);
+          const TdmaSchedule& schedule, std::uint64_t seed, Stats& stats);
 
   bool enqueue(net::MessageRef msg, net::NodeId next_hop) override;
   using Mac::enqueue;
@@ -86,7 +75,6 @@ class TdmaMac final : public Mac {
   std::size_t queue_size() const override {
     return queue_.size() + (current_ ? 1 : 0);
   }
-  const Stats& stats() const override { return stats_; }
   const TdmaParams& params() const { return params_; }
 
   bool is_coordinator() const { return is_coordinator_; }
@@ -112,8 +100,8 @@ class TdmaMac final : public Mac {
   void continue_slot();
   void end_slot();
   void finish_current(bool success);
-  void on_radio_tx_done();
-  void on_frame_received(const phy::Frame& frame);
+  void on_radio_tx_done() override;
+  void on_radio_frame_received(const phy::Frame& frame) override;
   util::Seconds ideal_data_start(std::uint64_t superframe, int slot) const;
   util::Seconds airtime(util::Bits payload_bits) const;
 
@@ -121,7 +109,6 @@ class TdmaMac final : public Mac {
   phy::Radio& radio_;
   TdmaParams params_;
   const TdmaSchedule& schedule_;
-  Stats stats_;
 
   bool is_coordinator_ = false;
   bool relay_ = false;

@@ -48,9 +48,9 @@ void Radio::set_state(RadioState s) {
   meter_.transition(category_of(s), sim_.now());
   // Every power-state change funnels through here, so this one hook is
   // enough for a finite battery to re-arm its depletion event. power_on()
-  // charges its e_wakeup lump before entering kWaking, so the observer
+  // charges its e_wakeup lump before entering kWaking, so the owner
   // always sees the lump already drawn.
-  if (energy_observer_) energy_observer_();
+  if (owner_ != nullptr) owner_->on_radio_energy_changed(*this);
 }
 
 void Radio::power_on() {
@@ -59,7 +59,7 @@ void Radio::power_on() {
   set_state(RadioState::kWaking);
   const auto finish = [this] {
     set_state(RadioState::kIdle);
-    if (callbacks_.wake_complete) callbacks_.wake_complete();
+    if (owner_ != nullptr) owner_->on_radio_wake_complete(*this);
   };
   if (model().t_wakeup <= 0.0) {
     finish();
@@ -104,7 +104,7 @@ void Radio::transmit(const Frame& frame) {
   channel_.start_tx(self_, frame, duration);
   tx_end_event_ = sim_.schedule_in(duration, [this] {
     set_state(RadioState::kIdle);
-    if (callbacks_.tx_done) callbacks_.tx_done();
+    if (link_ != nullptr) link_->on_radio_tx_done();
   });
 }
 
@@ -158,10 +158,10 @@ void Radio::on_rx_end(std::uint64_t tx_id, const Frame& frame, bool clean) {
   set_state(RadioState::kIdle);
   if (!clean) return;
   if (addressed) {
-    if (callbacks_.frame_received) callbacks_.frame_received(frame);
+    if (link_ != nullptr) link_->on_radio_frame_received(frame);
   } else {
     // Only kFull overhearers are still locked at frame end.
-    if (callbacks_.frame_overheard) callbacks_.frame_overheard(frame);
+    if (owner_ != nullptr) owner_->on_radio_frame_overheard(*this, frame);
   }
 }
 

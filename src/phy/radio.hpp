@@ -16,13 +16,16 @@
 //   kHeaderOnly — pay p_rx for the link header, then return to idle (the
 //                 "Sensor-header" model: nodes decode the header, see the
 //                 frame is not theirs, and stop listening);
-//   kFull       — receive the whole frame and surface it via the
-//                 frame_overheard callback (needed for BCP's route-shortcut
+//   kFull       — receive the whole frame and surface it to the owner's
+//                 on_radio_frame_overheard (needed for BCP's route-shortcut
 //                 learning, §3).
+//
+// A radio reports to two observers, each a plain pointer: its link (the
+// MAC: own frame done, clean frame for me) and its owner (the node: wake-up
+// done, frame overheard, energy draw changed). Either may be unset.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "energy/energy_meter.hpp"
 #include "energy/radio_model.hpp"
@@ -45,15 +48,39 @@ const char* to_string(RadioState s);
 
 enum class OverhearMode : std::uint8_t { kNone, kHeaderOnly, kFull };
 
+class Radio;
+
+/// The link layer a radio serves (its MAC).
+class RadioLink {
+ public:
+  /// The radio's own frame finished.
+  virtual void on_radio_tx_done() = 0;
+  /// A clean frame addressed to this node (or broadcast) ended.
+  virtual void on_radio_frame_received(const Frame& frame) = 0;
+
+ protected:
+  ~RadioLink() = default;
+};
+
+/// The node that owns a radio. Every hook names the radio, so one owner
+/// can watch several.
+class RadioOwner {
+ public:
+  /// The off->on transition finished.
+  virtual void on_radio_wake_complete(Radio& radio) = 0;
+  /// A clean frame for another node ended (kFull overhearers only).
+  virtual void on_radio_frame_overheard(Radio& radio, const Frame& frame) = 0;
+  /// The power state changed, and with it the energy draw (the meter has
+  /// already moved to the new category). Finite batteries re-arm their
+  /// depletion event here.
+  virtual void on_radio_energy_changed(Radio& radio) = 0;
+
+ protected:
+  ~RadioOwner() = default;
+};
+
 class Radio final : public ChannelListener {
  public:
-  struct Callbacks {
-    std::function<void()> tx_done;                    ///< own frame finished
-    std::function<void(const Frame&)> frame_received; ///< clean, for me
-    std::function<void(const Frame&)> frame_overheard;///< clean, for others
-    std::function<void()> wake_complete;              ///< off->on finished
-  };
-
   /// `start_on` = true puts the radio straight into kIdle with no wake-up
   /// charge (how the always-on sensor radios start). `model` is shared,
   /// not copied: it must outlive the radio.
@@ -77,7 +104,7 @@ class Radio final : public ChannelListener {
   bool is_on() const { return state_ != RadioState::kOff; }
 
   /// Begins the off->on transition (no-op unless kOff). Charges e_wakeup
-  /// and calls wake_complete after t_wakeup.
+  /// and tells the owner after t_wakeup.
   void power_on();
 
   /// Immediate shutdown. Aborts any reception in progress. Must not be
@@ -86,13 +113,14 @@ class Radio final : public ChannelListener {
 
   /// Crash shutdown: like power_off() but legal mid-transmission — the
   /// in-flight frame is truncated (corrupted for every hearer via
-  /// Channel::abort_tx_of) and tx_done never fires. The owner must reset
-  /// its MAC state alongside; this is the fault-injection path, not a
-  /// protocol-level power-down.
+  /// Channel::abort_tx_of) and the link never hears on_radio_tx_done. The
+  /// owner must reset its MAC state alongside; this is the fault-injection
+  /// path, not a protocol-level power-down.
   void force_off();
 
   /// Puts `frame` on the air. Requires ready(); an in-progress reception
-  /// is abandoned (half-duplex). tx_done fires when the frame ends.
+  /// is abandoned (half-duplex). The link hears on_radio_tx_done when the
+  /// frame ends.
   void transmit(const Frame& frame);
 
   /// Carrier sense, delegated to the channel.
@@ -102,14 +130,11 @@ class Radio final : public ChannelListener {
   const energy::RadioEnergyModel& model() const { return meter_.model(); }
   energy::EnergyMeter& meter() { return meter_; }
   const energy::EnergyMeter& meter() const { return meter_; }
-  Callbacks& callbacks() { return callbacks_; }
 
-  /// Invoked after every power-state change (so after the meter moved to
-  /// the new category). Finite batteries re-arm their depletion event
-  /// here; unset (the default) costs one branch and changes nothing.
-  void set_energy_observer(std::function<void()> observer) {
-    energy_observer_ = std::move(observer);
-  }
+  /// Attach the observers (nullptr detaches). Neither is owned; each must
+  /// outlive the radio while attached.
+  void set_link(RadioLink* link) { link_ = link; }
+  void set_owner(RadioOwner* owner) { owner_ = owner; }
 
   // ChannelListener:
   void on_rx_start(std::uint64_t tx_id, const Frame& frame,
@@ -125,13 +150,13 @@ class Radio final : public ChannelListener {
   Channel& channel_;
   net::NodeId self_;
   OverhearMode overhear_;
-  energy::EnergyMeter meter_;
-  Callbacks callbacks_;
-  std::function<void()> energy_observer_;
-
+  // The one-byte state packs beside self_ instead of padding a word each.
   RadioState state_ = RadioState::kOff;
-  std::uint64_t lock_tx_id_ = 0;     ///< frame we are locked on (0 = none)
   bool lock_addressed_ = false;      ///< locked frame is for us
+  energy::EnergyMeter meter_;
+  RadioLink* link_ = nullptr;
+  RadioOwner* owner_ = nullptr;
+  std::uint64_t lock_tx_id_ = 0;     ///< frame we are locked on (0 = none)
   sim::Simulator::EventHandle wake_event_;
   sim::Simulator::EventHandle header_done_event_;
   sim::Simulator::EventHandle tx_end_event_;

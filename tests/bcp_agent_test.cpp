@@ -118,7 +118,7 @@ class BcpSenderTest : public ::testing::Test {
  protected:
   BcpSenderTest() : host_(sim_, 0) {
     host_.routes[9] = 5;  // destination 9 via high-radio next hop 5
-    agent_ = std::make_unique<BcpAgent>(host_, config_);
+    agent_ = std::make_unique<BcpAgent>(host_, config_, stats_);
     host_.agent = agent_.get();
   }
   void submit_n(int n, net::NodeId dest = 9) {
@@ -128,6 +128,7 @@ class BcpSenderTest : public ::testing::Test {
   sim::Simulator sim_;
   FakeHost host_;
   const BcpConfig config_ = small_config();
+  BcpAgent::Stats stats_;
   std::unique_ptr<BcpAgent> agent_;
 };
 
@@ -337,7 +338,7 @@ class BcpReceiverTest : public ::testing::Test {
  protected:
   BcpReceiverTest() : host_(sim_, 5) {
     host_.routes[9] = 9;  // this node forwards to 9 directly if needed
-    agent_ = std::make_unique<BcpAgent>(host_, config_);
+    agent_ = std::make_unique<BcpAgent>(host_, config_, stats_);
     host_.agent = agent_.get();
   }
   net::Message wakeup(net::NodeId from, std::uint32_t hs, util::Bits burst) {
@@ -364,6 +365,7 @@ class BcpReceiverTest : public ::testing::Test {
   sim::Simulator sim_;
   FakeHost host_;
   const BcpConfig config_ = small_config();
+  BcpAgent::Stats stats_;
   std::unique_ptr<BcpAgent> agent_;
 };
 
@@ -511,7 +513,8 @@ TEST(BcpShortcuts, OverheardForwardingLearnsFartherNextHop) {
   host.routes[9] = 5;
   BcpConfig cfg = small_config();
   cfg.enable_shortcuts = true;
-  BcpAgent agent(host, cfg);
+  BcpAgent::Stats stats;
+  BcpAgent agent(host, cfg, stats);
   host.agent = &agent;
 
   // Node 5 forwards our packets onward to node 7: learn 9 -> 7.
@@ -538,7 +541,8 @@ TEST(BcpShortcuts, IgnoredWhenDisabledOrIrrelevant) {
   FakeHost host(sim, 0);
   host.routes[9] = 5;
   BcpConfig cfg = small_config();  // shortcuts disabled
-  BcpAgent agent(host, cfg);
+  BcpAgent::Stats stats;
+  BcpAgent agent(host, cfg, stats);
   host.agent = &agent;
 
   net::BulkFrame f;
@@ -553,7 +557,8 @@ TEST(BcpShortcuts, IgnoredWhenDisabledOrIrrelevant) {
   cfg2.enable_shortcuts = true;
   FakeHost host2(sim, 0);
   host2.routes[9] = 5;
-  BcpAgent agent2(host2, cfg2);
+  BcpAgent::Stats stats2;
+  BcpAgent agent2(host2, cfg2, stats2);
   net::BulkFrame g;
   g.sender = 5;
   g.receiver = 7;

@@ -82,7 +82,8 @@ TEST(DelayPolicy, UnboundedNeverActsBelowThreshold) {
   Host host(sim, 0);
   host.routes[9] = 5;
   const BcpConfig cfg = policy_config(DelayPolicy::kUnbounded, 5.0);
-  BcpAgent agent(host, cfg);
+  BcpAgent::Stats stats;
+  BcpAgent agent(host, cfg, stats);
   host.agent = &agent;
   agent.submit(pkt(1, 0.0));
   sim.run_until(100.0);
@@ -95,7 +96,8 @@ TEST(DelayPolicy, FlushHighWakesRadioAtDeadline) {
   Host host(sim, 0);
   host.routes[9] = 5;
   const BcpConfig cfg = policy_config(DelayPolicy::kFlushHigh, 5.0);
-  BcpAgent agent(host, cfg);
+  BcpAgent::Stats stats;
+  BcpAgent agent(host, cfg, stats);
   host.agent = &agent;
   agent.submit(pkt(1, 0.0));
   agent.submit(pkt(2, 0.0));
@@ -113,7 +115,8 @@ TEST(DelayPolicy, FlushHighDeadlineMeasuresOldestPacket) {
   Host host(sim, 0);
   host.routes[9] = 5;
   const BcpConfig cfg = policy_config(DelayPolicy::kFlushHigh, 10.0);
-  BcpAgent agent(host, cfg);
+  BcpAgent::Stats stats;
+  BcpAgent agent(host, cfg, stats);
   host.agent = &agent;
   sim.schedule_at(3.0, [&] { agent.submit(pkt(1, 3.0)); });
   sim.run_until(12.9);  // oldest created at 3.0 -> deadline 13.0
@@ -127,7 +130,8 @@ TEST(DelayPolicy, FlushHighRechecksWithoutSpinningWhenSessionActive) {
   Host host(sim, 0);
   host.routes[9] = 5;
   const BcpConfig cfg = policy_config(DelayPolicy::kFlushHigh, 2.0);
-  BcpAgent agent(host, cfg);
+  BcpAgent::Stats stats;
+  BcpAgent agent(host, cfg, stats);
   host.agent = &agent;
   agent.submit(pkt(1, 0.0));
   // No ack ever arrives: the handshake retries inside its own machinery;
@@ -143,7 +147,8 @@ TEST(DelayPolicy, FallbackLowSendsExpiredPacketsOverLowRadio) {
   Host host(sim, 0);
   host.routes[9] = 5;
   const BcpConfig cfg = policy_config(DelayPolicy::kFallbackLow, 5.0);
-  BcpAgent agent(host, cfg);
+  BcpAgent::Stats stats;
+  BcpAgent agent(host, cfg, stats);
   host.agent = &agent;
   agent.submit(pkt(1, 0.0));
   agent.submit(pkt(2, 0.0));
@@ -163,7 +168,8 @@ TEST(DelayPolicy, FallbackLowKeepsUnexpiredPackets) {
   Host host(sim, 0);
   host.routes[9] = 5;
   const BcpConfig cfg = policy_config(DelayPolicy::kFallbackLow, 5.0);
-  BcpAgent agent(host, cfg);
+  BcpAgent::Stats stats;
+  BcpAgent agent(host, cfg, stats);
   host.agent = &agent;
   agent.submit(pkt(1, 0.0));
   sim.schedule_at(4.0, [&] { agent.submit(pkt(2, 4.0)); });
@@ -180,7 +186,8 @@ TEST(DelayPolicy, ThresholdStillPreemptsDeadline) {
   Host host(sim, 0);
   host.routes[9] = 5;
   const BcpConfig cfg = policy_config(DelayPolicy::kFallbackLow, 50.0);
-  BcpAgent agent(host, cfg);
+  BcpAgent::Stats stats;
+  BcpAgent agent(host, cfg, stats);
   host.agent = &agent;
   for (std::uint32_t i = 1; i <= 10; ++i) agent.submit(pkt(i, 0.0));
   // Threshold (10 packets) reached immediately: normal wake-up handshake,

@@ -36,7 +36,7 @@ class DutyCycleTest : public ::testing::Test {
     for (net::NodeId id = 0; id < 2; ++id)
       nodes_.push_back(std::make_unique<DutyCycledWifiNode>(
           sim_, *channel_, *routes_, id, 0, energy::lucent_11mbps(),
-          schedule, 7, &delivery_));
+          schedule, 7, &delivery_, mac_stats_));
   }
   net::DataPacket pkt(std::uint32_t seq) {
     return net::DataPacket{1, 0, seq, util::bytes(32), sim_.now()};
@@ -46,6 +46,7 @@ class DutyCycleTest : public ::testing::Test {
   std::unique_ptr<phy::Channel> channel_;
   std::unique_ptr<net::RoutingTable> routes_;
   DeliverySink delivery_;
+  mac::Mac::Stats mac_stats_;  ///< shared by both nodes' MACs
   std::vector<std::unique_ptr<DutyCycledWifiNode>> nodes_;
   std::vector<net::DataPacket> delivered_;
   double delay_sum_ = 0;
@@ -97,10 +98,11 @@ double idle_world_energy(double duty) {
   DeliverySink delivery;
   delivery.delivered = [](const net::DataPacket&) {};
   delivery.dropped = [](const net::DataPacket&, const char*) {};
+  mac::Mac::Stats mac_stats;
   DutyCycledWifiNode node(sim, channel, routes, 0, 0,
                           energy::lucent_11mbps(),
                           DutyCycledWifiNode::Schedule{1.0, duty}, 7,
-                          &delivery);
+                          &delivery, mac_stats);
   sim.run_until(20.0);
   node.radio().meter().finalize(20.0);
   return node.radio().meter().charged_total(energy::ChargingPolicy::full());
@@ -136,12 +138,12 @@ TEST_F(DutyCycleTest, InvalidScheduleThrows) {
   EXPECT_THROW(DutyCycledWifiNode(sim_, *channel_, *routes_, 0, 0,
                                   energy::lucent_11mbps(),
                                   DutyCycledWifiNode::Schedule{1.0, 0.0}, 1,
-                                  &delivery_),
+                                  &delivery_, mac_stats_),
                std::invalid_argument);
   EXPECT_THROW(DutyCycledWifiNode(sim_, *channel_, *routes_, 0, 0,
                                   energy::lucent_11mbps(),
                                   DutyCycledWifiNode::Schedule{0.0, 0.5}, 1,
-                                  &delivery_),
+                                  &delivery_, mac_stats_),
                std::invalid_argument);
 }
 

@@ -6,10 +6,12 @@
 // measured on x86-64 with libstdc++; a change that grows one has to raise
 // its ceiling on purpose. The values that are identical for every node of
 // a run (radio energy models, the BCP configuration, the MAC parameters)
-// are read in place, and the identity checks below pin that: a node that
+// are read in place, and the counters every node only adds to live in the
+// partition's blocks; the identity checks below pin both: a node that
 // copied one again would hold a different address.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -25,6 +27,7 @@
 #include "phy/channel.hpp"
 #include "phy/radio.hpp"
 #include "sim/simulator.hpp"
+#include "test_hosts.hpp"
 #include "util/units.hpp"
 
 namespace bcp {
@@ -34,12 +37,14 @@ namespace {
 
 TEST(Footprint, PerNodeObjectsStayUnderTheirCeilings) {
   EXPECT_LE(sizeof(sim::Timer), 48u);         // measured 48
-  EXPECT_LE(sizeof(phy::Radio), 384u);        // measured 384
-  EXPECT_LE(sizeof(mac::CsmaCaMac), 456u);    // measured 456
-  EXPECT_LE(sizeof(core::BcpAgent), 544u);    // measured 544
+  EXPECT_LE(sizeof(phy::Radio), 224u);        // measured 224
+  EXPECT_LE(sizeof(mac::CsmaCaMac), 320u);    // measured 320
+  EXPECT_LE(sizeof(core::BcpAgent), 240u);    // measured 240
   // Both CSMA MACs live inline (app::MacSlot), so this is the whole
   // dual-radio assembly apart from buffered traffic.
-  EXPECT_LE(sizeof(app::DualRadioNode), 2336u);  // measured 2336
+  EXPECT_LE(sizeof(app::DualRadioNode), 1456u);  // measured 1456
+  // The sensor and 802.11 models' node: one radio, one inline CSMA MAC.
+  EXPECT_LE(sizeof(app::ForwardingNode), 616u);  // measured 616
 }
 
 // ---- shared constants ------------------------------------------------------
@@ -88,6 +93,24 @@ TEST(Footprint, DualRadioNodesReadRunWideConstantsInPlace) {
   }
 }
 
+TEST(Footprint, DualRadioNodesAddIntoTheirPartitionsCounterBlocks) {
+  const OnePartition p(
+      app::ScenarioConfig::multi_hop(app::EvalModel::kDualRadio, 4, 50));
+  const app::NodeCounters& blocks = p.part.counters();
+  for (std::size_t l = 0; l < 36; ++l) {
+    const app::DualRadioNode& node = p.part.dual_node(l);
+    EXPECT_EQ(&node.sensor_mac().stats(), &blocks.low_mac);
+    EXPECT_EQ(&node.wifi_mac().stats(), &blocks.high_mac);
+    EXPECT_EQ(&node.agent().stats(), &blocks.agent);
+  }
+  // Each block starts its own cache line.
+  for (const void* block :
+       {static_cast<const void*>(&blocks.low_mac),
+        static_cast<const void*>(&blocks.high_mac),
+        static_cast<const void*>(&blocks.agent)})
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(block) % 64, 0u);
+}
+
 TEST(Footprint, EqualRangesShareOneGraphAndRouter) {
   // sh: Mica and Lucent-11 both reach 40 m, so one graph serves both.
   const OnePartition sh(
@@ -126,11 +149,15 @@ TEST(Footprint, DuplicateFilterTracksEachOfFiveNeighbours) {
     radios.push_back(std::make_unique<phy::Radio>(
         sim, channel, id, model, phy::OverhearMode::kNone, true));
   const mac::MacParams params = mac::sensor_mac_params();
-  mac::CsmaCaMac rx(sim, *radios[0], params, 1);
+  mac::Mac::Stats stats;
+  mac::CsmaCaMac rx(sim, *radios[0], params, 1, stats);
   std::vector<std::pair<net::NodeId, std::uint32_t>> delivered;
-  rx.set_rx_callback([&](const net::Message& m, net::NodeId from) {
+  testing_support::FnMacHost host;
+  host.rx = [&](const net::Message& m, net::NodeId from) {
     delivered.emplace_back(from, std::get<net::DataPacket>(m.body).seq);
-  });
+  };
+  rx.set_host(&host);
+  phy::RadioLink& link = rx;  // the radio's view of its MAC
   // A clean unicast data frame from `from` with link sequence `seq`, then
   // the ack it triggers.
   const auto hear = [&](net::NodeId from, std::uint32_t seq) {
@@ -142,7 +169,7 @@ TEST(Footprint, DuplicateFilterTracksEachOfFiveNeighbours) {
     f.payload_bits = util::bytes(32);
     f.header_bits = params.header_bits;
     f.message = data(from, seq);
-    radios[0]->callbacks().frame_received(f);
+    link.on_radio_frame_received(f);
     sim.run();
   };
 

@@ -6,6 +6,7 @@
 // 802.11 at equal offered load.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -69,7 +70,8 @@ struct SensorWorld {
     for (net::NodeId id = 0; id < 2; ++id)
       nodes.push_back(std::make_unique<app::ForwardingNode>(
           sim, channel, routes, id, 0, energy::mica(),
-          phy::OverhearMode::kNone, mac_choice, seed, &delivery));
+          phy::OverhearMode::kNone, mac_choice, seed, &delivery,
+          mac_stats[static_cast<std::size_t>(id)]));
   }
 
   sim::Simulator sim;
@@ -78,6 +80,7 @@ struct SensorWorld {
   app::DeliverySink delivery;
   const app::MacChoice mac_choice{mac::sensor_mac_params(),
                                   mac::MacFamily::kAuto, {}, nullptr};
+  std::array<mac::Mac::Stats, 2> mac_stats;  ///< one block per node
   std::vector<std::unique_ptr<app::ForwardingNode>> nodes;
   int delivered = 0;
   int dropped = 0;
@@ -96,8 +99,7 @@ TEST(Battery, DiesAtTheExactlyComputedDepletionInstant) {
     ++deaths;
     app::crash_node(world.nodes[1].get(), nullptr, nullptr, 1, nullptr);
   });
-  battery.attach(&world.nodes[1]->radio().meter());
-  world.nodes[1]->radio().set_energy_observer([&] { battery.rearm(); });
+  world.nodes[1]->set_battery(battery);
   battery.rearm();
 
   world.sim.run_until(kT - 1e-6);
@@ -127,8 +129,7 @@ TEST(Battery, DeathAndFaultCrashLeaveIdenticalNodeState) {
   energy::Battery battery(by_battery.sim, capacity, [&] {
     app::crash_node(by_battery.nodes[1].get(), nullptr, nullptr, 1, nullptr);
   });
-  battery.attach(&by_battery.nodes[1]->radio().meter());
-  by_battery.nodes[1]->radio().set_energy_observer([&] { battery.rearm(); });
+  by_battery.nodes[1]->set_battery(battery);
   battery.rearm();
 
   SensorWorld by_fault;

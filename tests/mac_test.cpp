@@ -11,6 +11,7 @@
 #include "phy/channel.hpp"
 #include "phy/radio.hpp"
 #include "sim/simulator.hpp"
+#include "test_hosts.hpp"
 
 namespace bcp::mac {
 namespace {
@@ -25,11 +26,19 @@ net::Message data_msg(NodeId src, NodeId dst, std::uint32_t seq = 1) {
   return m;
 }
 
-struct Station {
+struct Station final : MacHost {
   std::unique_ptr<phy::Radio> radio;
+  Mac::Stats stats;
   std::unique_ptr<CsmaCaMac> mac;
   std::vector<net::Message> received;
   std::vector<bool> tx_results;
+
+  void on_mac_rx(Mac&, const net::Message& m, NodeId) override {
+    received.push_back(m);
+  }
+  void on_mac_tx_done(Mac&, const net::Message&, NodeId, bool ok) override {
+    tx_results.push_back(ok);
+  }
 };
 
 class MacTest : public ::testing::Test {
@@ -44,15 +53,11 @@ class MacTest : public ::testing::Test {
       st.radio = std::make_unique<phy::Radio>(sim_, *channel_, i,
                                               energy::micaz(),
                                               phy::OverhearMode::kNone, true);
-      st.mac = std::make_unique<CsmaCaMac>(sim_, *st.radio, params_,
-                                           1000 + static_cast<std::uint64_t>(i));
-      st.mac->set_rx_callback([&st](const net::Message& m, NodeId) {
-        st.received.push_back(m);
-      });
-      st.mac->set_tx_done_callback(
-          [&st](const net::Message&, NodeId, bool ok) {
-            st.tx_results.push_back(ok);
-          });
+      st.stats = Mac::Stats{};
+      st.mac = std::make_unique<CsmaCaMac>(
+          sim_, *st.radio, params_, 1000 + static_cast<std::uint64_t>(i),
+          st.stats);
+      st.mac->set_host(&st);
     }
   }
   sim::Simulator sim_;
@@ -162,9 +167,10 @@ TEST_F(MacTest, QueueFullDropsTail) {
   build(0.0);
   MacParams tiny = sensor_mac_params();
   tiny.max_queue = 2;
-  // A tiny-queue MAC on station 0's radio (replaces its callbacks; fine —
+  // A tiny-queue MAC on station 0's radio (takes over as its link; fine —
   // this test only exercises enqueue admission).
-  CsmaCaMac mac(sim_, *stations_[0].radio, tiny, 5);
+  Mac::Stats stats;
+  CsmaCaMac mac(sim_, *stations_[0].radio, tiny, 5, stats);
   EXPECT_TRUE(mac.enqueue(data_msg(0, 1, 1), 1));
   EXPECT_TRUE(mac.enqueue(data_msg(0, 1, 2), 1));
   EXPECT_FALSE(mac.enqueue(data_msg(0, 1, 3), 1));
@@ -247,10 +253,13 @@ TEST(MacDcf, HighRateTransferIsFast) {
   phy::Radio r1(sim, ch, 1, energy::lucent_11mbps(),
                 phy::OverhearMode::kNone, true);
   const MacParams dcf = dcf_mac_params();
-  CsmaCaMac m0(sim, r0, dcf, 1);
-  CsmaCaMac m1(sim, r1, dcf, 2);
+  Mac::Stats s0, s1;
+  CsmaCaMac m0(sim, r0, dcf, 1, s0);
+  CsmaCaMac m1(sim, r1, dcf, 2, s1);
   int got = 0;
-  m1.set_rx_callback([&](const net::Message&, NodeId) { ++got; });
+  testing_support::FnMacHost host1;
+  host1.rx = [&](const net::Message&, NodeId) { ++got; };
+  m1.set_host(&host1);
   for (std::uint32_t i = 1; i <= 80; ++i) {
     net::Message m;
     m.src = 0;

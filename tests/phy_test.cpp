@@ -12,6 +12,7 @@
 #include "phy/channel.hpp"
 #include "phy/radio.hpp"
 #include "sim/simulator.hpp"
+#include "test_hosts.hpp"
 
 namespace bcp::phy {
 namespace {
@@ -598,7 +599,9 @@ TEST_F(RadioTest, PowerOnTakesWakeupTimeAndChargesLump) {
           false);
   EXPECT_EQ(r.state(), RadioState::kOff);
   bool woke = false;
-  r.callbacks().wake_complete = [&] { woke = true; };
+  testing_support::FnRadioOwner r_owner;
+  r_owner.wake_complete = [&] { woke = true; };
+  r.set_owner(&r_owner);
   r.power_on();
   EXPECT_EQ(r.state(), RadioState::kWaking);
   EXPECT_FALSE(r.ready());
@@ -622,7 +625,9 @@ TEST_F(RadioTest, PowerOffDuringWakeCancelsCompletion) {
   Radio r(sim_, channel_, 0, energy::lucent_11mbps(), OverhearMode::kNone,
           false);
   bool woke = false;
-  r.callbacks().wake_complete = [&] { woke = true; };
+  testing_support::FnRadioOwner r_owner;
+  r_owner.wake_complete = [&] { woke = true; };
+  r.set_owner(&r_owner);
   r.power_on();
   r.power_off();
   sim_.run();
@@ -634,9 +639,13 @@ TEST_F(RadioTest, TransmitDeliversToAddressee) {
   Radio tx(sim_, channel_, 0, energy::micaz(), OverhearMode::kNone, true);
   Radio rx(sim_, channel_, 1, energy::micaz(), OverhearMode::kNone, true);
   int got = 0;
-  rx.callbacks().frame_received = [&](const Frame&) { ++got; };
+  testing_support::FnRadioLink rx_link;
+  rx_link.frame_received = [&](const Frame&) { ++got; };
+  rx.set_link(&rx_link);
   bool tx_done = false;
-  tx.callbacks().tx_done = [&] { tx_done = true; };
+  testing_support::FnRadioLink tx_link;
+  tx_link.tx_done = [&] { tx_done = true; };
+  tx.set_link(&tx_link);
   tx.transmit(make_frame(0, 1));
   EXPECT_EQ(tx.state(), RadioState::kTx);
   sim_.run();
@@ -652,7 +661,9 @@ TEST_F(RadioTest, OffRadioHearsNothing) {
   Radio tx(sim_, channel_, 0, energy::micaz(), OverhearMode::kNone, true);
   Radio rx(sim_, channel_, 1, energy::micaz(), OverhearMode::kNone, false);
   int got = 0;
-  rx.callbacks().frame_received = [&](const Frame&) { ++got; };
+  testing_support::FnRadioLink rx_link;
+  rx_link.frame_received = [&](const Frame&) { ++got; };
+  rx.set_link(&rx_link);
   tx.transmit(make_frame(0, 1));
   sim_.run();
   EXPECT_EQ(got, 0);
@@ -663,7 +674,9 @@ TEST_F(RadioTest, PowerOffMidReceptionAbortsDelivery) {
   Radio tx(sim_, channel_, 0, energy::micaz(), OverhearMode::kNone, true);
   Radio rx(sim_, channel_, 1, energy::micaz(), OverhearMode::kNone, true);
   int got = 0;
-  rx.callbacks().frame_received = [&](const Frame&) { ++got; };
+  testing_support::FnRadioLink rx_link;
+  rx_link.frame_received = [&](const Frame&) { ++got; };
+  rx.set_link(&rx_link);
   tx.transmit(make_frame(0, 1));
   sim_.schedule_at(0.0005, [&] { rx.power_off(); });
   sim_.run();
@@ -685,7 +698,9 @@ TEST_F(RadioTest, OverhearFullPaysWholeFrameAndSurfacesIt) {
   Radio tx(sim_, channel_, 0, energy::micaz(), OverhearMode::kNone, true);
   Radio other(sim_, channel_, 2, energy::micaz(), OverhearMode::kFull, true);
   int overheard = 0;
-  other.callbacks().frame_overheard = [&](const Frame&) { ++overheard; };
+  testing_support::FnRadioOwner other_owner;
+  other_owner.frame_overheard = [&](const Frame&) { ++overheard; };
+  other.set_owner(&other_owner);
   tx.transmit(make_frame(0, 1));
   sim_.run();
   other.meter().finalize(sim_.now());
@@ -700,7 +715,9 @@ TEST_F(RadioTest, OverhearHeaderOnlyPaysJustTheHeader) {
   Radio other(sim_, channel_, 2, energy::micaz(), OverhearMode::kHeaderOnly,
               true);
   int overheard = 0;
-  other.callbacks().frame_overheard = [&](const Frame&) { ++overheard; };
+  testing_support::FnRadioOwner other_owner;
+  other_owner.frame_overheard = [&](const Frame&) { ++overheard; };
+  other.set_owner(&other_owner);
   tx.transmit(make_frame(0, 1));
   sim_.run();
   other.meter().finalize(sim_.now());

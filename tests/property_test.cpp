@@ -24,6 +24,7 @@
 #include "phy/channel.hpp"
 #include "phy/radio.hpp"
 #include "sim/simulator.hpp"
+#include "test_hosts.hpp"
 #include "util/rng.hpp"
 
 namespace bcp {
@@ -122,12 +123,15 @@ TEST_P(MacLossSweep, DeliveryDegradesGracefullyNeverDuplicates) {
   phy::Radio r1(sim, channel, 1, energy::micaz(), phy::OverhearMode::kNone,
                 true);
   const mac::MacParams params = mac::sensor_mac_params();
-  mac::CsmaCaMac m0(sim, r0, params, 1);
-  mac::CsmaCaMac m1(sim, r1, params, 2);
+  mac::Mac::Stats s0, s1;
+  mac::CsmaCaMac m0(sim, r0, params, 1, s0);
+  mac::CsmaCaMac m1(sim, r1, params, 2, s1);
   std::vector<std::uint32_t> delivered;
-  m1.set_rx_callback([&](const net::Message& m, net::NodeId) {
+  testing_support::FnMacHost host1;
+  host1.rx = [&](const net::Message& m, net::NodeId) {
     delivered.push_back(std::get<net::DataPacket>(m.body).seq);
-  });
+  };
+  m1.set_host(&host1);
   const int n = 300;
   for (std::uint32_t i = 1; i <= n; ++i) {
     net::Message msg;

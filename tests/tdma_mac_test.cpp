@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <deque>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "phy/channel.hpp"
 #include "phy/radio.hpp"
 #include "sim/simulator.hpp"
+#include "test_hosts.hpp"
 
 namespace bcp::mac {
 namespace {
@@ -102,10 +104,12 @@ struct Star {
   sim::Simulator sim;
   std::unique_ptr<phy::Channel> channel;
   std::vector<std::unique_ptr<phy::Radio>> radios;
+  std::deque<Mac::Stats> mac_stats;  ///< one block per MAC
   std::vector<std::unique_ptr<TdmaMac>> macs;
   TdmaSchedule schedule;
   TdmaParams params;
   std::vector<net::Message> sink_rx;
+  testing_support::FnMacHost sink_host;
 
   void build(int members, TdmaParams base, std::uint64_t seed0 = 100) {
     std::vector<net::Position> pos{{0, 0}};
@@ -126,11 +130,12 @@ struct Star {
           true));
       macs.push_back(std::make_unique<TdmaMac>(
           sim, *radios.back(), params, schedule,
-          seed0 + static_cast<std::uint64_t>(id)));
+          seed0 + static_cast<std::uint64_t>(id), mac_stats.emplace_back()));
     }
-    macs[0]->set_rx_callback([this](const net::Message& m, NodeId) {
+    sink_host.rx = [this](const net::Message& m, NodeId) {
       sink_rx.push_back(m);
-    });
+    };
+    macs[0]->set_host(&sink_host);
   }
 };
 
@@ -258,10 +263,11 @@ TEST(TdmaMac, OversizeFrameDroppedInsteadOfWedgingTheSlot) {
   star.build(1, tdma_sensor_params());
   // data budget = 13 ms @ 250 kbps ~ 3250 bit; 600 bytes can never fit.
   bool oversize_ok = true;
-  star.macs[1]->set_tx_done_callback(
-      [&](const net::Message&, NodeId, bool ok) {
-        if (!ok) oversize_ok = false;
-      });
+  testing_support::FnMacHost host;
+  host.tx_done = [&](const net::Message&, NodeId, bool ok) {
+    if (!ok) oversize_ok = false;
+  };
+  star.macs[1]->set_host(&host);
   EXPECT_TRUE(star.macs[1]->enqueue(
       data_msg(1, 0, 1, util::bytes(600)), 0));
   EXPECT_TRUE(star.macs[1]->enqueue(data_msg(1, 0, 2), 0));

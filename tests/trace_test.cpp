@@ -71,7 +71,7 @@ BcpConfig tiny() {
 
 class TraceTest : public ::testing::Test {
  protected:
-  TraceTest() : host_(sim_, 0), agent_(host_, config_) {
+  TraceTest() : host_(sim_, 0), agent_(host_, config_, stats_) {
     host_.agent = &agent_;
     agent_.set_observer(&trace_);
   }
@@ -89,6 +89,7 @@ class TraceTest : public ::testing::Test {
   sim::Simulator sim_;
   ScriptHost host_;
   const BcpConfig config_ = tiny();
+  BcpAgent::Stats stats_;
   BcpAgent agent_;
   TraceRecorder trace_;
 };

@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "util/assert.hpp"
+#include "util/flat_map.hpp"
 #include "util/log.hpp"
 #include "util/options.hpp"
 #include "util/rng.hpp"
@@ -222,6 +225,71 @@ TEST(Sysinfo, PeakRssIsPositiveAndMonotone) {
   EXPECT_GT(first, 0.0);  // a running test binary has resident pages
   // ru_maxrss is a high-water mark: it can only grow.
   EXPECT_GE(peak_rss_mib(), first);
+}
+
+TEST(FlatMap, MatchesStdMapUnderRandomInsertEraseFind) {
+  // Differential: every operation on FlatMap and std::map gives the same
+  // answer, and after each step both iterate the same (key, value) pairs
+  // in the same ascending-key order (the determinism contract the BCP
+  // tables rely on).
+  Xoshiro256 rng(20261017);
+  FlatMap<int, int> flat;
+  std::map<int, int> ref;
+  const auto same_contents = [&] {
+    std::vector<std::pair<int, int>> a(flat.begin(), flat.end());
+    std::vector<std::pair<int, int>> b(ref.begin(), ref.end());
+    return a == b;
+  };
+  for (int step = 0; step < 4000; ++step) {
+    const int key = static_cast<int>(rng.uniform_int(64)) - 16;
+    const int value = static_cast<int>(rng.uniform_int(1000));
+    switch (rng.uniform_int(5)) {
+      case 0: {
+        const auto [fit, finserted] = flat.try_emplace(key, value);
+        const auto [rit, rinserted] = ref.emplace(key, value);
+        ASSERT_EQ(finserted, rinserted) << "step " << step;
+        ASSERT_EQ(fit->second, rit->second) << "step " << step;
+        break;
+      }
+      case 1:
+        flat[key] = value;
+        ref[key] = value;
+        break;
+      case 2:
+        ASSERT_EQ(flat.erase(key), ref.erase(key)) << "step " << step;
+        break;
+      case 3: {
+        const auto fit = flat.find(key);
+        const auto rit = ref.find(key);
+        ASSERT_EQ(fit == flat.end(), rit == ref.end()) << "step " << step;
+        if (fit != flat.end()) {
+          ASSERT_EQ(fit->second, rit->second) << "step " << step;
+          // Erase through the iterator too.
+          flat.erase(fit);
+          ref.erase(rit);
+        }
+        break;
+      }
+      default:
+        ASSERT_EQ(flat.count(key), ref.count(key)) << "step " << step;
+        if (step % 500 == 499) {
+          flat.clear();
+          ref.clear();
+        }
+        break;
+    }
+    ASSERT_EQ(flat.size(), ref.size()) << "step " << step;
+    ASSERT_EQ(flat.empty(), ref.empty()) << "step " << step;
+    ASSERT_TRUE(same_contents()) << "step " << step;
+  }
+}
+
+TEST(FlatMap, EmptyMapIsJustOneVector) {
+  FlatMap<int, int> m;
+  EXPECT_EQ(sizeof(m), sizeof(std::vector<std::pair<int, int>>));
+  EXPECT_TRUE(m.empty());
+  EXPECT_EQ(m.find(3), m.end());
+  EXPECT_EQ(m.erase(3), 0u);
 }
 
 }  // namespace
