@@ -37,6 +37,7 @@ DutyCycledWifiNode::DutyCycledWifiNode(
 void DutyCycledWifiNode::set_battery(energy::Battery& battery) {
   battery.attach(&radio_.meter());
   battery_ = &battery;
+  radio_.report_energy_changes(true);
 }
 
 void DutyCycledWifiNode::on_radio_wake_complete(phy::Radio&) {
@@ -48,7 +49,7 @@ void DutyCycledWifiNode::on_radio_wake_complete(phy::Radio&) {
 }
 
 void DutyCycledWifiNode::on_radio_energy_changed(phy::Radio&) {
-  if (battery_ != nullptr) battery_->rearm();
+  battery_->rearm();
 }
 
 void DutyCycledWifiNode::on_mac_tx_done(mac::Mac&, const net::Message& msg,

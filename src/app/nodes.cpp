@@ -48,10 +48,11 @@ ForwardingNode::ForwardingNode(sim::Simulator& sim, phy::Channel& channel,
 void ForwardingNode::set_battery(energy::Battery& battery) {
   battery.attach(&radio_.meter());
   battery_ = &battery;
+  radio_.report_energy_changes(true);
 }
 
 void ForwardingNode::on_radio_energy_changed(phy::Radio&) {
-  if (battery_ != nullptr) battery_->rearm();
+  battery_->rearm();
 }
 
 void ForwardingNode::on_mac_rx(mac::Mac&, const net::Message& msg,
@@ -154,6 +155,8 @@ void DualRadioNode::set_battery(energy::Battery& battery) {
   battery.attach(&low_radio_.meter());
   battery.attach(&high_radio_.meter());
   battery_ = &battery;
+  low_radio_.report_energy_changes(true);
+  high_radio_.report_energy_changes(true);
 }
 
 void DualRadioNode::on_radio_wake_complete(phy::Radio& radio) {
@@ -169,7 +172,7 @@ void DualRadioNode::on_radio_frame_overheard(phy::Radio& radio,
 }
 
 void DualRadioNode::on_radio_energy_changed(phy::Radio&) {
-  if (battery_ != nullptr) battery_->rearm();
+  battery_->rearm();
 }
 
 void DualRadioNode::on_mac_rx(mac::Mac& mac, const net::Message& msg,

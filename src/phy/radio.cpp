@@ -50,7 +50,7 @@ void Radio::set_state(RadioState s) {
   // enough for a finite battery to re-arm its depletion event. power_on()
   // charges its e_wakeup lump before entering kWaking, so the owner
   // always sees the lump already drawn.
-  if (owner_ != nullptr) owner_->on_radio_energy_changed(*this);
+  if (report_energy_) owner_->on_radio_energy_changed(*this);
 }
 
 void Radio::power_on() {

@@ -72,7 +72,8 @@ class RadioOwner {
   virtual void on_radio_frame_overheard(Radio& radio, const Frame& frame) = 0;
   /// The power state changed, and with it the energy draw (the meter has
   /// already moved to the new category). Finite batteries re-arm their
-  /// depletion event here.
+  /// depletion event here. Only called while the radio reports energy
+  /// changes (Radio::report_energy_changes).
   virtual void on_radio_energy_changed(Radio& radio) = 0;
 
  protected:
@@ -135,6 +136,10 @@ class Radio final : public ChannelListener {
   /// outlive the radio while attached.
   void set_link(RadioLink* link) { link_ = link; }
   void set_owner(RadioOwner* owner) { owner_ = owner; }
+  /// Whether every power-state change also reaches the owner's
+  /// on_radio_energy_changed (what a finite battery needs). Off, the
+  /// default, a state change costs one branch here and no call.
+  void report_energy_changes(bool on) { report_energy_ = on; }
 
   // ChannelListener:
   void on_rx_start(std::uint64_t tx_id, const Frame& frame,
@@ -150,9 +155,10 @@ class Radio final : public ChannelListener {
   Channel& channel_;
   net::NodeId self_;
   OverhearMode overhear_;
-  // The one-byte state packs beside self_ instead of padding a word each.
+  // The one-byte fields pack beside self_ instead of padding a word each.
   RadioState state_ = RadioState::kOff;
   bool lock_addressed_ = false;      ///< locked frame is for us
+  bool report_energy_ = false;
   energy::EnergyMeter meter_;
   RadioLink* link_ = nullptr;
   RadioOwner* owner_ = nullptr;

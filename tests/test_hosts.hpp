@@ -1,7 +1,7 @@
 // Lambda-backed stand-ins for the observer seams a node normally fills:
 // mac::MacHost above a MAC, phy::RadioLink and phy::RadioOwner above a
-// radio. A test sets the members it cares about; unset ones (and energy
-// changes, which only batteries need) ignore the event.
+// radio. A test sets the members it cares about; unset ones ignore the
+// event. (Radios report energy changes only when asked, for batteries.)
 #pragma once
 
 #include <functional>
