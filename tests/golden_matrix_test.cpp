@@ -138,6 +138,35 @@ app::ScenarioConfig sharded(app::ScenarioConfig cfg, int shards) {
   return cfg;
 }
 
+/// A 12×12 grid at 40 m spacing with a central sink: 144 nodes, past
+/// net's all-pairs limit, so the single queue routes over the sink-rooted
+/// trees, wake-up acks to non-sink peers included.
+app::ScenarioConfig grid144(app::ScenarioConfig cfg) {
+  net::TopologySpec spec;
+  spec.kind = net::TopologyKind::kGrid;
+  spec.grid_side = 12;
+  spec.area = 40.0 * 11;
+  spec.sink = 6 * 12 + 6;
+  cfg.topology = spec;
+  cfg.n_senders = 12;
+  cfg.duration = 20.0;
+  return cfg;
+}
+
+/// A sink-connected uniform placement of `nodes` nodes. The 128- and
+/// 129-node cells sit on either side of app::kAllPairsNodeLimit, so moving
+/// the route-selection threshold by one node changes one of them.
+app::ScenarioConfig random_nodes(app::ScenarioConfig cfg, int nodes) {
+  net::TopologySpec spec;
+  spec.kind = net::TopologyKind::kUniformRandom;
+  spec.nodes = nodes;
+  spec.area = 300.0;
+  cfg.topology = net::first_connected(spec, cfg.sensor_radio.range);
+  cfg.n_senders = 12;
+  cfg.duration = 20.0;
+  return cfg;
+}
+
 struct Cell {
   const char* name;
   const char* digest;
@@ -173,6 +202,12 @@ std::vector<Cell> cells() {
          cfg.routing = app::RoutingMode::kConvergecast;
          return cfg;
        }},
+      {"mh_dual_grid144", "31d6cd2501a4cb48",
+       [] { return grid144(mh(EvalModel::kDualRadio)); }},
+      {"mh_dual_random128", "436aa9e1d6516abe",
+       [] { return random_nodes(mh(EvalModel::kDualRadio), 128); }},
+      {"mh_dual_random129", "d481adb12d6a1535",
+       [] { return random_nodes(mh(EvalModel::kDualRadio), 129); }},
       {"mh_dual_lossy", "ce3009070dc5095c",
        [] { return lossy(mh(EvalModel::kDualRadio)); }},
       {"mh_dual_capture", "c1b07a9fb18f1af4",
