@@ -15,7 +15,7 @@
 // senders) plus TDMA schedule-health counters, then per-pair goodput and
 // energy deltas. Writes BENCH_tdma.json; its meta block records the
 // resolved family and slot/guard/beacon/drift knobs (emitted only for
-// non-kAuto runs — the conditional-meta contract).
+// TDMA runs — the conditional-meta contract).
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
   // Run-identity metadata from a config the TDMA cells actually ran: the
   // family and slot/guard/beacon/drift knobs (conditional keys). The meta
   // block is file-level, so `meta_variant` names the cell these identity
-  // keys describe — the CSMA half of every pair ran the kAuto default, as
+  // keys describe — the CSMA half of every pair ran the CSMA/CA default, as
   // the cell labels say.
   sink.set_meta("meta_variant", "tdma-mh/sensor");
   set_scenario_meta(sink,

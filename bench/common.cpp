@@ -81,11 +81,9 @@ void set_scenario_meta(stats::ResultSink& sink,
   // Channel-model and fault-plan identity — emitted only when the run
   // departs from the default (UnitDisc, no faults), so the historical
   // fig01–fig12/table1 exports stay byte-identical.
-  if (!config.propagation.is_unit_disc()) {
-    sink.set_meta("propagation",
-                  phy::to_string(config.propagation.resolved()));
-    if (config.propagation.resolved() ==
-        phy::PropagationKind::kLogDistance) {
+  if (config.propagation.kind != phy::PropagationKind::kUnitDisc) {
+    sink.set_meta("propagation", phy::to_string(config.propagation.kind));
+    if (config.propagation.kind == phy::PropagationKind::kLogDistance) {
       sink.set_meta("path_loss_exponent",
                     config.propagation.path_loss_exponent);
       sink.set_meta("shadowing_sigma_db",
@@ -116,12 +114,11 @@ void set_scenario_meta(stats::ResultSink& sink,
                   config.sensor_radio.noise_floor_dbm);
     sink.set_meta("wifi_noise_floor_dbm", config.wifi_radio.noise_floor_dbm);
   }
-  // MAC-family identity — only when a radio class departs from the kAuto
-  // (historical CSMA/CA) default, keeping every CSMA export byte-identical.
+  // MAC-family identity — only when a radio class departs from the CSMA/CA
+  // default, keeping every CSMA export byte-identical.
   const auto mac_meta = [&sink](const char* radio, const mac::MacSpec& spec) {
-    if (spec.family == mac::MacFamily::kAuto) return;
-    sink.set_meta(std::string(radio) + "_mac", mac::to_string(spec.family));
     if (!spec.is_tdma()) return;
+    sink.set_meta(std::string(radio) + "_mac", mac::to_string(spec.family));
     // Zeros mean "class defaults" (resolved per-run against the schedule);
     // emit them as-is so the spec is reproducible from the meta.
     sink.set_meta(std::string(radio) + "_tdma_slot_s", spec.tdma.slot_len);

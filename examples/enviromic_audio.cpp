@@ -56,27 +56,24 @@ int main(int argc, char** argv) {
                         util::bytes(32));
 
   std::int64_t delivered = 0;
-  std::int64_t dropped = 0;
   std::vector<double> delays;
   app::DeliverySink sink;
   sink.delivered = [&](const net::DataPacket& p) {
     ++delivered;
     delays.push_back(simulator.now() - p.created_at);
   };
-  sink.dropped = [&](const net::DataPacket&, const char*) { ++dropped; };
 
   const app::MacChoice low_mac{mac::sensor_mac_params(),
-                               mac::MacFamily::kAuto, {}, nullptr};
-  const app::MacChoice high_mac{mac::dcf_mac_params(), mac::MacFamily::kAuto,
-                                {}, nullptr};
+                               mac::MacFamily::kCsmaCa, {}, nullptr};
+  const app::MacChoice high_mac{mac::dcf_mac_params(),
+                                mac::MacFamily::kCsmaCa, {}, nullptr};
   app::NodeCounters counters;  // every node's MACs and agent add into it
   std::vector<std::unique_ptr<app::DualRadioNode>> nodes;
   for (net::NodeId id = 0; id < topo.node_count(); ++id)
     nodes.push_back(std::make_unique<app::DualRadioNode>(
         simulator, low_ch, high_ch, low_routes, high_routes, id,
-        energy::mica(), energy::cabletron_2mbps(), bcp,
-        phy::OverhearMode::kFull, seed, &sink, low_mac, high_mac,
-        counters));
+        energy::mica(), energy::cabletron_2mbps(), bcp, seed, &sink,
+        low_mac, high_mac, counters));
 
   // Microphones on the nodes farthest from the sink talk in exponential
   // on/off bursts at 8 kbit/s.
@@ -113,6 +110,12 @@ int main(int argc, char** argv) {
         energy::ChargingPolicy::full());
   }
 
+  // Nodes count their losses in the sink's block, BCP agents in theirs.
+  const app::DeliverySink::Drops& drops = sink.drops;
+  const std::int64_t dropped = drops.queue_full + drops.mac_failed +
+                               drops.no_route + drops.node_down +
+                               counters.agent.packets_dropped_buffer_full +
+                               counters.agent.packets_dropped_no_route;
   std::printf("audio packets: generated %lld, delivered %lld, dropped %lld "
               "(%.1f%% goodput)\n",
               static_cast<long long>(generated),

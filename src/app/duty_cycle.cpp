@@ -54,8 +54,7 @@ void DutyCycledWifiNode::on_radio_energy_changed(phy::Radio&) {
 
 void DutyCycledWifiNode::on_mac_tx_done(mac::Mac&, const net::Message& msg,
                                         net::NodeId, bool success) {
-  if (!success && msg.is_data())
-    delivery_->dropped(std::get<net::DataPacket>(msg.body), "mac-failed");
+  if (!success && msg.is_data()) ++delivery_->drops.mac_failed;
   if (awaiting_quiesce_ && mac_.idle()) on_window_close();
 }
 
@@ -76,7 +75,7 @@ void DutyCycledWifiNode::crash() {
 
 void DutyCycledWifiNode::send(const net::DataPacket& packet) {
   if (!up_) {
-    delivery_->dropped(packet, "node-down");
+    ++delivery_->drops.node_down;
     return;
   }
   net::Message msg;
@@ -131,14 +130,11 @@ void DutyCycledWifiNode::pump() {
 void DutyCycledWifiNode::forward(const net::Message& msg) {
   const net::NodeId next = routes_.next_hop(self_, msg.dst);
   if (next == net::kInvalidNode) {
-    if (msg.is_data())
-      delivery_->dropped(std::get<net::DataPacket>(msg.body), "no-route");
+    if (msg.is_data()) ++delivery_->drops.no_route;
     return;
   }
-  if (!mac_.enqueue(msg, next)) {
-    if (msg.is_data())
-      delivery_->dropped(std::get<net::DataPacket>(msg.body), "queue-full");
-  }
+  if (!mac_.enqueue(msg, next) && msg.is_data())
+    ++delivery_->drops.queue_full;
 }
 
 void DutyCycledWifiNode::on_mac_rx(mac::Mac&, const net::Message& msg,

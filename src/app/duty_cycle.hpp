@@ -41,8 +41,8 @@ class DutyCycledWifiNode final : private phy::RadioOwner,
                      DeliverySink* delivery, mac::Mac::Stats& mac_stats);
 
   /// Entry point for locally generated packets; queued until the next
-  /// on-window. While the node is down, packets are dropped with reason
-  /// "node-down".
+  /// on-window. While the node is down, packets are dropped and counted
+  /// as node-down.
   void send(const net::DataPacket& packet);
 
   /// Battery-death teardown (duty nodes never appear in fault plans, so

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "app/duty_cycle.hpp"
 #include "energy/battery.hpp"
 #include "mac/mac_params.hpp"
 #include "util/assert.hpp"
@@ -62,13 +61,12 @@ void ForwardingNode::on_mac_rx(mac::Mac&, const net::Message& msg,
 
 void ForwardingNode::on_mac_tx_done(mac::Mac&, const net::Message& msg,
                                     net::NodeId, bool success) {
-  if (!success && msg.is_data())
-    delivery_->dropped(std::get<net::DataPacket>(msg.body), "mac-failed");
+  if (!success && msg.is_data()) ++delivery_->drops.mac_failed;
 }
 
 void ForwardingNode::send(const net::DataPacket& packet) {
   if (!up_) {
-    delivery_->dropped(packet, "node-down");
+    ++delivery_->drops.node_down;
     return;
   }
   net::Message msg;
@@ -99,14 +97,11 @@ void ForwardingNode::forward(const net::Message& msg) {
   }
   const net::NodeId next = routes_.next_hop(self_, msg.dst);
   if (next == net::kInvalidNode) {
-    if (msg.is_data())
-      delivery_->dropped(std::get<net::DataPacket>(msg.body), "no-route");
+    if (msg.is_data()) ++delivery_->drops.no_route;
     return;
   }
-  if (!mac().enqueue(msg, next)) {
-    if (msg.is_data())
-      delivery_->dropped(std::get<net::DataPacket>(msg.body), "queue-full");
-  }
+  if (!mac().enqueue(msg, next) && msg.is_data())
+    ++delivery_->drops.queue_full;
 }
 
 // ----------------------------------------------------------- DualRadioNode
@@ -116,8 +111,7 @@ DualRadioNode::DualRadioNode(
     const net::Router& low_routes, const net::Router& high_routes,
     net::NodeId self, const energy::RadioEnergyModel& sensor_model,
     const energy::RadioEnergyModel& wifi_model,
-    const core::BcpConfig& bcp_config, phy::OverhearMode wifi_overhear,
-    std::uint64_t seed, DeliverySink* delivery, const MacChoice& low_mac,
+    const core::BcpConfig& bcp_config, std::uint64_t seed, DeliverySink* delivery, const MacChoice& low_mac,
     const MacChoice& high_mac, NodeCounters& counters)
     : sim_(sim),
       high_channel_(high_channel),
@@ -131,8 +125,8 @@ DualRadioNode::DualRadioNode(
       // powers it per session.
       low_radio_(sim, low_channel, self, sensor_model,
                  phy::OverhearMode::kHeaderOnly, /*start_on=*/true),
-      high_radio_(sim, high_channel, self, wifi_model, wifi_overhear,
-                  /*start_on=*/false),
+      high_radio_(sim, high_channel, self, wifi_model,
+                  phy::OverhearMode::kFull, /*start_on=*/false),
       low_mac_(make_mac(sim, low_radio_, low_mac,
                         util::substream(seed,
                                         static_cast<std::uint64_t>(self),
@@ -188,8 +182,7 @@ void DualRadioNode::on_mac_tx_done(mac::Mac& mac, const net::Message& msg,
   if (&mac == &sensor_mac()) {
     // Only data rides the low radio when the kFallbackLow delay policy is
     // active; account its link-layer losses like the forwarding models do.
-    if (!success && msg.is_data())
-      delivery_->dropped(std::get<net::DataPacket>(msg.body), "mac-failed");
+    if (!success && msg.is_data()) ++delivery_->drops.mac_failed;
     return;
   }
   BCP_ENSURE_MSG(!high_done_.empty(),
@@ -201,7 +194,7 @@ void DualRadioNode::on_mac_tx_done(mac::Mac& mac, const net::Message& msg,
 
 void DualRadioNode::send(const net::DataPacket& packet) {
   if (!up_) {
-    delivery_->dropped(packet, "node-down");
+    ++delivery_->drops.node_down;
     return;
   }
   agent_.submit(packet);
@@ -302,11 +295,6 @@ void DualRadioNode::deliver(const net::DataPacket& packet) {
   delivery_->delivered(packet);
 }
 
-void DualRadioNode::packet_dropped(const net::DataPacket& packet,
-                                   const char* reason) {
-  delivery_->dropped(packet, reason);
-}
-
 void DualRadioNode::on_low_rx(const net::Message& msg) {
   if (msg.dst == self_) {
     agent_.on_low_message(msg);
@@ -324,18 +312,6 @@ void DualRadioNode::on_high_rx(const net::Message& msg) {
   }
   // Anything else over the high radio is ignored: BCP only ships bulk
   // frames there.
-}
-
-void crash_node(ForwardingNode* fwd, DualRadioNode* dual,
-                DutyCycledWifiNode* duty, net::NodeId node,
-                net::LinkState* links) {
-  BCP_REQUIRE_MSG((fwd != nullptr) + (dual != nullptr) + (duty != nullptr) ==
-                      1,
-                  "crash_node takes exactly one node assembly");
-  if (fwd != nullptr) fwd->crash();
-  if (dual != nullptr) dual->crash();
-  if (duty != nullptr) duty->crash();
-  if (links != nullptr) links->set_node_up(node, false);
 }
 
 }  // namespace bcp::app

@@ -36,8 +36,6 @@ class Battery;
 
 namespace bcp::app {
 
-class DutyCycledWifiNode;
-
 /// The counter blocks the nodes of one scenario partition add into: one
 /// MAC block per radio class and one BCP-agent block. Every counter is an
 /// integer the run only ever sums, so one shared block yields the same
@@ -49,21 +47,29 @@ struct NodeCounters {
   alignas(64) core::BcpAgent::Stats agent;
 };
 
-/// Where delivered packets and drop notices end up (owned by the scenario).
+/// Where delivered packets end up and where nodes count the data packets
+/// they lose (owned by the scenario). BCP's own losses (buffer full, no
+/// route at the agent) are counted in the agent's stats block instead.
 struct DeliverySink {
+  struct Drops {
+    std::int64_t queue_full = 0;  ///< MAC queue refused the packet
+    std::int64_t mac_failed = 0;  ///< link-layer retries exhausted
+    std::int64_t no_route = 0;    ///< no next hop toward the sink
+    std::int64_t node_down = 0;   ///< generated while the node was crashed
+  };
   std::function<void(const net::DataPacket&)> delivered;
-  std::function<void(const net::DataPacket&, const char*)> dropped;
+  Drops drops;
 };
 
 /// Which concrete MAC a node assembly instantiates behind the mac::Mac
-/// seam. The kAuto family with the class MacParams is the historical
+/// seam. The kCsmaCa family with the class MacParams is the historical
 /// CSMA/CA engine, bit-for-bit. A kTdma choice needs resolved TdmaParams
 /// and a schedule. The choice is shared by every node of its radio class
 /// and read in place (CSMA MACs keep a reference to `csma`), so it must
 /// outlive the nodes built from it; the scenario owns it.
 struct MacChoice {
   mac::MacParams csma;
-  mac::MacFamily family = mac::MacFamily::kAuto;
+  mac::MacFamily family = mac::MacFamily::kCsmaCa;
   mac::TdmaParams tdma;
   const mac::TdmaSchedule* schedule = nullptr;
 };
@@ -106,7 +112,7 @@ class ForwardingNode final : private phy::RadioOwner, private mac::MacHost {
                  mac::Mac::Stats& mac_stats);
 
   /// Entry point for locally generated packets. While the node is down,
-  /// packets are dropped with reason "node-down".
+  /// packets are dropped and counted as node-down.
   void send(const net::DataPacket& packet);
 
   /// Fault injection: crash kills the radio mid-whatever (cancelling all
@@ -154,7 +160,9 @@ class ForwardingNode final : private phy::RadioOwner, private mac::MacHost {
 };
 
 /// Dual-radio node: sensor radio + CSMA MAC for control, 802.11 radio +
-/// DCF MAC for bulk data, and a BcpAgent in between. Both radio models,
+/// DCF MAC for bulk data, and a BcpAgent in between. The 802.11 radio
+/// overhears full frames, for faithful E_o^H charging and for BCP's
+/// shortcut learning. Both radio models,
 /// `bcp_config`, both MacChoices and the `counters` the MACs and agent add
 /// into are read in place and must outlive the node.
 class DualRadioNode final : public core::BcpHost,
@@ -166,13 +174,12 @@ class DualRadioNode final : public core::BcpHost,
                 const net::Router& high_routes, net::NodeId self,
                 const energy::RadioEnergyModel& sensor_model,
                 const energy::RadioEnergyModel& wifi_model,
-                const core::BcpConfig& bcp_config,
-                phy::OverhearMode wifi_overhear, std::uint64_t seed,
+                const core::BcpConfig& bcp_config, std::uint64_t seed,
                 DeliverySink* delivery, const MacChoice& low_mac,
                 const MacChoice& high_mac, NodeCounters& counters);
 
   /// Entry point for locally generated packets (goes through BCP). While
-  /// the node is down, packets are dropped with reason "node-down".
+  /// the node is down, packets are dropped and counted as node-down.
   void send(const net::DataPacket& packet);
 
   /// Fault injection: crash cancels every pending BCP host timer and MAC
@@ -215,8 +222,6 @@ class DualRadioNode final : public core::BcpHost,
   net::NodeId high_next_hop(net::NodeId dest) const override;
   bool high_link_exists(net::NodeId peer) const override;
   void deliver(const net::DataPacket& packet) override;
-  void packet_dropped(const net::DataPacket& packet,
-                      const char* reason) override;
 
  private:
   void on_low_rx(const net::Message& msg);
@@ -253,15 +258,5 @@ class DualRadioNode final : public core::BcpHost,
   /// MAC's single queue.
   util::SlidingQueue<core::BcpHost::SendDone> high_done_;
 };
-
-/// The one crash teardown shared by fault-plan crashes and battery
-/// deaths: crash the node assembly (exactly one of `fwd`/`dual`/`duty`
-/// is non-null — whichever the scenario's evaluation model built for
-/// `node`) and, when `links` is non-null, take the node down there so
-/// channels stop delivering to it and routing re-converges. Idempotent,
-/// like the crash() members it funnels into.
-void crash_node(ForwardingNode* fwd, DualRadioNode* dual,
-                DutyCycledWifiNode* duty, net::NodeId node,
-                net::LinkState* links);
 
 }  // namespace bcp::app

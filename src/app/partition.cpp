@@ -1,7 +1,6 @@
 #include "app/partition.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <string>
 #include <utility>
 
@@ -35,20 +34,6 @@ double on_seconds(const energy::EnergyMeter& meter) {
 double per_kbit(util::Joules e, util::Bits delivered_bits) {
   if (delivered_bits <= 0) return 0.0;
   return e / (static_cast<double>(delivered_bits) / 1000.0);
-}
-
-/// Maps a DeliverySink drop reason onto its RunMetrics counter.
-void classify_drop(RunMetrics& m, const char* reason) {
-  if (std::strcmp(reason, "buffer-full") == 0)
-    ++m.dropped_buffer;
-  else if (std::strcmp(reason, "queue-full") == 0)
-    ++m.dropped_queue;
-  else if (std::strcmp(reason, "mac-failed") == 0)
-    ++m.dropped_mac;
-  else if (std::strcmp(reason, "node-down") == 0)
-    ++m.dropped_node_down;
-  else
-    ++m.dropped_no_route;
 }
 
 /// The seed-determined sender subset (sorted node ids, sink excluded).
@@ -130,9 +115,7 @@ SharedNet::SharedNet(const ScenarioConfig& cfg, int partitions)
       n(topo.node_count()),
       map(phy::ShardMap::stripes(topo.positions, partitions)),
       has_links(!cfg.faults.empty() || cfg.battery.enabled),
-      all_pairs(cfg.routing == RoutingMode::kAllPairs ||
-                (cfg.routing == RoutingMode::kAuto &&
-                 n <= kAllPairsNodeLimit)),
+      all_pairs(n <= kAllPairsNodeLimit),
       senders(pick_senders(cfg.seed, n, sink, cfg.n_senders)),
       bcp(cfg.bcp) {
   bcp.set_burst_packets(cfg.burst_packets, cfg.packet_bits);
@@ -212,9 +195,6 @@ void Partition::build(const SharedNet& net, int shard, sim::Simulator& sim,
   delivery_.delivered = [this](const net::DataPacket& p) {
     ++m.delivered;
     delay_sum += sim_->now() - p.created_at;
-  };
-  delivery_.dropped = [this](const net::DataPacket&, const char* reason) {
-    classify_drop(m, reason);
   };
   const std::vector<net::NodeId>& ids = net.map.owned_nodes(shard);
   const std::size_t owned = ids.size();
@@ -305,14 +285,12 @@ void Partition::build(const SharedNet& net, int shard, sim::Simulator& sim,
       low_mac_ = resolve(config.sensor_mac, mac::sensor_mac_params(),
                          mac::tdma_sensor_params(), *low_r,
                          config.sensor_radio.rate, low_schedule_);
-      high_mac_ = MacChoice{mac::dcf_mac_params(), mac::MacFamily::kAuto, {},
-                            nullptr};
+      high_mac_ = MacChoice{mac::dcf_mac_params(), mac::MacFamily::kCsmaCa,
+                            {}, nullptr};
       dual_ = std::vector<std::optional<DualRadioNode>>(owned);
       for (std::size_t l = 0; l < owned; ++l)
         dual_[l].emplace(sim, *low, *high, *low_r, *high_r, ids[l],
                          config.sensor_radio, config.wifi_radio, net.bcp,
-                         config.wifi_promiscuous ? phy::OverhearMode::kFull
-                                                 : phy::OverhearMode::kNone,
                          config.seed, &delivery_, low_mac_, high_mac_,
                          counters_);
       break;
@@ -380,10 +358,13 @@ void Partition::build(const SharedNet& net, int shard, sim::Simulator& sim,
 }
 
 void Partition::crash(std::size_t local, net::NodeId node) {
-  crash_node(fwd_.empty() ? nullptr : &*fwd_[local],
-             dual_.empty() ? nullptr : &*dual_[local],
-             duty_.empty() ? nullptr : &*duty_[local], node,
-             links ? &*links : nullptr);
+  if (!fwd_.empty())
+    fwd_[local]->crash();
+  else if (!duty_.empty())
+    duty_[local]->crash();
+  else
+    dual_[local]->crash();
+  if (links) links->set_node_up(node, false);
 }
 
 void Partition::publish(net::MembershipDelta::Kind kind, net::NodeId node,
@@ -477,6 +458,12 @@ void Partition::collect(util::Seconds end) {
     m.mac_tx_failed += counters_.high_mac.tx_failed;
   }
   add_agent_stats(m, counters_.agent);
+  m.dropped_buffer += counters_.agent.packets_dropped_buffer_full;
+  m.dropped_queue += delivery_.drops.queue_full;
+  m.dropped_mac += delivery_.drops.mac_failed;
+  m.dropped_no_route +=
+      delivery_.drops.no_route + counters_.agent.packets_dropped_no_route;
+  m.dropped_node_down += delivery_.drops.node_down;
   for (const auto& battery : batteries) {
     if (battery == nullptr) continue;
     m.battery_max_drawn_fraction = std::max(

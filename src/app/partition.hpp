@@ -69,6 +69,8 @@ struct SharedNet {
   phy::ShardMap map;
   /// Fault plans and finite batteries both change membership mid-run.
   bool has_links;
+  /// Dense all-pairs tables up to kAllPairsNodeLimit nodes, sink-rooted
+  /// trees beyond.
   bool all_pairs;
   RadioClass low;   ///< sensor radio
   RadioClass high;  ///< 802.11 radio
@@ -144,6 +146,9 @@ class Partition {
   const NodeCounters& counters() const { return counters_; }
 
  private:
+  /// The one crash teardown of fault-plan crashes and battery deaths:
+  /// crashes the owned node and, on membership runs, takes it down in
+  /// `links` so channels stop delivering to it and routing re-converges.
   void crash(std::size_t local, net::NodeId node);
   void on_battery_death(net::NodeId node);
   void apply_fault(const sim::FaultEvent& ev);

@@ -41,19 +41,12 @@ enum class EvalModel { kSensor, kWifi, kWifiDutyCycled, kDualRadio };
 
 const char* to_string(EvalModel m);
 
-/// How the static routes are materialized.
-///
-///   kAllPairs     — the historical dense n×n shortest-path tables;
-///                   control traffic follows graph-shortest paths. O(n²)
-///                   memory and O(n·e) build — small networks only.
-///   kConvergecast — one sink-rooted tree per radio, O(n) memory and
-///                   O(n + e) build; non-sink control destinations follow
-///                   tree paths. The large-network scale path.
-///   kAuto         — kAllPairs up to kAllPairsNodeLimit nodes (keeping
-///                   the paper-grid results bit-for-bit identical to the
-///                   historical tables), kConvergecast beyond.
-enum class RoutingMode { kAuto, kAllPairs, kConvergecast };
-
+/// How the routes are materialized follows from the node count. Up to
+/// this many nodes, the historical dense n×n shortest-path tables (O(n²)
+/// memory, O(n·e) build; control traffic follows graph-shortest paths),
+/// which keeps the paper-grid results bit-for-bit. Beyond it, one
+/// sink-rooted tree per radio (O(n) memory, O(n + e) build; non-sink
+/// control destinations follow tree paths).
 constexpr int kAllPairsNodeLimit = 128;
 
 struct ScenarioConfig {
@@ -65,9 +58,6 @@ struct ScenarioConfig {
   // node from the sink — run_scenario rejects a disconnected placement
   // with an error naming the stranded nodes.
   net::TopologySpec topology;
-
-  /// Route materialization; see RoutingMode.
-  RoutingMode routing = RoutingMode::kAuto;
 
   // Workload: n senders, CBR at rate_bps each, 32 B packets.
   int n_senders = 10;
@@ -90,15 +80,12 @@ struct ScenarioConfig {
   // BCP parameters; burst_threshold is overwritten from burst_packets.
   core::BcpConfig bcp;
   int burst_packets = 500;  ///< α-s* in packets (§4.1: 10..2500)
-  /// 802.11 radios overhear promiscuously (full frames) — needed both for
-  /// faithful E_o^H charging and for shortcut learning.
-  bool wifi_promiscuous = true;
 
   util::Seconds duration = 5000.0;
   std::uint64_t seed = 1;
   double frame_loss_prob = 0.0;  ///< extra Bernoulli loss on both channels
 
-  /// Link-quality model applied to both channels (kAuto → UnitDisc, the
+  /// Link-quality model applied to both channels (default UnitDisc, the
   /// historical idealized channel — bit-for-bit, so every fig01–fig12
   /// export is unchanged by default). frame_loss_prob composes with the
   /// model's per-link PER as an independent loss.
@@ -114,7 +101,7 @@ struct ScenarioConfig {
   bool capture_enabled = false;
   double capture_threshold_db = 10.0;
 
-  /// MAC family per radio class (default kAuto = the historical CSMA/CA
+  /// MAC family per radio class (default kCsmaCa = the historical CSMA/CA
   /// engine with the class MacParams — byte-identical figure exports).
   /// kTdma swaps in the sink-coordinated slotted MAC, its slot schedule
   /// derived from that radio's convergecast tree; all-zero TdmaParams

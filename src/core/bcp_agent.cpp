@@ -89,13 +89,11 @@ void BcpAgent::submit(net::DataPacket packet) {
   const net::NodeId next_hop = route_next_hop(packet.destination);
   if (next_hop == net::kInvalidNode) {
     ++stats_->packets_dropped_no_route;
-    host_.packet_dropped(packet, "no-route");
     return;
   }
   BCP_ENSURE(next_hop != host_.self());
   if (!buffer_.push(next_hop, packet)) {
     ++stats_->packets_dropped_buffer_full;
-    host_.packet_dropped(packet, "buffer-full");
     return;
   }
   ++stats_->packets_buffered;

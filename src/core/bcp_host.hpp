@@ -72,12 +72,9 @@ class BcpHost {
     return true;
   }
 
-  /// A data packet reached its final destination at this node.
+  /// A data packet reached its final destination at this node. Losses
+  /// are counted in BcpAgent::Stats, not reported to the host.
   virtual void deliver(const net::DataPacket& packet) = 0;
-
-  /// A data packet was lost at this node (buffer full, no route, ...).
-  virtual void packet_dropped(const net::DataPacket& packet,
-                              const char* reason) = 0;
 };
 
 }  // namespace bcp::core

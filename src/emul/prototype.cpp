@@ -212,8 +212,6 @@ class EmulNode final : public core::BcpHost {
     deliver_(packet);
   }
 
-  void packet_dropped(const net::DataPacket&, const char*) override {}
-
  private:
   sim::Simulator& sim_;
   net::NodeId self_;

@@ -9,9 +9,10 @@
 // battery from Radio's energy observer whenever a radio changes state.
 //
 // Depletion fires `on_depleted` once; the owner routes that into the same
-// crash teardown fault plans use (app::crash_node), and the death is
-// unrecoverable. Wake-up lump charges are indivisible, so a node that dies
-// mid-wakeup can overshoot its budget by at most one e_wakeup lump.
+// crash teardown fault plans use (app::detail::Partition::crash), and the
+// death is unrecoverable. Wake-up lump charges are indivisible, so a node
+// that dies mid-wakeup can overshoot its budget by at most one e_wakeup
+// lump.
 #pragma once
 
 #include <array>

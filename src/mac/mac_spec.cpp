@@ -8,7 +8,6 @@ namespace bcp::mac {
 
 const char* to_string(MacFamily f) {
   switch (f) {
-    case MacFamily::kAuto:   return "auto";
     case MacFamily::kCsmaCa: return "csma-ca";
     case MacFamily::kTdma:   return "tdma";
   }

@@ -1,8 +1,8 @@
 // Which MAC family a scenario runs per radio class, plus the TDMA knobs.
 //
 // MacSpec rides inside app::ScenarioConfig (one per radio class). The
-// default — kAuto — resolves to the historical CSMA/CA engine with the
-// exact per-class MacParams the figure pipeline has always used, so every
+// default — kCsmaCa — is the historical CSMA/CA engine with the exact
+// per-class MacParams the figure pipeline has always used, so every
 // fig01–fig12/table1 BENCH export stays byte-identical unless a scenario
 // asks for something else. kTdma swaps in the sink-coordinated slotted
 // MAC (mac/tdma_mac.hpp) with the knobs below.
@@ -15,8 +15,7 @@
 namespace bcp::mac {
 
 enum class MacFamily {
-  kAuto,    ///< historical default: CSMA/CA with the class MacParams
-  kCsmaCa,  ///< explicit CSMA/CA — must behave identically to kAuto
+  kCsmaCa,  ///< the default: CSMA/CA with the class MacParams
   kTdma,    ///< sink-coordinated beacon + slot schedule
 };
 
@@ -62,12 +61,12 @@ TdmaParams tdma_wifi_params();
 
 /// Per-radio-class MAC family selection, threaded through ScenarioConfig.
 struct MacSpec {
-  MacFamily family = MacFamily::kAuto;
+  MacFamily family = MacFamily::kCsmaCa;
   TdmaParams tdma;  ///< only read when family == kTdma
 
   bool is_tdma() const { return family == MacFamily::kTdma; }
 
-  /// Throws std::invalid_argument on bad TDMA knobs. CSMA/auto specs are
+  /// Throws std::invalid_argument on bad TDMA knobs. CSMA specs are
   /// always valid (the class MacParams carry their own invariants).
   void validate() const;
 };

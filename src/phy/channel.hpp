@@ -87,8 +87,8 @@ class Channel {
     /// Extra independent Bernoulli loss per (frame, hearer), in [0, 1],
     /// composed with whatever the propagation model says per link.
     double frame_loss_prob = 0.0;
-    /// Link-quality model; the kAuto default resolves to UnitDisc, which
-    /// is bit-for-bit the historical single-knob channel.
+    /// Link-quality model; the UnitDisc default is bit-for-bit the
+    /// historical single-knob channel.
     PropagationSpec propagation;
     /// Collision resolution; see CaptureParams.
     CaptureParams capture;

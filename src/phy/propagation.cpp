@@ -11,7 +11,6 @@ namespace bcp::phy {
 
 const char* to_string(PropagationKind kind) {
   switch (kind) {
-    case PropagationKind::kAuto:        return "auto";
     case PropagationKind::kUnitDisc:    return "unit_disc";
     case PropagationKind::kLogDistance: return "log_distance";
     case PropagationKind::kDistancePer: return "distance_per";
@@ -161,8 +160,7 @@ std::unique_ptr<PropagationModel> make_propagation_model(
   BCP_REQUIRE(extra_loss >= 0.0 && extra_loss <= 1.0);
   BCP_REQUIRE(std::isfinite(spec.fixed_rx_power_dbm));
   BCP_REQUIRE(std::isfinite(spec.edge_rx_power_dbm));
-  switch (spec.resolved()) {
-    case PropagationKind::kAuto:  // unreachable; resolved() never returns it
+  switch (spec.kind) {
     case PropagationKind::kUnitDisc:
       return std::make_unique<UnitDiscModel>(extra_loss,
                                              spec.fixed_rx_power_dbm);

@@ -6,10 +6,10 @@
 // Three deterministic, seed-driven implementations:
 //
 //   UnitDisc    — today's idealized channel: one global Bernoulli
-//                 frame-loss probability on every link. The kAuto default
-//                 resolves here, so the historical fig01–fig12/table1
-//                 pipelines are bit-for-bit unchanged (same RNG stream,
-//                 same draw count).
+//                 frame-loss probability on every link. The default, so
+//                 the historical fig01–fig12/table1 pipelines are
+//                 bit-for-bit unchanged (same RNG stream, same draw
+//                 count).
 //   LogDistance — log-distance path loss with per-link log-normal
 //                 shadowing frozen at topology build: each link draws one
 //                 shadowing offset from a hash of its endpoint pair, so a
@@ -41,8 +41,7 @@
 namespace bcp::phy {
 
 enum class PropagationKind : std::uint8_t {
-  kAuto,      ///< resolves to kUnitDisc (the historical behavior)
-  kUnitDisc,
+  kUnitDisc,  ///< the default (the historical behavior)
   kLogDistance,
   kDistancePer,
 };
@@ -57,7 +56,7 @@ struct PerPoint {
 
 /// Declarative model recipe carried by ScenarioConfig / Channel::Params.
 struct PropagationSpec {
-  PropagationKind kind = PropagationKind::kAuto;
+  PropagationKind kind = PropagationKind::kUnitDisc;
 
   // kLogDistance.
   double path_loss_exponent = 3.0;   ///< n in 10·n·log10(range/d)
@@ -78,14 +77,6 @@ struct PropagationSpec {
   // (the dB margin above the disc-edge budget, anchored in dBm).
   double fixed_rx_power_dbm = -60.0;  ///< kUnitDisc / kDistancePer links
   double edge_rx_power_dbm = -80.0;   ///< kLogDistance power at the disc edge
-
-  /// The kind this spec resolves to (kAuto → kUnitDisc).
-  PropagationKind resolved() const {
-    return kind == PropagationKind::kAuto ? PropagationKind::kUnitDisc : kind;
-  }
-  bool is_unit_disc() const {
-    return resolved() == PropagationKind::kUnitDisc;
-  }
 };
 
 /// The DistancePer curve used when `per_curve` is empty: clean to 60% of

@@ -65,10 +65,6 @@ class FakeHost : public BcpHost {
     return it == routes.end() ? net::kInvalidNode : it->second;
   }
   void deliver(const net::DataPacket& p) override { delivered.push_back(p); }
-  void packet_dropped(const net::DataPacket& p,
-                      const char* reason) override {
-    drops.emplace_back(p, reason);
-  }
 
   /// Completes the oldest outstanding high-radio send.
   void complete_high(bool success) {
@@ -92,7 +88,6 @@ class FakeHost : public BcpHost {
   std::vector<net::NodeId> high_peers;
   std::deque<core::BcpHost::SendDone> high_done;
   std::vector<net::DataPacket> delivered;
-  std::vector<std::pair<net::DataPacket, std::string>> drops;
 };
 
 BcpConfig small_config() {
@@ -298,17 +293,17 @@ TEST_F(BcpSenderTest, FrameFailureCountedButTransferContinues) {
 
 TEST_F(BcpSenderTest, NoRouteDropsPacket) {
   agent_->submit(pkt(0, 77, 1));  // no route to 77
-  ASSERT_EQ(host_.drops.size(), 1u);
-  EXPECT_EQ(host_.drops[0].second, "no-route");
   EXPECT_EQ(agent_->stats().packets_dropped_no_route, 1);
+  EXPECT_EQ(agent_->stats().packets_dropped_buffer_full, 0);
+  EXPECT_EQ(agent_->stats().packets_buffered, 0);
 }
 
 TEST_F(BcpSenderTest, BufferOverflowDropsPacket) {
   submit_n(100);  // exactly capacity; threshold handshake pending unanswered
   agent_->submit(pkt(0, 9, 999));
-  ASSERT_EQ(host_.drops.size(), 1u);
-  EXPECT_EQ(host_.drops[0].second, "buffer-full");
   EXPECT_EQ(agent_->stats().packets_dropped_buffer_full, 1);
+  EXPECT_EQ(agent_->stats().packets_dropped_no_route, 0);
+  EXPECT_EQ(agent_->stats().packets_buffered, 100);
 }
 
 TEST_F(BcpSenderTest, PacketForSelfDeliveredImmediately) {

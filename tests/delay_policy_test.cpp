@@ -49,7 +49,6 @@ class Host : public BcpHost {
     return it == routes.end() ? net::kInvalidNode : it->second;
   }
   void deliver(const net::DataPacket& p) override { delivered.push_back(p); }
-  void packet_dropped(const net::DataPacket&, const char*) override {}
 
   sim::Simulator& sim_;
   net::NodeId id_;

@@ -69,9 +69,9 @@ constexpr const char* kFig05SliceGolden = R"json({
 
 stats::ResultSink run_slice(
     int threads,
-    phy::PropagationKind propagation = phy::PropagationKind::kAuto,
+    phy::PropagationKind propagation = phy::PropagationKind::kUnitDisc,
     bool capture = false,
-    mac::MacFamily sensor_family = mac::MacFamily::kAuto,
+    mac::MacFamily sensor_family = mac::MacFamily::kCsmaCa,
     bool battery = false) {
   app::SweepGrid grid;
   grid.axis_ints("cell", {0}).axis_ints("senders", {5, 15});
@@ -112,6 +112,9 @@ stats::ResultSink run_slice(
   return sink;
 }
 
+// The slice runs the defaults, the UnitDisc channel and the CSMA/CA MAC,
+// so this golden also pins both the PropagationModel and the mac::Mac
+// seam to their pre-seam behaviour.
 TEST(Determinism, Fig05SliceMatchesPreReworkGoldenByteForByte) {
   const std::string json = run_slice(1).to_json("fig05_slice");
   EXPECT_EQ(json, std::string(kFig05SliceGolden))
@@ -125,18 +128,7 @@ TEST(Determinism, Fig05SliceIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial, parallel);
 }
 
-// Differential golden for the PropagationModel refactor: requesting the
-// UnitDisc model *explicitly* must reproduce the pre-seam golden byte for
-// byte — proving the pluggable-model seam is pure (kAuto and kUnitDisc
-// share one code path, one RNG stream, one draw count).
-TEST(Determinism, ExplicitUnitDiscMatchesPreSeamGoldenByteForByte) {
-  const std::string json =
-      run_slice(1, phy::PropagationKind::kUnitDisc).to_json("fig05_slice");
-  EXPECT_EQ(json, std::string(kFig05SliceGolden))
-      << "the PropagationModel seam changed UnitDisc behaviour";
-}
-
-// And the non-trivial models must NOT match it — the seam is live, not a
+// The non-trivial propagation models must NOT match the golden — the seam is live, not a
 // stub that quietly ignores the spec.
 TEST(Determinism, LogDistanceModelActuallyChangesTheChannel) {
   const std::string logd =
@@ -152,7 +144,7 @@ TEST(Determinism, LogDistanceModelActuallyChangesTheChannel) {
 // RNG stream, same draw count, same collision rule.
 TEST(Determinism, CaptureDisabledMatchesPreCaptureGoldenByteForByte) {
   const std::string json =
-      run_slice(1, phy::PropagationKind::kAuto, /*capture=*/false)
+      run_slice(1, phy::PropagationKind::kUnitDisc, /*capture=*/false)
           .to_json("fig05_slice");
   EXPECT_EQ(json, std::string(kFig05SliceGolden))
       << "the capture-off channel drifted from the pre-capture golden";
@@ -180,8 +172,8 @@ TEST(Determinism, CaptureActuallyChangesTheLossyChannel) {
 // stays entirely behind the switch.
 TEST(Determinism, BatteryDisabledMatchesHistoricalGoldenByteForByte) {
   const std::string json =
-      run_slice(1, phy::PropagationKind::kAuto, /*capture=*/false,
-                mac::MacFamily::kAuto, /*battery=*/false)
+      run_slice(1, phy::PropagationKind::kUnitDisc, /*capture=*/false,
+                mac::MacFamily::kCsmaCa, /*battery=*/false)
           .to_json("fig05_slice");
   EXPECT_EQ(json, std::string(kFig05SliceGolden))
       << "the battery-off path drifted from the historical golden";
@@ -192,8 +184,8 @@ TEST(Determinism, BatteryDisabledMatchesHistoricalGoldenByteForByte) {
 // 120 s slice, so deliveries and energies have to diverge.
 TEST(Determinism, FiniteBatteriesActuallyChangeTheRun) {
   const std::string dying =
-      run_slice(1, phy::PropagationKind::kAuto, /*capture=*/false,
-                mac::MacFamily::kAuto, /*battery=*/true)
+      run_slice(1, phy::PropagationKind::kUnitDisc, /*capture=*/false,
+                mac::MacFamily::kCsmaCa, /*battery=*/true)
           .to_json("fig05_slice");
   EXPECT_NE(dying, std::string(kFig05SliceGolden));
 }
@@ -203,34 +195,21 @@ TEST(Determinism, FiniteBatteriesActuallyChangeTheRun) {
 // or on 4 workers.
 TEST(Determinism, BatterySliceIdenticalAcrossThreadCounts) {
   const std::string serial =
-      run_slice(1, phy::PropagationKind::kAuto, /*capture=*/false,
-                mac::MacFamily::kAuto, /*battery=*/true)
+      run_slice(1, phy::PropagationKind::kUnitDisc, /*capture=*/false,
+                mac::MacFamily::kCsmaCa, /*battery=*/true)
           .to_json("fig05_slice");
   const std::string parallel =
-      run_slice(4, phy::PropagationKind::kAuto, /*capture=*/false,
-                mac::MacFamily::kAuto, /*battery=*/true)
+      run_slice(4, phy::PropagationKind::kUnitDisc, /*capture=*/false,
+                mac::MacFamily::kCsmaCa, /*battery=*/true)
           .to_json("fig05_slice");
   EXPECT_EQ(serial, parallel);
 }
 
-// Differential golden for the mac::Mac seam: requesting CSMA/CA
-// *explicitly* must reproduce the pre-seam golden byte for byte — proving
-// the pluggable-MAC seam is pure (kAuto and kCsmaCa share one code path,
-// one RNG stream, one draw count behind the unique_ptr<Mac> members).
-TEST(Determinism, ExplicitCsmaCaMatchesPreSeamGoldenByteForByte) {
-  const std::string json =
-      run_slice(1, phy::PropagationKind::kAuto, /*capture=*/false,
-                mac::MacFamily::kCsmaCa)
-          .to_json("fig05_slice");
-  EXPECT_EQ(json, std::string(kFig05SliceGolden))
-      << "the mac::Mac seam changed CSMA/CA behaviour";
-}
-
-// ...and the TDMA family must NOT match it — the seam is live, not a stub
+// The TDMA family must NOT match the golden — the seam is live, not a stub
 // that quietly ignores the MacSpec.
 TEST(Determinism, TdmaFamilyActuallyChangesTheRun) {
   const std::string tdma =
-      run_slice(1, phy::PropagationKind::kAuto, /*capture=*/false,
+      run_slice(1, phy::PropagationKind::kUnitDisc, /*capture=*/false,
                 mac::MacFamily::kTdma)
           .to_json("fig05_slice");
   EXPECT_NE(tdma, std::string(kFig05SliceGolden));
@@ -241,11 +220,11 @@ TEST(Determinism, TdmaFamilyActuallyChangesTheRun) {
 // serialize identically whether the sweep ran serial or on 4 workers.
 TEST(Determinism, TdmaSliceIdenticalAcrossThreadCounts) {
   const std::string serial =
-      run_slice(1, phy::PropagationKind::kAuto, /*capture=*/false,
+      run_slice(1, phy::PropagationKind::kUnitDisc, /*capture=*/false,
                 mac::MacFamily::kTdma)
           .to_json("fig05_slice");
   const std::string parallel =
-      run_slice(4, phy::PropagationKind::kAuto, /*capture=*/false,
+      run_slice(4, phy::PropagationKind::kUnitDisc, /*capture=*/false,
                 mac::MacFamily::kTdma)
           .to_json("fig05_slice");
   EXPECT_EQ(serial, parallel);

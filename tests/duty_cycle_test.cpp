@@ -29,9 +29,6 @@ class DutyCycleTest : public ::testing::Test {
       delivered_.push_back(p);
       delay_sum_ += sim_.now() - p.created_at;
     };
-    delivery_.dropped = [this](const net::DataPacket&, const char*) {
-      ++dropped_;
-    };
     DutyCycledWifiNode::Schedule schedule{period, duty};
     for (net::NodeId id = 0; id < 2; ++id)
       nodes_.push_back(std::make_unique<DutyCycledWifiNode>(
@@ -50,7 +47,6 @@ class DutyCycleTest : public ::testing::Test {
   std::vector<std::unique_ptr<DutyCycledWifiNode>> nodes_;
   std::vector<net::DataPacket> delivered_;
   double delay_sum_ = 0;
-  int dropped_ = 0;
 };
 
 TEST_F(DutyCycleTest, DeliversDuringOpenWindow) {
@@ -97,7 +93,6 @@ double idle_world_energy(double duty) {
   net::RoutingTable routes{net::ConnectivityGraph({{0, 0}, {30, 0}}, 50.0)};
   DeliverySink delivery;
   delivery.delivered = [](const net::DataPacket&) {};
-  delivery.dropped = [](const net::DataPacket&, const char*) {};
   mac::Mac::Stats mac_stats;
   DutyCycledWifiNode node(sim, channel, routes, 0, 0,
                           energy::lucent_11mbps(),
@@ -124,7 +119,11 @@ TEST_F(DutyCycleTest, SteadyTrafficAllDelivered) {
   // Everything generated at least one full period before the end arrives.
   EXPECT_GT(static_cast<double>(delivered_.size()),
             0.9 * static_cast<double>(w.generated()) - 10);
-  EXPECT_EQ(dropped_, 0);
+  const DeliverySink::Drops& drops = delivery_.drops;
+  EXPECT_EQ(drops.queue_full, 0);
+  EXPECT_EQ(drops.mac_failed, 0);
+  EXPECT_EQ(drops.no_route, 0);
+  EXPECT_EQ(drops.node_down, 0);
 }
 
 TEST_F(DutyCycleTest, InvalidScheduleThrows) {
@@ -134,7 +133,6 @@ TEST_F(DutyCycleTest, InvalidScheduleThrows) {
   routes_ = std::make_unique<net::RoutingTable>(
       net::ConnectivityGraph({{0, 0}}, 50.0));
   delivery_.delivered = [](const net::DataPacket&) {};
-  delivery_.dropped = [](const net::DataPacket&, const char*) {};
   EXPECT_THROW(DutyCycledWifiNode(sim_, *channel_, *routes_, 0, 0,
                                   energy::lucent_11mbps(),
                                   DutyCycledWifiNode::Schedule{1.0, 0.0}, 1,

@@ -7,7 +7,9 @@
 // views with their own key lists and do not pick a new field up.
 //
 // The cells cover the single queue (shards = 1) across every evaluation
-// model, both route materializations, the lossy/capture channel, churn,
+// model, both route materializations (dense tables up to
+// app::kAllPairsNodeLimit nodes, sink-rooted trees beyond, with cells on
+// either side of the limit), the lossy/capture channel, churn,
 // both TDMA placements and lifetime routing, plus the sharded engine for
 // the models and membership machinery the ShardedGolden pins leave out.
 // A refactor of the scenario assembly must leave every digest unchanged;
@@ -190,18 +192,6 @@ std::vector<Cell> cells() {
       {"mh_wifi_duty", "a57f5f619e8ba623",
        [] { return mh(EvalModel::kWifiDutyCycled); }},
       {"mh_dual", "437710f869d4ffb5", [] { return mh(EvalModel::kDualRadio); }},
-      {"sh_dual_all_pairs", "a6703a96d0e766fa",
-       [] {
-         auto cfg = sh(EvalModel::kDualRadio);
-         cfg.routing = app::RoutingMode::kAllPairs;
-         return cfg;
-       }},
-      {"mh_dual_convergecast", "0d4c7e72fad5fc2a",
-       [] {
-         auto cfg = mh(EvalModel::kDualRadio);
-         cfg.routing = app::RoutingMode::kConvergecast;
-         return cfg;
-       }},
       {"mh_dual_grid144", "31d6cd2501a4cb48",
        [] { return grid144(mh(EvalModel::kDualRadio)); }},
       {"mh_dual_random128", "436aa9e1d6516abe",

@@ -1,6 +1,6 @@
 // Tests for the finite-battery subsystem: BatterySpec validation, exact
-// depletion timing, the crash-path/battery-death equivalence (both funnel
-// through app::crash_node), lifetime-aware routing, and the lifetime-*
+// depletion timing, the crash-path/battery-death equivalence (both call
+// the node's crash()), lifetime-aware routing, and the lifetime-*
 // registry variants end to end — including the headline acceptance check
 // that bulk transmission over the high-power radio outlives always-on
 // 802.11 at equal offered load.
@@ -63,10 +63,6 @@ struct SensorWorld {
       : channel(sim, {{0, 0}, {30, 0}}, 50.0, phy::Channel::Params{0.0}, 5),
         routes(net::ConnectivityGraph({{0, 0}, {30, 0}}, 50.0)) {
     delivery.delivered = [this](const net::DataPacket&) { ++delivered; };
-    delivery.dropped = [this](const net::DataPacket&, const char* reason) {
-      last_drop_reason = reason;
-      ++dropped;
-    };
     for (net::NodeId id = 0; id < 2; ++id)
       nodes.push_back(std::make_unique<app::ForwardingNode>(
           sim, channel, routes, id, 0, energy::mica(),
@@ -79,12 +75,10 @@ struct SensorWorld {
   net::RoutingTable routes;
   app::DeliverySink delivery;
   const app::MacChoice mac_choice{mac::sensor_mac_params(),
-                                  mac::MacFamily::kAuto, {}, nullptr};
+                                  mac::MacFamily::kCsmaCa, {}, nullptr};
   std::array<mac::Mac::Stats, 2> mac_stats;  ///< one block per node
   std::vector<std::unique_ptr<app::ForwardingNode>> nodes;
   int delivered = 0;
-  int dropped = 0;
-  std::string last_drop_reason;
 };
 
 TEST(Battery, DiesAtTheExactlyComputedDepletionInstant) {
@@ -97,7 +91,7 @@ TEST(Battery, DiesAtTheExactlyComputedDepletionInstant) {
   int deaths = 0;
   energy::Battery battery(world.sim, capacity, [&] {
     ++deaths;
-    app::crash_node(world.nodes[1].get(), nullptr, nullptr, 1, nullptr);
+    world.nodes[1]->crash();
   });
   world.nodes[1]->set_battery(battery);
   battery.rearm();
@@ -117,7 +111,7 @@ TEST(Battery, DiesAtTheExactlyComputedDepletionInstant) {
 
 TEST(Battery, DeathAndFaultCrashLeaveIdenticalNodeState) {
   // The satellite contract: a battery death IS a fault-plan crash — both
-  // funnel through app::crash_node, so a node dying of depletion at T and
+  // call the node's crash(), so a node dying of depletion at T and
   // a node crashed by schedule at the same T must be indistinguishable
   // afterwards (radio state, per-category energies, MAC counters, drop
   // behaviour).
@@ -127,14 +121,14 @@ TEST(Battery, DeathAndFaultCrashLeaveIdenticalNodeState) {
 
   SensorWorld by_battery;
   energy::Battery battery(by_battery.sim, capacity, [&] {
-    app::crash_node(by_battery.nodes[1].get(), nullptr, nullptr, 1, nullptr);
+    by_battery.nodes[1]->crash();
   });
   by_battery.nodes[1]->set_battery(battery);
   battery.rearm();
 
   SensorWorld by_fault;
   by_fault.sim.schedule_at(capacity / energy::mica().p_idle, [&] {
-    app::crash_node(by_fault.nodes[1].get(), nullptr, nullptr, 1, nullptr);
+    by_fault.nodes[1]->crash();
   });
 
   // Traffic after death must be refused identically.
@@ -151,8 +145,9 @@ TEST(Battery, DeathAndFaultCrashLeaveIdenticalNodeState) {
     EXPECT_FALSE(world->nodes[1]->up());
     EXPECT_EQ(world->nodes[1]->radio().state(), phy::RadioState::kOff);
     EXPECT_EQ(world->delivered, 0);
-    EXPECT_EQ(world->dropped, 1);
-    EXPECT_EQ(world->last_drop_reason, "node-down");
+    const app::DeliverySink::Drops& drops = world->delivery.drops;
+    EXPECT_EQ(drops.node_down, 1);
+    EXPECT_EQ(drops.queue_full + drops.mac_failed + drops.no_route, 0);
   }
   auto& meter_a = by_battery.nodes[1]->radio().meter();
   auto& meter_b = by_fault.nodes[1]->radio().meter();

@@ -221,28 +221,6 @@ TEST(Scenario, GeneratedTopologiesRunAllModels) {
   }
 }
 
-TEST(Scenario, ConvergecastModeStaysCloseToAllPairsOnTheGrid) {
-  // The tree router must behave like the dense table for convergecast
-  // traffic; only the multi-hop control acks may take different (tree)
-  // paths, so aggregate delivery stays in the same regime.
-  auto cfg = quick(EvalModel::kDualRadio, 4, 100);
-  cfg.routing = RoutingMode::kAllPairs;
-  const auto table = run_scenario(cfg);
-  cfg.routing = RoutingMode::kConvergecast;
-  const auto tree = run_scenario(cfg);
-  ASSERT_GT(table.delivered, 0);
-  ASSERT_GT(tree.delivered, 0);
-  EXPECT_GT(tree.goodput, 0.7 * table.goodput);
-  // Sensor-only traffic routes identically (pure convergecast): exact.
-  auto scfg = quick(EvalModel::kSensor, 4, 100);
-  scfg.routing = RoutingMode::kAllPairs;
-  const auto s_table = run_scenario(scfg);
-  scfg.routing = RoutingMode::kConvergecast;
-  const auto s_tree = run_scenario(scfg);
-  EXPECT_EQ(s_table.delivered, s_tree.delivered);
-  EXPECT_DOUBLE_EQ(s_table.normalized_energy, s_tree.normalized_energy);
-}
-
 TEST(Scenario, CrashMidBulkBurstLeaksNoPoolNodesOrStaleHandles) {
   // Every non-sink node is a sender, so every crash victim holds buffered
   // bulk data and likely in-flight MAC frames when it dies. The crash

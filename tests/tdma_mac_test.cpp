@@ -339,11 +339,11 @@ TEST(TdmaParams, ResolvedForFillsOrChecksTheBeaconPeriod) {
 TEST(MacSpecTest, ValidateOnlyReadsTdmaKnobsForTdma) {
   MacSpec spec;
   spec.tdma.guard = std::nan("");
-  EXPECT_NO_THROW(spec.validate());  // kAuto never reads them
+  EXPECT_NO_THROW(spec.validate());  // the CSMA/CA default never reads them
   spec.family = MacFamily::kTdma;
   EXPECT_THROW(spec.validate(), std::invalid_argument);
   EXPECT_EQ(std::string(to_string(MacFamily::kTdma)), "tdma");
-  EXPECT_EQ(std::string(to_string(MacFamily::kAuto)), "auto");
+  EXPECT_EQ(std::string(to_string(MacFamily::kCsmaCa)), "csma-ca");
 }
 
 // --------------------------------------------------- scenario integration

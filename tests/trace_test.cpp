@@ -50,7 +50,6 @@ class ScriptHost : public BcpHost {
     return dest == 9 ? 5 : net::kInvalidNode;
   }
   void deliver(const net::DataPacket&) override {}
-  void packet_dropped(const net::DataPacket&, const char*) override {}
 
   sim::Simulator& sim_;
   net::NodeId id_;
