@@ -111,7 +111,8 @@ DualRadioNode::DualRadioNode(
     const net::Router& low_routes, const net::Router& high_routes,
     net::NodeId self, const energy::RadioEnergyModel& sensor_model,
     const energy::RadioEnergyModel& wifi_model,
-    const core::BcpConfig& bcp_config, std::uint64_t seed, DeliverySink* delivery, const MacChoice& low_mac,
+    const core::BcpConfig& bcp_config, std::uint64_t seed,
+    DeliverySink* delivery, const MacChoice& low_mac,
     const MacChoice& high_mac, NodeCounters& counters)
     : sim_(sim),
       high_channel_(high_channel),

@@ -162,9 +162,9 @@ class ForwardingNode final : private phy::RadioOwner, private mac::MacHost {
 /// Dual-radio node: sensor radio + CSMA MAC for control, 802.11 radio +
 /// DCF MAC for bulk data, and a BcpAgent in between. The 802.11 radio
 /// overhears full frames, for faithful E_o^H charging and for BCP's
-/// shortcut learning. Both radio models,
-/// `bcp_config`, both MacChoices and the `counters` the MACs and agent add
-/// into are read in place and must outlive the node.
+/// shortcut learning. Both radio models, `bcp_config`, both MacChoices and
+/// the `counters` the MACs and agent add into are read in place and must
+/// outlive the node.
 class DualRadioNode final : public core::BcpHost,
                             private phy::RadioOwner,
                             private mac::MacHost {

@@ -128,8 +128,8 @@ TEST(Determinism, Fig05SliceIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial, parallel);
 }
 
-// The non-trivial propagation models must NOT match the golden — the seam is live, not a
-// stub that quietly ignores the spec.
+// The non-trivial propagation models must NOT match the golden — the seam
+// is live, not a stub that quietly ignores the spec.
 TEST(Determinism, LogDistanceModelActuallyChangesTheChannel) {
   const std::string logd =
       run_slice(1, phy::PropagationKind::kLogDistance).to_json("fig05_slice");
