@@ -173,8 +173,10 @@ SharedNet::SharedNet(const ScenarioConfig& cfg, int partitions)
     std::vector<std::vector<std::int32_t>> adjacency;
     if (cfg.faults.link_flaps > 0) {
       adjacency.reserve(static_cast<std::size_t>(n));
-      for (net::NodeId id = 0; id < n; ++id)
-        adjacency.push_back(membership_graph().neighbors(id));
+      for (net::NodeId id = 0; id < n; ++id) {
+        const auto nbrs = membership_graph().neighbors(id);
+        adjacency.emplace_back(nbrs.begin(), nbrs.end());
+      }
     }
     faults = sim::FaultPlan(cfg.faults, n, sink, cfg.duration,
                             cfg.faults.link_flaps > 0 ? &adjacency : nullptr)

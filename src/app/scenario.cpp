@@ -190,12 +190,13 @@ RunMetrics run_single_queue(const SharedNet& net) {
 //
 // Lifecycle: pooled message payloads (net::MessagePool) are thread-local,
 // so everything a partition owns — nodes, workloads, channel partitions,
-// pending events — is built, run and destroyed on the shard's pinned
-// worker thread via for_each_shard phases (setup → run → teardown).
-// Metrics are read on the caller's thread between the run and teardown
-// phases (the engine's barriers order those reads) and merged in
-// ascending shard order, so the result is a pure function of (config,
-// shard count): sim_threads never changes a byte of output.
+// pending events — is built, run, collected and destroyed on the shard's
+// pinned worker thread via for_each_shard phases (setup → run → collect
+// → teardown). Each partition totals its own nodes in the collect phase;
+// the caller merges those totals in ascending shard order between the
+// collect and teardown phases (the engine's barriers order those reads),
+// so the result is a pure function of (config, shard count): sim_threads
+// never changes a byte of output.
 //
 // Membership epochs: every partition owns one stripe-local LinkState
 // replica, read by both of its radio classes. The owner of a node
@@ -327,11 +328,13 @@ RunMetrics run_sharded(const SharedNet& net) {
   });
 
   engine.run(config.duration);
+  engine.for_each_shard([&](int s) {
+    parts[static_cast<std::size_t>(s)].collect(config.duration);
+  });
 
   RunMetrics total;
   double delay_sum = 0;
   for (auto& part : parts) {
-    part.collect(config.duration);
     detail::merge_metrics(total, part.m);
     total.shard_events.push_back(part.m.events_processed);
     delay_sum += part.delay_sum;

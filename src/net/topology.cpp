@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
-#include <unordered_map>
+#include <cstddef>
 
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -218,65 +217,114 @@ const Position& GridTopology::position(NodeId id) const {
   return positions_[static_cast<std::size_t>(id)];
 }
 
+// ------------------------------------------------------------- CellGrid --
+
+CellGrid CellGrid::covering(const std::vector<Position>& positions,
+                            util::Metres range) {
+  BCP_REQUIRE(range > 0);
+  CellGrid grid;
+  grid.side = range;
+  if (positions.empty()) return grid;
+  double max_x = positions.front().x;
+  double max_y = positions.front().y;
+  grid.min_x = max_x;
+  grid.min_y = max_y;
+  for (const Position& p : positions) {
+    BCP_REQUIRE_MSG(std::isfinite(p.x) && std::isfinite(p.y),
+                    "node position is not finite");
+    grid.min_x = std::min(grid.min_x, p.x);
+    grid.min_y = std::min(grid.min_y, p.y);
+    max_x = std::max(max_x, p.x);
+    max_y = std::max(max_y, p.y);
+  }
+  const double span_x = max_x - grid.min_x;
+  const double span_y = max_y - grid.min_y;
+  BCP_REQUIRE_MSG(std::isfinite(span_x) && std::isfinite(span_y),
+                  "placement span is not finite");
+  // The 2^-16 margin keeps a link of exactly `range` within one cell
+  // boundary per axis: the rounding of (x - min_x) / side is far below it
+  // for any cell count a 32-bit node id allows.
+  const auto count = [](double span, double side) {
+    return std::floor(span / side) + 1.0;
+  };
+  const double limit =
+      2.0 * static_cast<double>(std::max<std::size_t>(positions.size(), 1));
+  double side = range * (1.0 + 0x1p-16);
+  while (count(span_x, side) * count(span_y, side) > limit) side *= 2.0;
+  grid.side = side;
+  grid.cols = static_cast<std::size_t>(count(span_x, side));
+  grid.rows = static_cast<std::size_t>(count(span_y, side));
+  return grid;
+}
+
+std::size_t CellGrid::cell_of(const Position& p) const {
+  const auto col =
+      std::min(cols - 1, static_cast<std::size_t>((p.x - min_x) / side));
+  const auto row =
+      std::min(rows - 1, static_cast<std::size_t>((p.y - min_y) / side));
+  return row * cols + col;
+}
+
 // ---------------------------------------------------- ConnectivityGraph --
-
-namespace {
-
-/// Packs a (column, row) cell coordinate into one hash key.
-std::uint64_t pack_cell(std::int64_t cx, std::int64_t cy) {
-  return (static_cast<std::uint64_t>(cx) << 32) ^
-         (static_cast<std::uint64_t>(cy) & 0xFFFFFFFFull);
-}
-
-/// Spatial-hash cell key for a position at the given cell size.
-std::uint64_t cell_key(const Position& p, util::Metres cell) {
-  return pack_cell(static_cast<std::int64_t>(std::floor(p.x / cell)),
-                   static_cast<std::int64_t>(std::floor(p.y / cell)));
-}
-
-}  // namespace
 
 ConnectivityGraph::ConnectivityGraph(std::vector<Position> positions,
                                      util::Metres range)
     : positions_(std::move(positions)), range_(range) {
   BCP_REQUIRE(range > 0);
-  const auto n = positions_.size();
-  neighbors_.resize(n);
+  const std::size_t n = positions_.size();
+  const CellGrid grid = CellGrid::covering(positions_, range_);
 
-  // Bucket nodes into cells of side `range`: any link spans at most one
-  // cell in each axis, so each node only tests candidates from its 3×3
-  // cell block — O(n) total for bounded-density placements.
-  std::unordered_map<std::uint64_t, std::vector<NodeId>> cells;
-  cells.reserve(n);
-  for (std::size_t i = 0; i < n; ++i)
-    cells[cell_key(positions_[i], range_)].push_back(
-        static_cast<NodeId>(i));
+  // Counting sort into the flat cell array, row-major: cell c's members
+  // are members[start[c], start[c + 1]), ascending by id (filled
+  // back to front in descending id order).
+  std::vector<std::uint32_t> cell_of(n);
+  std::vector<std::uint32_t> start(grid.cells() + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    cell_of[i] = static_cast<std::uint32_t>(grid.cell_of(positions_[i]));
+    ++start[cell_of[i]];
+  }
+  for (std::size_t c = 1; c < grid.cells(); ++c) start[c] += start[c - 1];
+  start[grid.cells()] = static_cast<std::uint32_t>(n);
+  std::vector<NodeId> members(n);
+  for (std::size_t i = n; i-- > 0;)
+    members[--start[cell_of[i]]] = static_cast<NodeId>(i);
 
+  // Any link spans at most one cell boundary per axis, so node i only
+  // tests its 3×3 block — three runs of adjacent cells, one per row.
+  std::vector<NodeId> found;
+  offsets_.assign(n + 1, 0);
   for (std::size_t i = 0; i < n; ++i) {
     const Position& p = positions_[i];
-    const auto cx = static_cast<std::int64_t>(std::floor(p.x / range_));
-    const auto cy = static_cast<std::int64_t>(std::floor(p.y / range_));
-    auto& out = neighbors_[i];
-    for (std::int64_t dx = -1; dx <= 1; ++dx)
-      for (std::int64_t dy = -1; dy <= 1; ++dy) {
-        const auto it = cells.find(pack_cell(cx + dx, cy + dy));
-        if (it == cells.end()) continue;
-        for (const NodeId b : it->second) {
-          if (static_cast<std::size_t>(b) == i) continue;
-          if (distance(p, positions_[static_cast<std::size_t>(b)]) <=
-              range_)
-            out.push_back(b);
-        }
+    const std::size_t cx = cell_of[i] % grid.cols;
+    const std::size_t cy = cell_of[i] / grid.cols;
+    const std::size_t x_lo = cx > 0 ? cx - 1 : 0;
+    const std::size_t x_hi = std::min(cx + 1, grid.cols - 1);
+    const std::size_t y_lo = cy > 0 ? cy - 1 : 0;
+    const std::size_t y_hi = std::min(cy + 1, grid.rows - 1);
+    const std::size_t first = found.size();
+    for (std::size_t y = y_lo; y <= y_hi; ++y) {
+      const std::size_t row = y * grid.cols;
+      for (std::uint32_t k = start[row + x_lo]; k < start[row + x_hi + 1];
+           ++k) {
+        const NodeId b = members[k];
+        if (static_cast<std::size_t>(b) != i &&
+            distance(p, positions_[static_cast<std::size_t>(b)]) <= range_)
+          found.push_back(b);
       }
-    // The pairwise scan this replaced produced ascending lists; keep that
-    // order so every downstream BFS walks links identically.
-    std::sort(out.begin(), out.end());
+    }
+    std::sort(found.begin() + static_cast<std::ptrdiff_t>(first),
+              found.end());
+    offsets_[i + 1] = found.size();
   }
+  // Exactly 2E ids, no growth slack.
+  adjacency_.assign(found.begin(), found.end());
 }
 
-const std::vector<NodeId>& ConnectivityGraph::neighbors(NodeId id) const {
+ConnectivityGraph::Neighbors ConnectivityGraph::neighbors(NodeId id) const {
   BCP_REQUIRE(id >= 0 && id < node_count());
-  return neighbors_[static_cast<std::size_t>(id)];
+  const NodeId* base = adjacency_.data();
+  return Neighbors(base + offsets_[static_cast<std::size_t>(id)],
+                   base + offsets_[static_cast<std::size_t>(id) + 1]);
 }
 
 bool ConnectivityGraph::connected(NodeId a, NodeId b) const {
@@ -298,20 +346,18 @@ std::vector<int> connected_components(const ConnectivityGraph& graph) {
   const int n = graph.node_count();
   std::vector<int> label(static_cast<std::size_t>(n), -1);
   int next = 0;
-  std::deque<NodeId> queue;
+  std::vector<NodeId> queue;
+  queue.reserve(static_cast<std::size_t>(n));
   for (NodeId start = 0; start < n; ++start) {
     if (label[static_cast<std::size_t>(start)] >= 0) continue;
     label[static_cast<std::size_t>(start)] = next;
-    queue.push_back(start);
-    while (!queue.empty()) {
-      const NodeId u = queue.front();
-      queue.pop_front();
-      for (const NodeId v : graph.neighbors(u)) {
+    queue.assign(1, start);
+    for (std::size_t head = 0; head < queue.size(); ++head)
+      for (const NodeId v : graph.neighbors(queue[head])) {
         if (label[static_cast<std::size_t>(v)] >= 0) continue;
         label[static_cast<std::size_t>(v)] = next;
         queue.push_back(v);
       }
-    }
     ++next;
   }
   return label;
@@ -320,12 +366,22 @@ std::vector<int> connected_components(const ConnectivityGraph& graph) {
 std::vector<NodeId> unreachable_from(const ConnectivityGraph& graph,
                                      NodeId root) {
   BCP_REQUIRE(root >= 0 && root < graph.node_count());
-  const std::vector<int> label = connected_components(graph);
-  const int root_label = label[static_cast<std::size_t>(root)];
+  const auto n = static_cast<std::size_t>(graph.node_count());
+  std::vector<std::uint8_t> reached(n, 0);
+  std::vector<NodeId> queue;
+  queue.reserve(n);
+  reached[static_cast<std::size_t>(root)] = 1;
+  queue.push_back(root);
+  for (std::size_t head = 0; head < queue.size(); ++head)
+    for (const NodeId v : graph.neighbors(queue[head])) {
+      if (reached[static_cast<std::size_t>(v)]) continue;
+      reached[static_cast<std::size_t>(v)] = 1;
+      queue.push_back(v);
+    }
   std::vector<NodeId> out;
-  for (NodeId id = 0; id < graph.node_count(); ++id)
-    if (label[static_cast<std::size_t>(id)] != root_label)
-      out.push_back(id);
+  out.reserve(n - queue.size());
+  for (std::size_t id = 0; id < n; ++id)
+    if (!reached[id]) out.push_back(static_cast<NodeId>(id));
   return out;
 }
 

@@ -24,6 +24,7 @@
 // byte-identical positions, which the reproducibility tests rely on.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -152,26 +153,77 @@ class GridTopology {
   std::vector<Position> positions_;
 };
 
+/// The flat cell array ConnectivityGraph buckets nodes into: `cols` ×
+/// `rows` square cells of side `side` over the placement's bounding box,
+/// anchored at its lower-left corner (`min_x`, `min_y`). The side starts a
+/// hair above the link range (so a link spans at most one cell boundary
+/// per axis even after floating-point rounding) and doubles until the
+/// array has at most 2·max(n, 1) cells. A grid or any bounded-density
+/// placement keeps cells one range wide; a far outlier only widens them,
+/// so memory is O(n) for every placement.
+struct CellGrid {
+  double min_x = 0;
+  double min_y = 0;
+  double side = 0;
+  std::size_t cols = 1;
+  std::size_t rows = 1;
+
+  static CellGrid covering(const std::vector<Position>& positions,
+                           util::Metres range);
+
+  std::size_t cells() const { return cols * rows; }
+  /// Row-major index of the cell holding `p` (a position inside the box).
+  std::size_t cell_of(const Position& p) const;
+};
+
 /// Undirected disc-model connectivity: a and b are linked iff
-/// distance(a, b) <= range. Neighbour discovery buckets nodes into a
-/// uniform spatial hash with cell size = range, so construction is O(n)
-/// for bounded-density placements instead of the former O(n²) pairwise
-/// scan; per-node neighbour lists are sorted ascending (the order the
-/// pairwise scan produced), so downstream BFS orders are unchanged.
+/// distance(a, b) <= range. Compressed sparse row (CSR) storage: one
+/// offsets array of n + 1 entries and one neighbour array of 2E ids, node
+/// v's neighbours at [offsets()[v], offsets()[v + 1]). Each slice is
+/// ascending (the order the original pairwise scan produced), so every
+/// BFS and every per-hearer RNG draw walks links identically. Neighbours
+/// are found through a CellGrid filled by a counting sort, each node
+/// testing only its 3×3 cell block: O(n + E) for bounded-density
+/// placements, with no hash map and no heap block per node or per cell.
 class ConnectivityGraph {
  public:
+  /// One node's neighbour ids, ascending: a read-only view into the CSR
+  /// array, valid while the graph lives.
+  class Neighbors {
+   public:
+    Neighbors(const NodeId* first, const NodeId* last)
+        : first_(first), last_(last) {}
+    const NodeId* begin() const { return first_; }
+    const NodeId* end() const { return last_; }
+    std::size_t size() const {
+      return static_cast<std::size_t>(last_ - first_);
+    }
+    bool empty() const { return first_ == last_; }
+    NodeId operator[](std::size_t i) const { return first_[i]; }
+
+   private:
+    const NodeId* first_;
+    const NodeId* last_;
+  };
+
   ConnectivityGraph(std::vector<Position> positions, util::Metres range);
 
   int node_count() const { return static_cast<int>(positions_.size()); }
   util::Metres range() const { return range_; }
-  const std::vector<NodeId>& neighbors(NodeId id) const;
+  Neighbors neighbors(NodeId id) const;
   bool connected(NodeId a, NodeId b) const;
   const Position& position(NodeId id) const;
+
+  /// The CSR arrays. Link (v, neighbors(v)[k]) is entry offsets()[v] + k
+  /// of adjacency(), the index per-link tables share.
+  const std::vector<std::size_t>& offsets() const { return offsets_; }
+  const std::vector<NodeId>& adjacency() const { return adjacency_; }
 
  private:
   std::vector<Position> positions_;
   util::Metres range_;
-  std::vector<std::vector<NodeId>> neighbors_;
+  std::vector<std::size_t> offsets_;
+  std::vector<NodeId> adjacency_;
 };
 
 /// Connected-component label per node (labels are 0-based, assigned in
@@ -179,7 +231,7 @@ class ConnectivityGraph {
 std::vector<int> connected_components(const ConnectivityGraph& graph);
 
 /// Nodes with no path to `root`, ascending (empty iff the graph is
-/// connected as seen from `root`).
+/// connected as seen from `root`). One BFS from the root, O(n + e).
 std::vector<NodeId> unreachable_from(const ConnectivityGraph& graph,
                                      NodeId root);
 

@@ -18,6 +18,12 @@ Channel::Channel(sim::Simulator& sim, std::vector<net::Position> positions,
 Channel::Channel(sim::Simulator& sim,
                  std::shared_ptr<const net::ConnectivityGraph> graph,
                  Params params, std::uint64_t seed)
+    : Channel(sim, std::move(graph), std::move(params), seed,
+              ShardingSpec{}) {}
+
+Channel::Channel(sim::Simulator& sim,
+                 std::shared_ptr<const net::ConnectivityGraph> graph,
+                 Params params, std::uint64_t seed, ShardingSpec sharding)
     : sim_(sim),
       graph_(std::move(graph)),
       params_(std::move(params)),
@@ -42,42 +48,28 @@ Channel::Channel(sim::Simulator& sim,
   uniform_loss_ = model_->uniform();
   unit_loss_ = uniform_loss_ ? model_->loss_prob(0, 0, 0) : 0.0;
   unit_rx_mw_ = uniform_loss_ ? model_->rx_power_mw(0, 0, 0) : 0.0;
-  // Sized for the global population here; a channel that becomes one
-  // partition of a sharded medium re-sizes these down to its owned stripe
-  // in enable_sharding, before any traffic.
-  const auto n = static_cast<std::size_t>(graph_->node_count());
+  // Per-node arrays: the global population, or a partition's owned stripe
+  // (every access then translates through li()).
+  auto n = static_cast<std::size_t>(graph_->node_count());
+  if (sharding.shard_of != nullptr) {
+    BCP_REQUIRE(sharding.local_of != nullptr && sharding.emit != nullptr);
+    BCP_REQUIRE(sharding.my_shard >= 0 &&
+                sharding.my_shard < sharding.shard_count);
+    BCP_REQUIRE(sharding.owned_count > 0 &&
+                sharding.owned_count <= graph_->node_count());
+    shard_of_ = sharding.shard_of;
+    local_of_ = sharding.local_of;
+    my_shard_ = sharding.my_shard;
+    boundary_emit_ = std::move(sharding.emit);
+    n = static_cast<std::size_t>(sharding.owned_count);
+    remote_seen_.assign(static_cast<std::size_t>(sharding.shard_count), 0);
+    remote_dsts_.reserve(static_cast<std::size_t>(sharding.shard_count));
+  }
   listeners_.resize(n, nullptr);
   arrivals_.resize(n);
   if (capture_) arrival_power_mw_.resize(n, 0.0);
   transmitting_.resize(n, 0);
   arrival_max_end_.resize(n, 0.0);
-}
-
-void Channel::enable_sharding(ShardingSpec spec) {
-  BCP_REQUIRE(spec.shard_of != nullptr && spec.local_of != nullptr &&
-              spec.emit != nullptr);
-  BCP_REQUIRE(spec.my_shard >= 0 && spec.my_shard < spec.shard_count);
-  BCP_REQUIRE(spec.owned_count > 0 &&
-              spec.owned_count <= graph().node_count());
-  BCP_REQUIRE_MSG(stats_.frames == 0 && stats_.rx_starts == 0,
-                  "enable_sharding must precede any traffic");
-  shard_of_ = spec.shard_of;
-  local_of_ = spec.local_of;
-  my_shard_ = spec.my_shard;
-  boundary_emit_ = std::move(spec.emit);
-  // Stripe-local sizing: the constructor sized these for the global
-  // population; swap them down to the owned stripe (swap, not resize —
-  // resize would keep the O(n) capacity this refactor exists to shed).
-  // From here on every access translates through li().
-  const auto m = static_cast<std::size_t>(spec.owned_count);
-  std::vector<ChannelListener*>(m, nullptr).swap(listeners_);
-  std::vector<std::vector<Arrival>>(m).swap(arrivals_);
-  if (capture_) std::vector<double>(m, 0.0).swap(arrival_power_mw_);
-  std::vector<std::uint64_t>(m, 0).swap(transmitting_);
-  std::vector<util::Seconds>(m, 0.0).swap(arrival_max_end_);
-  remote_seen_.assign(static_cast<std::size_t>(spec.shard_count), 0);
-  remote_dsts_.clear();
-  remote_dsts_.reserve(static_cast<std::size_t>(spec.shard_count));
 }
 
 void Channel::attach(net::NodeId node, ChannelListener* listener) {
@@ -127,7 +119,7 @@ void Channel::start_tx(net::NodeId src, const Frame& frame,
   // Half-duplex: whatever the transmitter was hearing is lost to it.
   for (auto& a : arrivals(src)) a.clean = false;
 
-  const auto& nbrs = graph().neighbors(src);
+  const auto nbrs = graph().neighbors(src);
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
     const net::NodeId r = nbrs[i];
     // A down link (or endpoint) suppresses the hearer entirely: no
@@ -243,7 +235,7 @@ void Channel::begin_remote(std::uint64_t tx_id) {
   const util::Seconds now = sim_.now();
   const util::Seconds remaining = std::max(0.0, e - now);
 
-  const auto& nbrs = graph().neighbors(src);
+  const auto nbrs = graph().neighbors(src);
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
     const net::NodeId r = nbrs[i];
     if (!owned(r)) continue;

@@ -106,6 +106,51 @@ class Channel {
     std::int64_t deliveries_corrupt = 0; ///< per-hearer corrupted deliveries
   };
 
+  // ---- Sharded operation (sim/sharded_simulator.hpp) ----
+  //
+  // A sharded run partitions the node plane: each shard owns one Channel
+  // over the *shared* full graph but only delivers to nodes it owns.
+  // A transmission whose hearer set crosses a shard edge is exported once
+  // per remote shard as a RemoteFrame (payload deep-copied — pooled
+  // MessageRefs are thread-local and must never cross shards) and
+  // re-enacted in the destination shard by inject_remote at the next
+  // window drain.
+
+  /// A boundary frame crossing to another shard. `frame.message` is
+  /// detached; the payload (if any) travels by value and is re-pooled on
+  /// the destination shard's thread at injection.
+  struct RemoteFrame {
+    net::NodeId src = net::kInvalidNode;
+    Frame frame;
+    net::Message payload;
+    bool has_payload = false;
+    util::Seconds start = 0;
+    util::Seconds end = 0;
+  };
+  using BoundaryEmit =
+      std::function<void(std::int32_t dst_shard, RemoteFrame&& rf)>;
+
+  /// Makes a channel one shard of a partitioned medium: local deliveries
+  /// are restricted to nodes with shard_of[id] == my_shard, and every
+  /// transmission heard by other shards is handed to `emit` (once per
+  /// destination shard). The per-node arrays are sized to `owned_count`
+  /// from construction — every access translates global → stripe-local
+  /// through `local_of`, so a partition's node-indexed memory is
+  /// O(n/shards), not O(n) (the shared read-only graph stays global).
+  /// `shard_of`/`local_of` are shared per-node arrays (phy::ShardMap's),
+  /// not owned, and must outlive the channel. A default spec (null
+  /// `shard_of`) is an unsharded channel. Composes with set_link_state:
+  /// attach the shard's own LinkState replica and both the local hearer
+  /// loop and remote-frame replay consult it.
+  struct ShardingSpec {
+    const std::int32_t* shard_of = nullptr;  ///< global id → owning shard
+    const std::int32_t* local_of = nullptr;  ///< global id → stripe-local id
+    std::int32_t my_shard = 0;
+    std::int32_t shard_count = 0;
+    std::int32_t owned_count = 0;  ///< population of my_shard's stripe
+    BoundaryEmit emit;
+  };
+
   Channel(sim::Simulator& sim, std::vector<net::Position> positions,
           util::Metres range, Params params, std::uint64_t seed);
 
@@ -115,6 +160,11 @@ class Channel {
   Channel(sim::Simulator& sim,
           std::shared_ptr<const net::ConnectivityGraph> graph, Params params,
           std::uint64_t seed);
+
+  /// One partition of a sharded medium (see ShardingSpec).
+  Channel(sim::Simulator& sim,
+          std::shared_ptr<const net::ConnectivityGraph> graph, Params params,
+          std::uint64_t seed, ShardingSpec sharding);
 
   /// Registers the listener for a node. At most one per node.
   void attach(net::NodeId node, ChannelListener* listener);
@@ -142,9 +192,8 @@ class Channel {
   int node_count() const { return graph().node_count(); }
 
   /// Dense per-node slots actually allocated: node_count() for an
-  /// unsharded channel, the owned stripe's population after
-  /// enable_sharding — the white-box memory-model assertion the sharded
-  /// tests pin.
+  /// unsharded channel, the owned stripe's population for a partition —
+  /// the white-box memory-model assertion the sharded tests pin.
   std::size_t node_slots() const { return listeners_.size(); }
 
   const Stats& stats() const { return stats_; }
@@ -167,55 +216,6 @@ class Channel {
   /// skips the export when its replica has the remote hearer down, and
   /// begin_remote re-checks the receiving shard's replica.
   void set_link_state(const net::LinkState* links) { links_ = links; }
-
-  // ---- Sharded operation (sim/sharded_simulator.hpp) ----
-  //
-  // A sharded run partitions the node plane: each shard owns one Channel
-  // over the *shared* full graph but only delivers to nodes it owns.
-  // A transmission whose hearer set crosses a shard edge is exported once
-  // per remote shard as a RemoteFrame (payload deep-copied — pooled
-  // MessageRefs are thread-local and must never cross shards) and
-  // re-enacted in the destination shard by inject_remote at the next
-  // window drain.
-
-  /// A boundary frame crossing to another shard. `frame.message` is
-  /// detached; the payload (if any) travels by value and is re-pooled on
-  /// the destination shard's thread at injection.
-  struct RemoteFrame {
-    net::NodeId src = net::kInvalidNode;
-    Frame frame;
-    net::Message payload;
-    bool has_payload = false;
-    util::Seconds start = 0;
-    util::Seconds end = 0;
-  };
-  using BoundaryEmit =
-      std::function<void(std::int32_t dst_shard, RemoteFrame&& rf)>;
-
-  /// How a partition maps the global id space onto its own state — see
-  /// enable_sharding. `shard_of`/`local_of` are shared per-node arrays
-  /// (phy::ShardMap's), not owned, and must outlive the channel.
-  struct ShardingSpec {
-    const std::int32_t* shard_of = nullptr;  ///< global id → owning shard
-    const std::int32_t* local_of = nullptr;  ///< global id → stripe-local id
-    std::int32_t my_shard = 0;
-    std::int32_t shard_count = 0;
-    std::int32_t owned_count = 0;  ///< population of my_shard's stripe
-    BoundaryEmit emit;
-  };
-
-  /// Marks this channel as one shard of a partitioned medium: local
-  /// deliveries are restricted to nodes with shard_of[id] == my_shard,
-  /// and every transmission heard by other shards is handed to `emit`
-  /// (once per destination shard). The per-node vectors are re-sized from
-  /// the global population down to `owned_count` — every access to them
-  /// translates global → stripe-local through `local_of`, so a partition's
-  /// node-indexed memory is O(n/shards), not O(n) (the shared read-only
-  /// graph stays global). Must be called before any attach or traffic.
-  /// Composes with set_link_state: attach the shard's own LinkState
-  /// replica and both the local hearer loop and remote-frame replay
-  /// consult it.
-  void enable_sharding(ShardingSpec spec);
 
   /// Re-enacts a frame exported by a neighboring shard. A frame whose
   /// start is still in this shard's future is replayed with its exact
@@ -301,7 +301,7 @@ class Channel {
     return shard_of_ == nullptr || shard_of_[node] == my_shard_;
   }
   /// Index of `node` into the per-node vectors: the global id unsharded,
-  /// its stripe-local id after enable_sharding. Only valid for owned ids —
+  /// its stripe-local id on a partition. Only valid for owned ids —
   /// a remote id's local_of entry indexes a *different* shard's stripe, so
   /// every caller sits behind an owned() check.
   std::size_t li(net::NodeId node) const {

@@ -67,57 +67,58 @@ struct LinkBudget {
   double rx_power_mw = 0.0;
 };
 
-/// Shared implementation of the two per-link-table models: the table is
-/// aligned with graph.neighbors(src), so the Channel's hearer loop reads
-/// its link's loss probability (and rx power) by index.
+/// Shared implementation of the two per-link-table models: one flat
+/// table aligned with the graph's CSR adjacency, so the Channel's hearer
+/// loop reads its link's loss probability (and rx power) at
+/// offsets()[src] + neighbor_index. Holds the graph by reference (the
+/// Channel that owns the model shares ownership of it).
 class PerLinkModel final : public PropagationModel {
  public:
   template <typename BudgetFn>  // {per, rx_power_dbm} = fn(src, dst, distance)
   PerLinkModel(PropagationKind kind, const net::ConnectivityGraph& graph,
-               double extra_loss, BudgetFn&& budget_of) : kind_(kind) {
-    const int n = graph.node_count();
-    links_.resize(static_cast<std::size_t>(n));
-    for (net::NodeId src = 0; src < n; ++src) {
-      const auto& nbrs = graph.neighbors(src);
-      auto& row = links_[static_cast<std::size_t>(src)];
-      row.reserve(nbrs.size());
-      for (const net::NodeId dst : nbrs) {
+               double extra_loss, BudgetFn&& budget_of)
+      : kind_(kind), graph_(graph) {
+    // Source-ascending, neighbour-ascending: the order the shadowing
+    // draws have always been taken in.
+    links_.reserve(graph.adjacency().size());
+    for (net::NodeId src = 0; src < graph.node_count(); ++src)
+      for (const net::NodeId dst : graph.neighbors(src)) {
         const double d =
             net::distance(graph.position(src), graph.position(dst));
         LinkBudget link = budget_of(src, dst, d);
         link.loss = compose(std::clamp(link.loss, 0.0, 1.0), extra_loss);
         link.rx_power_mw = util::dbm_to_mw(link.rx_power_dbm);
-        row.push_back(link);
+        links_.push_back(link);
       }
-    }
   }
 
   PropagationKind kind() const override { return kind_; }
   double loss_prob(net::NodeId src, std::size_t neighbor_index,
-                   net::NodeId dst) const override {
-    (void)dst;
-    const auto& row = links_[static_cast<std::size_t>(src)];
-    BCP_REQUIRE(neighbor_index < row.size());
-    return row[neighbor_index].loss;
+                   net::NodeId) const override {
+    return link(src, neighbor_index).loss;
   }
   double rx_power_dbm(net::NodeId src, std::size_t neighbor_index,
-                      net::NodeId dst) const override {
-    (void)dst;
-    const auto& row = links_[static_cast<std::size_t>(src)];
-    BCP_REQUIRE(neighbor_index < row.size());
-    return row[neighbor_index].rx_power_dbm;
+                      net::NodeId) const override {
+    return link(src, neighbor_index).rx_power_dbm;
   }
   double rx_power_mw(net::NodeId src, std::size_t neighbor_index,
-                     net::NodeId dst) const override {
-    (void)dst;
-    const auto& row = links_[static_cast<std::size_t>(src)];
-    BCP_REQUIRE(neighbor_index < row.size());
-    return row[neighbor_index].rx_power_mw;
+                     net::NodeId) const override {
+    return link(src, neighbor_index).rx_power_mw;
   }
 
  private:
+  const LinkBudget& link(net::NodeId src, std::size_t neighbor_index) const {
+    BCP_REQUIRE(src >= 0 && src < graph_.node_count());
+    const auto& offsets = graph_.offsets();
+    const std::size_t at =
+        offsets[static_cast<std::size_t>(src)] + neighbor_index;
+    BCP_REQUIRE(at < offsets[static_cast<std::size_t>(src) + 1]);
+    return links_[at];
+  }
+
   PropagationKind kind_;
-  std::vector<std::vector<LinkBudget>> links_;
+  const net::ConnectivityGraph& graph_;
+  std::vector<LinkBudget> links_;
 };
 
 /// One standard-normal draw from a generator seeded per link. Box–Muller;

@@ -119,8 +119,10 @@ class PropagationModel {
 /// Builds the model `spec` describes over `graph`, composing `extra_loss`
 /// (the Channel's frame_loss_prob) into every link. Per-link tables
 /// (shadowing draws, curve evaluations) are frozen here, at topology
-/// build; `seed` only feeds the per-link shadowing hash. Validates the
-/// spec (throws std::invalid_argument via BCP_REQUIRE on bad parameters).
+/// build, in one flat table indexed like the graph's CSR adjacency, so
+/// `graph` must outlive the model; `seed` only feeds the per-link
+/// shadowing hash. Validates the spec (throws std::invalid_argument via
+/// BCP_REQUIRE on bad parameters).
 std::unique_ptr<PropagationModel> make_propagation_model(
     const PropagationSpec& spec, const net::ConnectivityGraph& graph,
     double extra_loss, std::uint64_t seed);

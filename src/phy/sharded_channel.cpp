@@ -1,7 +1,7 @@
 #include "phy/sharded_channel.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <cstddef>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -18,24 +18,39 @@ ShardMap ShardMap::stripes(const std::vector<net::Position>& positions,
   map.count = std::min<int>(shards, static_cast<int>(n));
   map.shard_of.assign(n, 0);
   if (map.count > 1) {
-    std::vector<std::int32_t> order(n);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(), [&](std::int32_t a, std::int32_t b) {
-      const auto ai = static_cast<std::size_t>(a);
-      const auto bi = static_cast<std::size_t>(b);
-      if (positions[ai].x != positions[bi].x)
-        return positions[ai].x < positions[bi].x;
-      return a < b;
-    });
-    for (int s = 0; s < map.count; ++s) {
-      const auto lo = n * static_cast<std::size_t>(s) /
-                      static_cast<std::size_t>(map.count);
-      const auto hi = n * (static_cast<std::size_t>(s) + 1) /
-                      static_cast<std::size_t>(map.count);
-      for (std::size_t i = lo; i < hi; ++i)
-        map.shard_of[static_cast<std::size_t>(order[i])] =
+    // Stripe s is ranks [bound(s), bound(s + 1)) of the (x, id) order.
+    // The keys are unique, so placing each boundary rank with
+    // nth_element (median boundary first, then each half) yields exactly
+    // the stripes a full sort would, in O(n log count).
+    struct Key {
+      double x;
+      std::int32_t id;
+    };
+    const auto before = [](const Key& a, const Key& b) {
+      return a.x != b.x ? a.x < b.x : a.id < b.id;
+    };
+    const auto bound = [&](int s) {
+      return n * static_cast<std::size_t>(s) /
+             static_cast<std::size_t>(map.count);
+    };
+    std::vector<Key> keys(n);
+    for (std::size_t i = 0; i < n; ++i)
+      keys[i] = Key{positions[i].x, static_cast<std::int32_t>(i)};
+    const auto split = [&](const auto& self, int lo, int hi) -> void {
+      if (hi - lo < 2) return;
+      const int mid = lo + (hi - lo) / 2;
+      const auto at = [&](int s) {
+        return keys.begin() + static_cast<std::ptrdiff_t>(bound(s));
+      };
+      std::nth_element(at(lo), at(mid), at(hi), before);
+      self(self, lo, mid);
+      self(self, mid, hi);
+    };
+    split(split, 0, map.count);
+    for (int s = 0; s < map.count; ++s)
+      for (std::size_t i = bound(s); i < bound(s + 1); ++i)
+        map.shard_of[static_cast<std::size_t>(keys[i].id)] =
             static_cast<std::int32_t>(s);
-    }
   }
   // Stripe-local ids: one ascending-global-id pass, so within a stripe
   // local order matches global order and owned[s] is the exact inverse.
@@ -107,9 +122,6 @@ ShardedMedium::ShardedMedium(
   scratch_.resize(static_cast<std::size_t>(count_));
   channels_.resize(static_cast<std::size_t>(count_));
   for (int s = 0; s < count_; ++s) {
-    auto channel = std::make_unique<Channel>(
-        engine.shard(s), graph, params,
-        util::substream(seed, static_cast<std::uint64_t>(s), 0x53484152u));
     Channel::ShardingSpec spec;
     spec.shard_of = map_.shard_of.data();
     spec.local_of = map_.local_of.data();
@@ -123,8 +135,10 @@ ShardedMedium::ShardedMedium(
           static_cast<std::size_t>(engine_.current_window() & 1);
       mail(s, dst).buf[parity].push_back(std::move(rf));
     };
-    channel->enable_sharding(std::move(spec));
-    channels_[static_cast<std::size_t>(s)] = std::move(channel);
+    channels_[static_cast<std::size_t>(s)] = std::make_unique<Channel>(
+        engine.shard(s), graph, params,
+        util::substream(seed, static_cast<std::uint64_t>(s), 0x53484152u),
+        std::move(spec));
   }
 }
 

@@ -235,7 +235,9 @@ RepairStats churn_against_rebuild(const net::ConnectivityGraph& graph,
   for (net::NodeId a = 0; a < n; ++a)
     for (const net::NodeId b : graph.neighbors(a))
       if (a < b) edges.emplace_back(a, b);
-  const std::vector<net::NodeId>& sink_neighbors = graph.neighbors(sink);
+  const auto sink_nbrs = graph.neighbors(sink);
+  const std::vector<net::NodeId> sink_neighbors(sink_nbrs.begin(),
+                                                sink_nbrs.end());
 
   net::LinkState links(n);
   net::ConvergecastRouting tree(graph, sink, &links);

@@ -5,6 +5,8 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "energy/radio_model.hpp"
@@ -207,12 +209,58 @@ TEST(ChannelLoss, FullLossYieldsZeroCleanDeliveries) {
   EXPECT_EQ(ch.stats().deliveries_corrupt, n);
 }
 
+TEST(ChannelPartition, SlotsAreStripeSizedFromConstruction) {
+  sim::Simulator sim;
+  const auto graph = std::make_shared<const net::ConnectivityGraph>(
+      std::vector<Position>{{0, 0}, {30, 0}, {60, 0}, {90, 0}, {120, 0}},
+      40.0);
+  // Stripe 1 of two owns nodes 3 and 4.
+  const std::vector<std::int32_t> shard_of{0, 0, 0, 1, 1};
+  const std::vector<std::int32_t> local_of{0, 1, 2, 0, 1};
+  std::vector<std::pair<std::int32_t, NodeId>> exported;
+  const auto spec = [&] {
+    Channel::ShardingSpec s;
+    s.shard_of = shard_of.data();
+    s.local_of = local_of.data();
+    s.my_shard = 1;
+    s.shard_count = 2;
+    s.owned_count = 2;
+    s.emit = [&exported](std::int32_t dst, Channel::RemoteFrame&& rf) {
+      exported.emplace_back(dst, rf.src);
+    };
+    return s;
+  };
+  Channel part(sim, graph, Channel::Params{}, 1, spec());
+  EXPECT_EQ(part.node_slots(), 2u);
+  EXPECT_EQ(Channel(sim, graph, Channel::Params{}, 1).node_slots(), 5u);
+
+  // Owned hearers are served locally, the other stripe's once by export.
+  Probe p4;
+  part.attach(4, &p4);
+  EXPECT_THROW(part.attach(1, &p4), std::invalid_argument);
+  part.start_tx(3, make_frame(3, 4), 0.01);
+  sim.run();
+  EXPECT_EQ(p4.ends.size(), 1u);
+  ASSERT_EQ(exported.size(), 1u);
+  EXPECT_EQ(exported[0], (std::pair<std::int32_t, NodeId>{0, 3}));
+
+  Channel::ShardingSpec no_emit = spec();
+  no_emit.emit = nullptr;
+  EXPECT_THROW(Channel(sim, graph, Channel::Params{}, 1, std::move(no_emit)),
+               std::invalid_argument);
+  Channel::ShardingSpec bad_shard = spec();
+  bad_shard.my_shard = 2;
+  EXPECT_THROW(
+      Channel(sim, graph, Channel::Params{}, 1, std::move(bad_shard)),
+      std::invalid_argument);
+}
+
 // ---------------------------------------------------------- Propagation --
 
 /// Neighbour index of `dst` in graph.neighbors(src) (asserts it exists).
 std::size_t nbr_index(const net::ConnectivityGraph& graph, NodeId src,
                       NodeId dst) {
-  const auto& nbrs = graph.neighbors(src);
+  const auto nbrs = graph.neighbors(src);
   for (std::size_t i = 0; i < nbrs.size(); ++i)
     if (nbrs[i] == dst) return i;
   ADD_FAILURE() << dst << " not a neighbour of " << src;

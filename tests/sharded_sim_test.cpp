@@ -1,5 +1,6 @@
 // The parallel engine's contracts:
-//   * ShardMap stripes are equal-population and ordered left to right;
+//   * ShardMap stripes are equal-population and ordered left to right,
+//     and equal a full (x, id) sort's split;
 //   * ShardedSimulator runs every shard to the horizon, phases parity
 //     correctly, and propagates shard exceptions;
 //   * boundary frames from an even stripe reach the adjacent odd stripe
@@ -57,6 +58,53 @@ TEST(ShardMap, MoreShardsThanNodesClampsToNodeCount) {
   const phy::ShardMap map = phy::ShardMap::stripes(positions, 8);
   EXPECT_EQ(map.count, 3);
   for (int s = 0; s < 3; ++s) EXPECT_EQ(map.owned_count(s), 1);
+}
+
+/// The stripe split by full sort: ids ordered by (x, id), stripe s takes
+/// ranks [n·s/count, n·(s+1)/count).
+std::vector<std::int32_t> full_sort_stripes(
+    const std::vector<net::Position>& pos, int shards) {
+  const std::size_t n = pos.size();
+  const auto count = static_cast<std::size_t>(
+      std::min<std::size_t>(static_cast<std::size_t>(shards), n));
+  std::vector<std::int32_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<std::int32_t>(i);
+  std::sort(order.begin(), order.end(), [&](std::int32_t a, std::int32_t b) {
+    const auto& pa = pos[static_cast<std::size_t>(a)];
+    const auto& pb = pos[static_cast<std::size_t>(b)];
+    return pa.x != pb.x ? pa.x < pb.x : a < b;
+  });
+  std::vector<std::int32_t> shard_of(n, 0);
+  for (std::size_t s = 0; s < count; ++s)
+    for (std::size_t i = n * s / count; i < n * (s + 1) / count; ++i)
+      shard_of[static_cast<std::size_t>(order[i])] =
+          static_cast<std::int32_t>(s);
+  return shard_of;
+}
+
+TEST(ShardMap, StripesEqualTheFullSortReference) {
+  // Grid columns share one x per 37 nodes, so most stripe boundaries fall
+  // inside a column and the id tie-break decides them.
+  const std::vector<net::Topology> placements = {
+      net::Topology::grid(37, 1440.0, 0),
+      net::Topology::uniform_random(1000, 500.0, 5),
+      net::Topology::gaussian_clusters(1000, 500.0, 5, 30.0, 5)};
+  for (const net::Topology& t : placements)
+    for (int shards = 1; shards <= 16; ++shards) {
+      SCOPED_TRACE(t.name + " shards " + std::to_string(shards));
+      const phy::ShardMap map = phy::ShardMap::stripes(t.positions, shards);
+      ASSERT_EQ(map.shard_of, full_sort_stripes(t.positions, shards));
+      // local_of and owned are the ascending-id inverse of shard_of.
+      for (int s = 0; s < map.count; ++s) {
+        const auto& ids = map.owned_nodes(s);
+        ASSERT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+        for (std::size_t l = 0; l < ids.size(); ++l) {
+          const auto g = static_cast<std::size_t>(ids[l]);
+          ASSERT_EQ(map.shard_of[g], s);
+          ASSERT_EQ(map.local_of[g], static_cast<std::int32_t>(l));
+        }
+      }
+    }
 }
 
 TEST(ShardedSimulator, RunsEveryShardToTheHorizonInWindows) {

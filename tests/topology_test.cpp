@@ -1,7 +1,8 @@
 // Unit + property tests for the topology subsystem: generator
-// determinism, spatial-hash neighbour discovery vs the brute-force
-// pairwise reference, component/stranded reporting, convergecast routing
-// vs the all-pairs table, and tree point-to-point routing.
+// determinism, CSR cell-array neighbour discovery vs the brute-force
+// pairwise reference (every generator and degenerate placements), the CSR
+// storage shape, component/stranded reporting, convergecast routing vs
+// the all-pairs table, and tree point-to-point routing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -109,32 +110,139 @@ TEST(TopologySpec, BuildDispatchesAndCounts) {
   }
 }
 
+std::vector<NodeId> as_vector(ConnectivityGraph::Neighbors nbrs) {
+  return std::vector<NodeId>(nbrs.begin(), nbrs.end());
+}
+
+/// Brute-force reference: the ascending pairwise scan, per node.
+std::vector<std::vector<NodeId>> pairwise_neighbors(
+    const std::vector<Position>& pos, double range) {
+  std::vector<std::vector<NodeId>> out(pos.size());
+  for (std::size_t a = 0; a < pos.size(); ++a)
+    for (std::size_t b = 0; b < pos.size(); ++b)
+      if (b != a && distance(pos[a], pos[b]) <= range)
+        out[a].push_back(static_cast<NodeId>(b));
+  return out;
+}
+
+void expect_pairwise(const std::vector<Position>& pos, double range) {
+  const ConnectivityGraph g(pos, range);
+  const auto expect = pairwise_neighbors(pos, range);
+  ASSERT_EQ(g.node_count(), static_cast<int>(pos.size()));
+  for (NodeId a = 0; a < g.node_count(); ++a)
+    ASSERT_EQ(as_vector(g.neighbors(a)),
+              expect[static_cast<std::size_t>(a)])
+        << "node " << a << " range " << range;
+}
+
 TEST(SpatialHash, NeighborsMatchBruteForceOnRandomPlacements) {
   for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull}) {
     for (const double range : {15.0, 40.0, 75.0, 300.0}) {
       const auto t = Topology::uniform_random(120, 200.0, seed);
-      const ConnectivityGraph g(t.positions, range);
-      SCOPED_TRACE("seed " + std::to_string(seed) + " range " +
-                   std::to_string(range));
-      for (NodeId a = 0; a < t.node_count(); ++a) {
-        // Brute-force reference: ascending pairwise scan.
-        std::vector<NodeId> expect;
-        for (NodeId b = 0; b < t.node_count(); ++b)
-          if (b != a && distance(t.position(a), t.position(b)) <= range)
-            expect.push_back(b);
-        ASSERT_EQ(g.neighbors(a), expect) << "node " << a;
-      }
+      SCOPED_TRACE("seed " + std::to_string(seed));
+      expect_pairwise(t.positions, range);
     }
   }
+}
+
+TEST(SpatialHash, NeighborsMatchBruteForceForEveryGenerator) {
+  const std::vector<Topology> placements = {
+      Topology::grid(12, 200.0, 0),
+      Topology::uniform_random(150, 200.0, 7),
+      Topology::gaussian_clusters(150, 200.0, 4, 25.0, 7),
+      Topology::line_corridor(150, 600.0, 20.0, 7),
+      Topology::ring(150, 100.0)};
+  for (const Topology& t : placements)
+    for (const double range : {15.0, 40.0, 75.0, 300.0}) {
+      SCOPED_TRACE(t.name);
+      expect_pairwise(t.positions, range);
+    }
 }
 
 TEST(SpatialHash, HandlesCoincidentAndNegativeFreePositions) {
   // Duplicate positions are mutual neighbours at distance 0.
   const std::vector<Position> pos{{10, 10}, {10, 10}, {100, 100}};
   const ConnectivityGraph g(pos, 5.0);
-  EXPECT_EQ(g.neighbors(0), std::vector<NodeId>{1});
-  EXPECT_EQ(g.neighbors(1), std::vector<NodeId>{0});
+  EXPECT_EQ(as_vector(g.neighbors(0)), std::vector<NodeId>{1});
+  EXPECT_EQ(as_vector(g.neighbors(1)), std::vector<NodeId>{0});
   EXPECT_TRUE(g.neighbors(2).empty());
+}
+
+TEST(SpatialHash, DegeneratePlacementsMatchBruteForce) {
+  // A single node: no links, one cell.
+  const ConnectivityGraph single({{3, 4}}, 10.0);
+  EXPECT_TRUE(single.neighbors(0).empty());
+  EXPECT_EQ(CellGrid::covering({{3, 4}}, 10.0).cells(), 1u);
+
+  // All nodes coincident: the complete graph from one cell.
+  expect_pairwise(std::vector<Position>(20, Position{7.5, -2.0}), 1.0);
+
+  // A collinear row, denser than the range and exactly at it.
+  std::vector<Position> row;
+  for (int i = 0; i < 50; ++i) row.push_back({i * 10.0, 5.0});
+  for (const double range : {5.0, 10.0, 25.0, 1000.0})
+    expect_pairwise(row, range);
+
+  // Negative coordinates on both axes, straddling the origin.
+  std::vector<Position> negative;
+  for (int i = 0; i < 60; ++i)
+    negative.push_back({-300.0 + 11.0 * i, -150.0 + 7.0 * (i % 9)});
+  for (const double range : {7.0, 11.0, 40.0}) expect_pairwise(negative, range);
+
+  // Lattices exactly one range apart, so every link has length == range
+  // and sits on a cell edge — with an exactly representable spacing and
+  // with spacings that round (0.1 and 0.3 are not binary fractions),
+  // including an origin offset that puts nodes off the cell anchor.
+  for (const double spacing : {40.0, 0.1, 0.3, 1e-3})
+    for (const double origin : {0.0, -17.3, 0.05}) {
+      std::vector<Position> lattice;
+      for (int r = 0; r < 9; ++r)
+        for (int c = 0; c < 9; ++c)
+          lattice.push_back({origin + c * spacing, origin + r * spacing});
+      SCOPED_TRACE("spacing " + std::to_string(spacing));
+      expect_pairwise(lattice, spacing);
+    }
+}
+
+TEST(SpatialHash, FarOutlierKeepsTheCellArrayLinear) {
+  // One node 1e9 m away: cells one range wide would need ~6e14 of them.
+  // The cell side widens instead, so the array stays within 2n cells.
+  std::vector<Position> pos = Topology::uniform_random(200, 200.0, 3).positions;
+  pos.push_back({1e9, 1e9});
+  const CellGrid grid = CellGrid::covering(pos, 40.0);
+  EXPECT_LE(grid.cells(), 2 * pos.size());
+  EXPECT_GE(grid.side, 40.0);
+  expect_pairwise(pos, 40.0);
+  const ConnectivityGraph g(pos, 40.0);
+  EXPECT_TRUE(g.neighbors(200).empty());
+}
+
+TEST(SpatialHash, UniformPlacementsKeepCellsOneRangeWide) {
+  // The 316×316 grid of the scale benchmark: one cell per node column.
+  const auto t = Topology::grid(316, 12600.0, 0);
+  const CellGrid grid = CellGrid::covering(t.positions, 40.0);
+  EXPECT_LT(grid.side, 40.01);
+  EXPECT_LE(grid.cells(), 2 * t.positions.size());
+}
+
+TEST(SpatialHash, CsrStorageIsExactlyOffsetsAndTwoIdsPerEdge) {
+  for (const double range : {15.0, 40.0, 300.0}) {
+    const auto t = Topology::uniform_random(300, 400.0, 11);
+    const ConnectivityGraph g(t.positions, range);
+    std::size_t edges = 0;
+    for (const auto& list : pairwise_neighbors(t.positions, range))
+      edges += list.size();
+    edges /= 2;
+    EXPECT_EQ(g.offsets().size(), t.positions.size() + 1);
+    EXPECT_EQ(g.offsets().front(), 0u);
+    EXPECT_EQ(g.offsets().back(), 2 * edges);
+    EXPECT_EQ(g.adjacency().size(), 2 * edges);
+    EXPECT_EQ(g.adjacency().capacity(), 2 * edges);
+    for (NodeId v = 0; v < g.node_count(); ++v)
+      EXPECT_EQ(g.neighbors(v).begin(),
+                g.adjacency().data() +
+                    g.offsets()[static_cast<std::size_t>(v)]);
+  }
 }
 
 TEST(Components, LabelsAndUnreachable) {
