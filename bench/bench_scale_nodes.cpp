@@ -1,11 +1,11 @@
 // Scale sweep — the large-network path: topology build, connectivity
-// build (spatial hash) and convergecast-routing build timed from 36 to
-// 2500 nodes across the placement generators, plus a short dual-radio
-// simulation point per grid size, so the scale trajectory is measurable
-// run over run and an accidental O(n²) regression shows up as a blown
-// wall-clock budget (--budget-s, used by the CI smoke step). The sweep
-// runs its points one at a time, so the events/sec floor on the largest
-// grid point (--min-events-per-sec) measures that point alone.
+// build (CSR over a flat cell array) and convergecast-routing build timed
+// from 36 to 2500 nodes across the placement generators, plus a short
+// dual-radio simulation point per grid size, so the scale trajectory is
+// measurable run over run and an accidental O(n²) regression shows up as
+// a blown wall-clock budget (--budget-s, used by the CI smoke step). The
+// sweep runs its points one at a time, so the events/sec floor on the
+// largest grid point (--min-events-per-sec) measures that point alone.
 //
 // --max-rss-mib adds the 1M-node memory cell: one sharded dual-radio run
 // on a 1000x1000 grid with a central sink, which must deliver packets and
