@@ -14,33 +14,7 @@ CsmaCaMac::CsmaCaMac(sim::Simulator& sim, phy::Radio& radio,
       sim_(sim),
       radio_(radio),
       params_(params),
-      rng_(seed),
-      backoff_timer_(sim, [this] { on_backoff_expired(); }),
-      ack_timer_(sim, [this] { on_ack_timeout(); }),
-      ack_tx_timer_(sim, [this] {
-        // Time to put the head-of-line ack on the air.
-        if (pending_acks_.empty()) return;
-        if (radio_.state() == phy::RadioState::kTx || !radio_.ready()) {
-          // Our own transmission (or a power-down) wins; the data sender
-          // will time out and retransmit.
-          ++stats_->acks_suppressed;
-          pending_acks_.pop_front();
-          return;
-        }
-        const PendingAck ack = pending_acks_.front();
-        pending_acks_.pop_front();
-        phy::Frame f;
-        f.tx_node = radio_.self();
-        f.rx_node = ack.to;
-        f.kind = phy::FrameKind::kAck;
-        f.mac_seq = ack.seq;
-        f.payload_bits = 0;
-        f.header_bits = params_.ack_bits;
-        f.preamble = params_.preamble;
-        tx_is_ack_ = true;
-        ++stats_->acks_sent;
-        radio_.transmit(f);
-      }) {
+      rng_(seed) {
   BCP_REQUIRE(params_.slot > 0);
   BCP_REQUIRE(params_.cw_min >= 0 && params_.cw_max >= params_.cw_min);
   BCP_REQUIRE(params_.retry_limit >= 0);
@@ -76,8 +50,10 @@ void CsmaCaMac::start_cycle() {
 void CsmaCaMac::arm_backoff(util::Seconds extra_wait) {
   const auto& head = queue_.front();
   const auto slots = rng_.uniform_int(static_cast<std::uint64_t>(head.cw) + 1);
-  backoff_timer_.start(extra_wait + params_.difs +
-                       static_cast<double>(slots) * params_.slot);
+  const util::Seconds delay =
+      extra_wait + params_.difs + static_cast<double>(slots) * params_.slot;
+  sim_.cancel(backoff_timer_);
+  backoff_timer_ = sim_.schedule_in(delay, [this] { on_backoff_expired(); });
 }
 
 void CsmaCaMac::on_backoff_expired() {
@@ -123,7 +99,7 @@ void CsmaCaMac::transmit_head() {
 void CsmaCaMac::on_radio_tx_done() {
   if (tx_is_ack_) {
     tx_is_ack_ = false;
-    if (!pending_acks_.empty()) ack_tx_timer_.start(params_.sifs);
+    if (!pending_acks_.empty()) arm_ack_tx();
     return;
   }
   if (!in_flight_) return;  // queue was flushed mid-transmission
@@ -133,7 +109,10 @@ void CsmaCaMac::on_radio_tx_done() {
     return;
   }
   awaiting_ack_ = true;
-  ack_timer_.start(params_.sifs + ack_duration() + params_.ack_guard);
+  sim_.cancel(ack_timer_);
+  ack_timer_ =
+      sim_.schedule_in(params_.sifs + ack_duration() + params_.ack_guard,
+                       [this] { on_ack_timeout(); });
 }
 
 util::Seconds CsmaCaMac::ack_duration() const {
@@ -154,13 +133,43 @@ void CsmaCaMac::on_ack_timeout() {
   arm_backoff(0.0);
 }
 
+void CsmaCaMac::arm_ack_tx() {
+  sim_.cancel(ack_tx_timer_);
+  ack_tx_timer_ = sim_.schedule_in(params_.sifs, [this] { on_ack_tx_time(); });
+}
+
+void CsmaCaMac::on_ack_tx_time() {
+  // Time to put the head-of-line ack on the air.
+  if (pending_acks_.empty()) return;
+  if (radio_.state() == phy::RadioState::kTx || !radio_.ready()) {
+    // Our own transmission (or a power-down) wins; the data sender
+    // will time out and retransmit.
+    ++stats_->acks_suppressed;
+    pending_acks_.pop_front();
+    return;
+  }
+  const PendingAck ack = pending_acks_.front();
+  pending_acks_.pop_front();
+  phy::Frame f;
+  f.tx_node = radio_.self();
+  f.rx_node = ack.to;
+  f.kind = phy::FrameKind::kAck;
+  f.mac_seq = ack.seq;
+  f.payload_bits = 0;
+  f.header_bits = params_.ack_bits;
+  f.preamble = params_.preamble;
+  tx_is_ack_ = true;
+  ++stats_->acks_sent;
+  radio_.transmit(f);
+}
+
 void CsmaCaMac::on_radio_frame_received(const phy::Frame& frame) {
   if (frame.kind == phy::FrameKind::kBeacon) return;  // not our family
   if (frame.kind == phy::FrameKind::kAck) {
     if (awaiting_ack_ && !queue_.empty() &&
         frame.mac_seq == queue_.front().seq &&
         frame.tx_node == queue_.front().next_hop) {
-      ack_timer_.cancel();
+      sim_.cancel(ack_timer_);
       awaiting_ack_ = false;
       finish_head(true);
     }
@@ -171,8 +180,9 @@ void CsmaCaMac::on_radio_frame_received(const phy::Frame& frame) {
   const bool unicast = frame.rx_node == radio_.self();
   if (unicast) {
     pending_acks_.push_back(PendingAck{frame.tx_node, frame.mac_seq});
-    if (!ack_tx_timer_.running() && radio_.state() != phy::RadioState::kTx)
-      ack_tx_timer_.start(params_.sifs);
+    if (!sim_.is_pending(ack_tx_timer_) &&
+        radio_.state() != phy::RadioState::kTx)
+      arm_ack_tx();
     std::uint32_t& last = delivered_seq(frame.tx_node);
     if (frame.mac_seq <= last) {
       ++stats_->rx_duplicates;  // retransmission whose ack we lost — re-ack
@@ -197,8 +207,8 @@ void CsmaCaMac::finish_head(bool success) {
   queue_.pop_front();
   in_flight_ = false;
   awaiting_ack_ = false;
-  backoff_timer_.cancel();
-  ack_timer_.cancel();
+  sim_.cancel(backoff_timer_);
+  sim_.cancel(ack_timer_);
   if (success)
     ++stats_->tx_success;
   else
@@ -208,9 +218,9 @@ void CsmaCaMac::finish_head(bool success) {
 }
 
 void CsmaCaMac::reset_on_crash() {
-  backoff_timer_.cancel();
-  ack_timer_.cancel();
-  ack_tx_timer_.cancel();
+  sim_.cancel(backoff_timer_);
+  sim_.cancel(ack_timer_);
+  sim_.cancel(ack_tx_timer_);
   in_flight_ = false;
   awaiting_ack_ = false;
   tx_is_ack_ = false;
@@ -222,8 +232,8 @@ void CsmaCaMac::reset_on_crash() {
 }
 
 void CsmaCaMac::flush_queue() {
-  backoff_timer_.cancel();
-  ack_timer_.cancel();
+  sim_.cancel(backoff_timer_);
+  sim_.cancel(ack_timer_);
   in_flight_ = false;
   awaiting_ack_ = false;
   util::SlidingQueue<Outgoing> failed;

@@ -79,6 +79,8 @@ class CsmaCaMac final : public Mac {
   void transmit_head();
   void on_radio_tx_done() override;
   void on_ack_timeout();
+  void arm_ack_tx();  // put the head pending ack on the air after SIFS
+  void on_ack_tx_time();
   void on_radio_frame_received(const phy::Frame& frame) override;
   void send_ack(net::NodeId to, std::uint32_t seq);
   void finish_head(bool success);
@@ -96,8 +98,8 @@ class CsmaCaMac final : public Mac {
   bool awaiting_ack_ = false;
   bool tx_is_ack_ = false;        // current radio transmission is an ack
   std::uint32_t next_seq_ = 1;
-  sim::Timer backoff_timer_;
-  sim::Timer ack_timer_;
+  sim::Simulator::EventHandle backoff_timer_;
+  sim::Simulator::EventHandle ack_timer_;
   // Highest seq delivered per neighbour, for duplicate suppression. A
   // node hears a handful of neighbours, so a flat list beats a hash map.
   struct DeliveredSeq {
@@ -111,7 +113,7 @@ class CsmaCaMac final : public Mac {
     std::uint32_t seq;
   };
   util::SlidingQueue<PendingAck> pending_acks_;
-  sim::Timer ack_tx_timer_;
+  sim::Simulator::EventHandle ack_tx_timer_;
 };
 
 }  // namespace bcp::mac

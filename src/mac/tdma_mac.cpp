@@ -84,9 +84,7 @@ TdmaMac::TdmaMac(sim::Simulator& sim, phy::Radio& radio,
       sim_(sim),
       radio_(radio),
       params_(params),
-      schedule_(schedule),
-      beacon_timer_(sim, [this] { on_beacon_time(); }),
-      slot_timer_(sim, [this] { on_slot_start(); }) {
+      schedule_(schedule) {
   BCP_REQUIRE_MSG(params_.beacon_period > 0,
                   "TdmaMac needs resolved params (see resolved_for)");
   params_.validate();
@@ -153,7 +151,9 @@ void TdmaMac::arm_beacon() {
   // Superframe k begins at k * P on the coordinator clock (= sim time).
   const double next =
       static_cast<double>(next_beacon_seq_) * params_.beacon_period;
-  beacon_timer_.start(std::max(0.0, next - sim_.now()));
+  sim_.cancel(beacon_timer_);
+  beacon_timer_ = sim_.schedule_in(std::max(0.0, next - sim_.now()),
+                                   [this] { on_beacon_time(); });
 }
 
 void TdmaMac::on_beacon_time() {
@@ -193,7 +193,8 @@ void TdmaMac::arm_next_slot() {
       if (fire <= now + 1e-12) continue;
       pending_superframe_ = j;
       pending_first_ = s == my_slots_.front();
-      slot_timer_.start(fire - now);
+      sim_.cancel(slot_timer_);
+      slot_timer_ = sim_.schedule_in(fire - now, [this] { on_slot_start(); });
       return;
     }
   }
@@ -338,8 +339,8 @@ void TdmaMac::flush_queue() {
 }
 
 void TdmaMac::reset_on_crash() {
-  beacon_timer_.cancel();
-  slot_timer_.cancel();
+  sim_.cancel(beacon_timer_);
+  sim_.cancel(slot_timer_);
   in_slot_ = false;
   tx_is_beacon_ = false;
   ++stats_->crash_resets;

@@ -122,13 +122,13 @@ class TdmaMac final : public Mac {
 
   // Coordinator side.
   std::uint64_t next_beacon_seq_ = 0;
-  sim::Timer beacon_timer_;
+  sim::Simulator::EventHandle beacon_timer_;
 
   // Member side: sync + the single armed slot.
   bool ever_synced_ = false;
   std::uint64_t sync_superframe_ = 0;
   util::Seconds sync_time_ = 0;
-  sim::Timer slot_timer_;
+  sim::Simulator::EventHandle slot_timer_;
   std::uint64_t pending_superframe_ = 0;
   bool pending_first_ = false;      ///< armed slot is my first this superframe
   bool in_slot_ = false;

@@ -146,26 +146,4 @@ void Simulator::run_until(TimePoint end) {
   if (!stopped_) now_ = end;
 }
 
-Timer::Timer(Simulator& sim, Callback on_expire)
-    : sim_(sim), on_expire_(std::move(on_expire)) {
-  BCP_REQUIRE(on_expire_ != nullptr);
-}
-
-void Timer::start(util::Seconds delay) {
-  cancel();
-  handle_ = sim_.schedule_in(delay, [this] {
-    handle_ = Simulator::EventHandle{};
-    on_expire_();
-  });
-}
-
-void Timer::cancel() {
-  if (handle_.valid()) {
-    sim_.cancel(handle_);
-    handle_ = Simulator::EventHandle{};
-  }
-}
-
-bool Timer::running() const { return sim_.is_pending(handle_); }
-
 }  // namespace bcp::sim

@@ -49,6 +49,14 @@ class Simulator {
   /// A default-constructed handle is invalid and never pending. The id
   /// packs (generation << 32 | slot): recycling a slot bumps its
   /// generation, so handles to fired/cancelled events stay dead forever.
+  ///
+  /// A restartable timer (a MAC's backoff, ack timeout or beacon) is one
+  /// handle plus the owner's `this`: re-arm with
+  ///   sim.cancel(h);
+  ///   h = sim.schedule_in(delay, [this] { on_expiry(); });
+  /// and test it with is_pending(h). Cancelling a fired, cancelled or
+  /// default handle is a no-op, so the pair needs no guard, and the
+  /// handle is already not pending inside its own callback.
   struct EventHandle {
     std::uint64_t id = 0;
     bool valid() const { return id != 0; }
@@ -150,39 +158,6 @@ class Simulator {
   std::vector<HeapEntry> heap_;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;  // intrusive free list through Slot::pos
-};
-
-/// Restartable one-shot timer bound to a Simulator. `start` reschedules
-/// (cancelling any pending expiry); the callback is fixed at construction.
-/// Protocol state machines (MAC retries, BCP handshake timeouts) use this.
-class Timer {
- public:
-  /// Expiry callback. Every MAC timer captures only its owner's `this`,
-  /// and three of them sit in each node's MAC, so the inline buffer is
-  /// two pointers wide rather than the event queue's 64 bytes.
-  using Callback = util::InlineFunction<void(), 16>;
-
-  Timer(Simulator& sim, Callback on_expire);
-
-  // The simulator holds no reference back to the timer, but moving would
-  // invalidate the `this` captured via the bound callback's closure state in
-  // derived users; keep it pinned.
-  Timer(const Timer&) = delete;
-  Timer& operator=(const Timer&) = delete;
-
-  /// (Re)starts the timer to fire after `delay` seconds.
-  void start(util::Seconds delay);
-
-  /// Cancels a pending expiry; no-op if not running.
-  void cancel();
-
-  /// True if an expiry is pending.
-  bool running() const;
-
- private:
-  Simulator& sim_;
-  Callback on_expire_;
-  Simulator::EventHandle handle_;
 };
 
 }  // namespace bcp::sim

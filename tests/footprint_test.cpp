@@ -23,6 +23,7 @@
 #include "app/scenario.hpp"
 #include "mac/csma_mac.hpp"
 #include "mac/mac_params.hpp"
+#include "mac/tdma_mac.hpp"
 #include "net/message_ref.hpp"
 #include "phy/channel.hpp"
 #include "phy/radio.hpp"
@@ -36,15 +37,15 @@ namespace {
 // ---- sizeof ceilings -------------------------------------------------------
 
 TEST(Footprint, PerNodeObjectsStayUnderTheirCeilings) {
-  EXPECT_LE(sizeof(sim::Timer), 48u);         // measured 48
   EXPECT_LE(sizeof(phy::Radio), 224u);        // measured 224
-  EXPECT_LE(sizeof(mac::CsmaCaMac), 320u);    // measured 320
+  EXPECT_LE(sizeof(mac::CsmaCaMac), 200u);    // measured 200
+  EXPECT_LE(sizeof(mac::TdmaMac), 320u);      // measured 320
   EXPECT_LE(sizeof(core::BcpAgent), 240u);    // measured 240
   // Both CSMA MACs live inline (app::MacSlot), so this is the whole
   // dual-radio assembly apart from buffered traffic.
-  EXPECT_LE(sizeof(app::DualRadioNode), 1456u);  // measured 1456
+  EXPECT_LE(sizeof(app::DualRadioNode), 1216u);  // measured 1216
   // The sensor and 802.11 models' node: one radio, one inline CSMA MAC.
-  EXPECT_LE(sizeof(app::ForwardingNode), 616u);  // measured 616
+  EXPECT_LE(sizeof(app::ForwardingNode), 496u);  // measured 496
 }
 
 // ---- shared constants ------------------------------------------------------

@@ -16,10 +16,15 @@
 #include <cstdint>
 #include <functional>
 
+#include "energy/radio_model.hpp"
+#include "mac/csma_mac.hpp"
+#include "mac/mac_params.hpp"
 #include "net/message.hpp"
 #include "net/message_ref.hpp"
 #include "phy/channel.hpp"
+#include "phy/radio.hpp"
 #include "sim/simulator.hpp"
+#include "test_hosts.hpp"
 #include "util/alloc_count_hook.hpp"
 #include "util/units.hpp"
 
@@ -50,8 +55,9 @@ TEST(PerfAlloc, ScheduleCancelDispatchIsAllocationFreeWhenWarm) {
 
 TEST(PerfAlloc, NestedSchedulingFromCallbacksIsAllocationFreeWhenWarm) {
   sim::Simulator s;
-  // Chains that reschedule from inside callbacks — the Timer/protocol
-  // pattern — must also recycle slots without allocating.
+  // Chains that reschedule from inside callbacks — the pattern of every
+  // protocol timer re-armed from its own expiry — must also recycle slots
+  // without allocating.
   int remaining = 0;
   std::function<void()> hop;  // intentionally cold; captured by pointer
   auto* hop_ptr = &hop;
@@ -107,6 +113,42 @@ TEST(PerfAlloc, CaptureChannelHotPathIsAllocationFreeWhenWarm) {
       << "the capture channel allocated in steady state";
   EXPECT_GT(ch.stats().deliveries_corrupt, 0);  // collisions really happened
   EXPECT_EQ(ch.live_arrivals(), 0);
+}
+
+TEST(PerfAlloc, CsmaUnicastExchangeIsAllocationFreeWhenWarm) {
+  // Two CSMA stations trading acked unicast frames: every frame arms the
+  // sender's backoff and ack timeout and the receiver's ack tx, each a
+  // cancel-then-schedule on an event handle, through the radios and the
+  // channel. Once warm, none of it may touch the allocator.
+  sim::Simulator s;
+  phy::Channel ch(s, {{0, 0}, {10, 0}}, 50.0, phy::Channel::Params{0.0}, 1);
+  phy::Radio r0(s, ch, 0, energy::micaz(), phy::OverhearMode::kNone, true);
+  phy::Radio r1(s, ch, 1, energy::micaz(), phy::OverhearMode::kNone, true);
+  const mac::MacParams params = mac::sensor_mac_params();
+  mac::Mac::Stats s0, s1;
+  mac::CsmaCaMac m0(s, r0, params, 1, s0);
+  mac::CsmaCaMac m1(s, r1, params, 2, s1);
+  long long delivered = 0;
+  testing_support::FnMacHost host1;
+  host1.rx = [&delivered](const net::Message&, net::NodeId) { ++delivered; };
+  m1.set_host(&host1);
+  net::Message m;
+  m.src = 0;
+  m.dst = 1;
+  m.body = net::DataPacket{0, 1, 1, util::bytes(32), 0.0};
+  const net::MessageRef msg = net::make_message(std::move(m));
+  const auto cycle = [&](int frames) {
+    for (int i = 0; i < frames; ++i) m0.enqueue(msg, 1);
+    s.run();
+  };
+  cycle(8);  // warm-up: queues, event slots and arrivals reach high water
+  const std::uint64_t before = g_alloc_count;
+  for (int round = 0; round < 200; ++round) cycle(8);
+  EXPECT_EQ(g_alloc_count - before, 0u)
+      << "the CSMA unicast exchange allocated in steady state";
+  EXPECT_EQ(s0.tx_success, 201 * 8);
+  EXPECT_EQ(s1.acks_sent, 201 * 8);
+  EXPECT_EQ(delivered, 201 * 8);
 }
 
 TEST(PerfAlloc, PooledControlMessagesAreAllocationFreeWhenWarm) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <random>
 #include <utility>
@@ -261,50 +262,67 @@ TEST(Simulator, ManyEventsStressOrdering) {
   EXPECT_EQ(s.processed_count(), 20000u);
 }
 
-TEST(Timer, FiresAfterDelay) {
+// ---- Restartable timers --------------------------------------------------
+// A protocol timer is a handle re-armed cancel-then-schedule (see
+// Simulator::EventHandle); these pin the behaviours the MACs rely on.
+
+TEST(Simulator, HandleTimerFiresAfterDelay) {
   Simulator s;
   int fired = 0;
-  Timer t(s, [&] { ++fired; });
-  t.start(2.0);
-  EXPECT_TRUE(t.running());
+  const auto h = s.schedule_in(2.0, [&] { ++fired; });
+  EXPECT_TRUE(s.is_pending(h));
   s.run();
   EXPECT_EQ(fired, 1);
-  EXPECT_FALSE(t.running());
+  EXPECT_DOUBLE_EQ(s.now(), 2.0);
+  EXPECT_FALSE(s.is_pending(h));
 }
 
-TEST(Timer, RestartSupersedesPreviousDeadline) {
+TEST(Simulator, HandleTimerRearmSupersedesPreviousDeadline) {
   Simulator s;
+  int fired = 0;
   double fired_at = -1;
-  Timer t(s, [&] { fired_at = s.now(); });
-  t.start(2.0);
-  s.schedule_at(1.0, [&] { t.start(5.0); });  // re-arm before expiry
+  Simulator::EventHandle h;
+  const auto arm = [&](double delay) {
+    s.cancel(h);
+    h = s.schedule_in(delay, [&] {
+      ++fired;
+      fired_at = s.now();
+    });
+  };
+  arm(2.0);
+  s.schedule_at(1.0, [&] { arm(5.0); });  // re-arm before expiry
   s.run();
+  EXPECT_EQ(fired, 1);
   EXPECT_DOUBLE_EQ(fired_at, 6.0);
 }
 
-TEST(Timer, CancelStopsExpiry) {
+TEST(Simulator, HandleTimerCancelStopsExpiry) {
   Simulator s;
   int fired = 0;
-  Timer t(s, [&] { ++fired; });
-  t.start(2.0);
-  s.schedule_at(1.0, [&] { t.cancel(); });
+  Simulator::EventHandle h = s.schedule_in(2.0, [&] { ++fired; });
+  s.schedule_at(1.0, [&] { EXPECT_TRUE(s.cancel(h)); });
   s.run();
   EXPECT_EQ(fired, 0);
-  EXPECT_FALSE(t.running());
+  EXPECT_FALSE(s.is_pending(h));
+  EXPECT_FALSE(s.cancel(h));  // a second cancel is a no-op
 }
 
-TEST(Timer, RestartFromWithinCallback) {
+TEST(Simulator, HandleTimerRearmFromWithinItsCallback) {
   Simulator s;
   int fired = 0;
-  Timer* self = nullptr;
-  Timer t(s, [&] {
-    if (++fired < 3) self->start(1.0);
-  });
-  self = &t;
-  t.start(1.0);
+  Simulator::EventHandle h;
+  std::function<void()> on_expiry = [&] {
+    EXPECT_FALSE(s.is_pending(h));  // its own handle is already spent
+    if (++fired < 3) {
+      s.cancel(h);  // the fired handle: a no-op, as in every re-arm
+      h = s.schedule_in(1.0, [&] { on_expiry(); });
+    }
+  };
+  h = s.schedule_in(1.0, [&] { on_expiry(); });
   s.run();
   EXPECT_EQ(fired, 3);
   EXPECT_DOUBLE_EQ(s.now(), 3.0);
+  EXPECT_FALSE(s.is_pending(h));
 }
 
 // ---- Slot recycling / generation stamping -------------------------------
