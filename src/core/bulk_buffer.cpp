@@ -45,12 +45,11 @@ std::vector<net::DataPacket> BulkBuffer::pop_up_to(net::NodeId next_hop,
   q.bits -= used;
   total_bits_ -= used;
   total_packets_ -= take;
-  // A drained queue is reset but kept: its vector's capacity (and its map
-  // entry) are reused by the next burst toward this hop instead of churning
-  // the allocator every push/pop cycle.
+  // A drained queue gives its entry and storage back: a forwarder that
+  // has sent its last burst holds no memory for that hop. A part-drained
+  // one compacts once the popped prefix passes half its length.
   if (q.head == q.packets.size()) {
-    q.packets.clear();
-    q.head = 0;
+    queues_.erase(it);
   } else if (q.head > q.packets.size() / 2) {
     q.packets.erase(q.packets.begin(),
                     q.packets.begin() + static_cast<std::ptrdiff_t>(q.head));
@@ -61,26 +60,21 @@ std::vector<net::DataPacket> BulkBuffer::pop_up_to(net::NodeId next_hop,
 
 std::optional<net::DataPacket> BulkBuffer::pop_front(net::NodeId next_hop) {
   const auto it = queues_.find(next_hop);
-  if (it == queues_.end() || it->second.head >= it->second.packets.size())
-    return std::nullopt;
+  if (it == queues_.end()) return std::nullopt;
   Queue& q = it->second;
   net::DataPacket p = q.packets[q.head];
   q.bits -= p.payload_bits;
   total_bits_ -= p.payload_bits;
   --total_packets_;
   ++q.head;
-  if (q.head == q.packets.size()) {
-    q.packets.clear();
-    q.head = 0;
-  }
+  if (q.head == q.packets.size()) queues_.erase(it);  // see pop_up_to
   return p;
 }
 
 std::optional<util::Seconds> BulkBuffer::oldest_created_at(
     net::NodeId next_hop) const {
   const auto it = queues_.find(next_hop);
-  if (it == queues_.end() || it->second.head >= it->second.packets.size())
-    return std::nullopt;
+  if (it == queues_.end()) return std::nullopt;
   const Queue& q = it->second;
   return q.packets[q.head].created_at;
 }
@@ -106,8 +100,7 @@ std::size_t BulkBuffer::clear() {
 std::vector<net::NodeId> BulkBuffer::active_next_hops() const {
   std::vector<net::NodeId> hops;
   hops.reserve(queues_.size());
-  for (const auto& [id, q] : queues_)
-    if (q.bits > 0) hops.push_back(id);
+  for (const auto& entry : queues_) hops.push_back(entry.first);
   return hops;
 }
 

@@ -49,11 +49,16 @@ class BulkBuffer {
   /// Next hops with at least one buffered packet, in ascending id order.
   std::vector<net::NodeId> active_next_hops() const;
 
+  /// Number of next hops holding a queue. A queue exists only while it
+  /// holds a packet: draining it releases its entry and storage.
+  std::size_t queue_count() const { return queues_.size(); }
+
   /// Discards every buffered packet (crash/reset); returns how many were
   /// dropped.
   std::size_t clear();
 
  private:
+  /// Never empty: the last pop erases the queue's entry.
   struct Queue {
     std::vector<net::DataPacket> packets;
     std::size_t head = 0;  // index of the first un-popped packet

@@ -23,6 +23,7 @@ TEST(BulkBuffer, StartsEmpty) {
   EXPECT_EQ(b.free_bits(), bytes(1024));
   EXPECT_TRUE(b.active_next_hops().empty());
   EXPECT_EQ(b.buffered_bits(3), 0);
+  EXPECT_EQ(b.queue_count(), 0u);
 }
 
 TEST(BulkBuffer, PushAccumulatesPerNextHop) {
@@ -113,6 +114,57 @@ TEST(BulkBuffer, ManyPopsCompactInternally) {
   }
   EXPECT_EQ(b.total_packets(), 0u);
   EXPECT_EQ(b.total_bits(), 0);
+}
+
+TEST(BulkBuffer, DrainedQueueReleasesItsEntry) {
+  // A queue drained by either pop gives its entry back; the next burst to
+  // the same hop starts a fresh queue that behaves exactly like the first.
+  BulkBuffer b(bytes(1024));
+  ASSERT_TRUE(b.push(2, pkt(0, 99)));  // another hop keeps its queue
+  const auto burst = [&b](std::uint32_t first_seq) {
+    for (std::uint32_t i = 0; i < 4; ++i)
+      ASSERT_TRUE(b.push(1, pkt(0, first_seq + i)));
+    EXPECT_EQ(b.queue_count(), 2u);
+    EXPECT_EQ(b.buffered_bits(1), bytes(128));
+    EXPECT_EQ(b.free_bits(), bytes(1024 - 160));
+    EXPECT_EQ(b.oldest_created_at(1), 0.0);
+  };
+  const auto expect_released = [&b] {
+    EXPECT_EQ(b.queue_count(), 1u);
+    EXPECT_EQ(b.packet_count(1), 0u);
+    EXPECT_EQ(b.buffered_bits(1), 0);
+    EXPECT_EQ(b.free_bits(), bytes(1024 - 32));
+    EXPECT_FALSE(b.oldest_created_at(1).has_value());
+    EXPECT_EQ(b.active_next_hops(), (std::vector<net::NodeId>{2}));
+  };
+
+  burst(1);
+  const auto out = b.pop_up_to(1, bytes(4096));
+  ASSERT_EQ(out.size(), 4u);
+  for (std::uint32_t i = 0; i < 4; ++i) EXPECT_EQ(out[i].seq, 1 + i);
+  expect_released();
+
+  burst(11);
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    const auto p = b.pop_front(1);
+    ASSERT_TRUE(p.has_value());
+    EXPECT_EQ(p->seq, 11 + i);
+    EXPECT_EQ(p->payload_bits, bytes(32));
+  }
+  EXPECT_FALSE(b.pop_front(1).has_value());
+  expect_released();
+
+  burst(21);
+  const auto again = b.pop_up_to(1, bytes(64));
+  ASSERT_EQ(again.size(), 2u);
+  EXPECT_EQ(again[0].seq, 21u);
+  EXPECT_EQ(again[1].seq, 22u);
+  EXPECT_EQ(b.queue_count(), 2u);  // part-drained: the entry stays
+  EXPECT_EQ(b.pop_up_to(1, bytes(64)).size(), 2u);
+  expect_released();
+  EXPECT_EQ(b.pop_front(2)->seq, 99u);
+  EXPECT_EQ(b.queue_count(), 0u);
+  EXPECT_EQ(b.free_bits(), bytes(1024));
 }
 
 TEST(BulkBuffer, InvalidArgumentsThrow) {
