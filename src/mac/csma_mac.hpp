@@ -82,7 +82,6 @@ class CsmaCaMac final : public Mac {
   void arm_ack_tx();  // put the head pending ack on the air after SIFS
   void on_ack_tx_time();
   void on_radio_frame_received(const phy::Frame& frame) override;
-  void send_ack(net::NodeId to, std::uint32_t seq);
   void finish_head(bool success);
   util::Seconds ack_duration() const;
   phy::Frame make_data_frame(const Outgoing& out) const;
