@@ -38,18 +38,18 @@ int main(int argc, char** argv) {
   const double duration = opt.get_double("minutes") * 60.0;
 
   sim::Simulator simulator;
-  const auto topo = net::GridTopology::paper_grid();
+  const auto topo = net::Topology::grid(6, 200.0, 0);
 
   // Multi-hop setup: sensor radio forms the 5-hop grid, Cabletron covers
   // the field in one hop.
-  phy::Channel low_ch(simulator, topo.positions(), 40.0, {0.0},
+  phy::Channel low_ch(simulator, topo.positions, 40.0, {0.0},
                       util::substream(seed, 1, 0x4C4348u));
-  phy::Channel high_ch(simulator, topo.positions(), 300.0, {0.0},
+  phy::Channel high_ch(simulator, topo.positions, 300.0, {0.0},
                        util::substream(seed, 2, 0x484348u));
   const net::RoutingTable low_routes{
-      net::ConnectivityGraph(topo.positions(), 40.0)};
+      net::ConnectivityGraph(topo.positions, 40.0)};
   const net::RoutingTable high_routes{
-      net::ConnectivityGraph(topo.positions(), 300.0)};
+      net::ConnectivityGraph(topo.positions, 300.0)};
 
   core::BcpConfig bcp;
   bcp.set_burst_packets(static_cast<int>(opt.get_int("burst")),
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
   for (int i = 0; i < talking; ++i) {
     const net::NodeId mic = static_cast<net::NodeId>(35 - i);
     mics.push_back(std::make_unique<app::BurstyWorkload>(
-        simulator, mic, topo.sink(), audio,
+        simulator, mic, topo.sink, audio,
         util::substream(seed, static_cast<std::uint64_t>(mic), 0x4D4943u),
         [&nodes, mic, &generated](net::DataPacket p) {
           ++generated;

@@ -198,25 +198,6 @@ TopologySpec first_connected(TopologySpec spec, util::Metres range,
   throw std::logic_error("unreachable");
 }
 
-// --------------------------------------------------------- GridTopology --
-
-GridTopology::GridTopology(int side, util::Metres area, NodeId sink)
-    : side_(side),
-      spacing_(side > 1 ? area / (side - 1) : 0.0),
-      sink_(sink) {
-  BCP_REQUIRE(side >= 1);
-  BCP_REQUIRE(area > 0);
-  BCP_REQUIRE(sink >= 0 && sink < side * side);
-  positions_ = Topology::grid(side, area, sink).positions;
-}
-
-GridTopology GridTopology::paper_grid() { return GridTopology(6, 200.0, 0); }
-
-const Position& GridTopology::position(NodeId id) const {
-  BCP_REQUIRE(id >= 0 && id < node_count());
-  return positions_[static_cast<std::size_t>(id)];
-}
-
 // ------------------------------------------------------------- CellGrid --
 
 CellGrid CellGrid::covering(const std::vector<Position>& positions,

@@ -5,7 +5,7 @@
 // sensor-radio range, so sensor connectivity is the 4-neighbour grid and
 // routes are Manhattan paths (mean depth ≈ 5 hops to a corner sink,
 // matching the 5-hop linear example in §2.2). That placement is
-// `Topology::grid` / `GridTopology::paper_grid`.
+// `Topology::grid(6, 200.0, 0)`.
 //
 // Everything downstream of placement (channels, routing, scenarios,
 // benches) consumes the `Topology` value type, so the grid is just one of
@@ -52,7 +52,8 @@ struct Topology {
   const Position& position(NodeId id) const;
 
   /// `side`×`side` lattice over an `area`-metre square (spacing =
-  /// area/(side-1)); byte-identical to the legacy GridTopology placement.
+  /// area/(side-1)), row-major from the origin; `sink` must be a valid
+  /// node index.
   static Topology grid(int side, util::Metres area, NodeId sink);
 
   /// n nodes i.i.d. uniform over the `area` square; node 0 is the sink
@@ -127,31 +128,6 @@ struct TopologySpec {
 /// yields a connected placement. No-op for deterministic generators.
 TopologySpec first_connected(TopologySpec spec, util::Metres range,
                              int max_tries = 128);
-
-/// A square grid of nodes with a designated sink (the original paper
-/// topology, kept for the small-n tests; scenarios consume Topology).
-class GridTopology {
- public:
-  /// `side` nodes per edge spread over `area` metres (spacing =
-  /// area/(side-1)); `sink` must be a valid node index.
-  GridTopology(int side, util::Metres area, NodeId sink);
-
-  /// The paper's topology: 6×6 nodes over 200 m, sink at node 0 (a corner).
-  static GridTopology paper_grid();
-
-  int node_count() const { return side_ * side_; }
-  int side() const { return side_; }
-  util::Metres spacing() const { return spacing_; }
-  NodeId sink() const { return sink_; }
-  const Position& position(NodeId id) const;
-  const std::vector<Position>& positions() const { return positions_; }
-
- private:
-  int side_;
-  util::Metres spacing_;
-  NodeId sink_;
-  std::vector<Position> positions_;
-};
 
 /// The flat cell array ConnectivityGraph buckets nodes into: `cols` ×
 /// `rows` square cells of side `side` over the placement's bounding box,

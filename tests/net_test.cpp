@@ -63,11 +63,13 @@ TEST(Message, BulkFrameCachedPayloadBits) {
 }
 
 TEST(Topology, PaperGridGeometry) {
-  const auto g = GridTopology::paper_grid();
+  const auto g = Topology::grid(6, 200.0, 0);
   EXPECT_EQ(g.node_count(), 36);
-  EXPECT_EQ(g.side(), 6);
-  EXPECT_DOUBLE_EQ(g.spacing(), 40.0);
-  EXPECT_EQ(g.sink(), 0);
+  EXPECT_EQ(g.sink, 0);
+  // 6 nodes per row, 40 m apart.
+  EXPECT_DOUBLE_EQ(g.position(1).x, 40.0);
+  EXPECT_DOUBLE_EQ(g.position(6).x, 0.0);
+  EXPECT_DOUBLE_EQ(g.position(6).y, 40.0);
   EXPECT_DOUBLE_EQ(g.position(0).x, 0.0);
   EXPECT_DOUBLE_EQ(g.position(5).x, 200.0);
   EXPECT_DOUBLE_EQ(g.position(35).x, 200.0);
@@ -80,14 +82,14 @@ TEST(Topology, DistanceIsEuclidean) {
 }
 
 TEST(Topology, GridValidation) {
-  EXPECT_THROW(GridTopology(0, 200, 0), std::invalid_argument);
-  EXPECT_THROW(GridTopology(6, 200, 36), std::invalid_argument);
-  EXPECT_THROW(GridTopology(6, -5, 0), std::invalid_argument);
+  EXPECT_THROW(Topology::grid(0, 200, 0), std::invalid_argument);
+  EXPECT_THROW(Topology::grid(6, 200, 36), std::invalid_argument);
+  EXPECT_THROW(Topology::grid(6, -5, 0), std::invalid_argument);
 }
 
 TEST(Connectivity, SensorRangeGivesFourNeighbourGrid) {
-  const auto g = GridTopology::paper_grid();
-  const ConnectivityGraph c(g.positions(), 40.0);
+  const auto g = Topology::grid(6, 200.0, 0);
+  const ConnectivityGraph c(g.positions, 40.0);
   // Corner: 2 neighbours; edge: 3; interior: 4. Diagonals (56.6 m) out.
   EXPECT_EQ(c.neighbors(0).size(), 2u);
   EXPECT_EQ(c.neighbors(1).size(), 3u);
@@ -100,15 +102,15 @@ TEST(Connectivity, SensorRangeGivesFourNeighbourGrid) {
 }
 
 TEST(Connectivity, WideRangeConnectsEverything) {
-  const auto g = GridTopology::paper_grid();
-  const ConnectivityGraph c(g.positions(), 300.0);
+  const auto g = Topology::grid(6, 200.0, 0);
+  const ConnectivityGraph c(g.positions, 300.0);
   EXPECT_EQ(c.neighbors(0).size(), 35u);
   EXPECT_TRUE(c.connected(0, 35));
 }
 
 TEST(Routing, HopsEqualManhattanDistanceOnTheGrid) {
-  const auto g = GridTopology::paper_grid();
-  const RoutingTable r{ConnectivityGraph(g.positions(), 40.0)};
+  const auto g = Topology::grid(6, 200.0, 0);
+  const RoutingTable r{ConnectivityGraph(g.positions, 40.0)};
   EXPECT_EQ(r.hops(0, 0), 0);
   EXPECT_EQ(r.hops(1, 0), 1);
   EXPECT_EQ(r.hops(7, 0), 2);    // (1,1): one right + one down
@@ -119,14 +121,14 @@ TEST(Routing, HopsEqualManhattanDistanceOnTheGrid) {
 TEST(Routing, MeanDepthToCornerSinkIsFiveHops) {
   // Matches the paper's "communication through sensor radios require 5
   // hops" working point (§2.2).
-  const auto g = GridTopology::paper_grid();
-  const RoutingTable r{ConnectivityGraph(g.positions(), 40.0)};
+  const auto g = Topology::grid(6, 200.0, 0);
+  const RoutingTable r{ConnectivityGraph(g.positions, 40.0)};
   EXPECT_DOUBLE_EQ(r.mean_hops_to(0), 180.0 / 35.0);  // ≈ 5.14 hops
 }
 
 TEST(Routing, NextHopAlwaysDecreasesDistance) {
-  const auto g = GridTopology::paper_grid();
-  const RoutingTable r{ConnectivityGraph(g.positions(), 40.0)};
+  const auto g = Topology::grid(6, 200.0, 0);
+  const RoutingTable r{ConnectivityGraph(g.positions, 40.0)};
   for (NodeId from = 1; from < 36; ++from) {
     const NodeId nh = r.next_hop(from, 0);
     ASSERT_NE(nh, kInvalidNode);
@@ -135,8 +137,8 @@ TEST(Routing, NextHopAlwaysDecreasesDistance) {
 }
 
 TEST(Routing, RouteFollowsToDestinationWithoutLoops) {
-  const auto g = GridTopology::paper_grid();
-  const RoutingTable r{ConnectivityGraph(g.positions(), 40.0)};
+  const auto g = Topology::grid(6, 200.0, 0);
+  const RoutingTable r{ConnectivityGraph(g.positions, 40.0)};
   for (NodeId from = 0; from < 36; ++from) {
     NodeId cur = from;
     int steps = 0;
@@ -150,8 +152,8 @@ TEST(Routing, RouteFollowsToDestinationWithoutLoops) {
 }
 
 TEST(Routing, SingleWifiHopWithWideRange) {
-  const auto g = GridTopology::paper_grid();
-  const RoutingTable r{ConnectivityGraph(g.positions(), 300.0)};
+  const auto g = Topology::grid(6, 200.0, 0);
+  const RoutingTable r{ConnectivityGraph(g.positions, 300.0)};
   for (NodeId from = 1; from < 36; ++from) {
     EXPECT_EQ(r.hops(from, 0), 1);
     EXPECT_EQ(r.next_hop(from, 0), 0);
@@ -169,9 +171,9 @@ TEST(Routing, DisconnectedNodesReportUnreachable) {
 }
 
 TEST(Routing, DeterministicTieBreaking) {
-  const auto g = GridTopology::paper_grid();
-  const RoutingTable a{ConnectivityGraph(g.positions(), 40.0)};
-  const RoutingTable b{ConnectivityGraph(g.positions(), 40.0)};
+  const auto g = Topology::grid(6, 200.0, 0);
+  const RoutingTable a{ConnectivityGraph(g.positions, 40.0)};
+  const RoutingTable b{ConnectivityGraph(g.positions, 40.0)};
   for (NodeId from = 0; from < 36; ++from)
     EXPECT_EQ(a.next_hop(from, 0), b.next_hop(from, 0));
 }

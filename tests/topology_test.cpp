@@ -49,16 +49,6 @@ TEST(TopologyGenerators, DifferentSeedsDiffer) {
   EXPECT_TRUE(any_differ);
 }
 
-TEST(TopologyGenerators, GridMatchesLegacyGridTopology) {
-  const auto legacy = GridTopology::paper_grid();
-  const auto t = Topology::grid(6, 200.0, 0);
-  ASSERT_EQ(t.node_count(), legacy.node_count());
-  for (int i = 0; i < t.node_count(); ++i) {
-    EXPECT_EQ(t.position(i).x, legacy.position(i).x);
-    EXPECT_EQ(t.position(i).y, legacy.position(i).y);
-  }
-}
-
 TEST(TopologyGenerators, GeometryInvariants) {
   // Every generator stays within its bounding box and owns node 0 as sink.
   for (const auto& t : all_generated(7)) {
