@@ -309,9 +309,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "RSS BUDGET EXCEEDED: %.0f MiB > %.0f MiB after the "
                  "1M-node memory cell — a per-partition structure is "
-                 "sized by the global population again (stripe-local "
-                 "node state, halo growth, or a drain buffer retaining "
-                 "its high-water capacity) or a node assembly grew\n",
+                 "sized by the global population again (node state "
+                 "dense over the owned stripe, the sparse remote "
+                 "down-set, or a drain buffer retaining its high-water "
+                 "capacity) or a node assembly grew\n",
                  memory_rss_mib, rss_budget);
     return 2;
   }

@@ -189,7 +189,7 @@ void Partition::build(const SharedNet& net, int shard, sim::Simulator& sim,
                       net::NodeCostFn cost, MembershipFn on_change) {
   const ScenarioConfig& config = net.config;
   net_ = &net;
-  shard_ = shard;
+  stripe_ = net.map.stripe(shard);
   sim_ = &sim;
   low_ = low;
   high_ = high;
@@ -328,20 +328,17 @@ void Partition::build(const SharedNet& net, int shard, sim::Simulator& sim,
   // A node event runs on the node's owner; a link event on both
   // endpoints' owners, so each flips its own LinkState at the exact
   // instant.
-  const auto owns = [&](std::int32_t id) {
-    return net.map.shard_of[static_cast<std::size_t>(id)] == shard;
-  };
   for (const sim::FaultEvent& ev : net.faults) {
     const bool link_event = ev.kind == sim::FaultKind::kLinkDown ||
                             ev.kind == sim::FaultKind::kLinkUp;
-    if (!owns(ev.node) && !(link_event && owns(ev.peer))) continue;
+    if (!stripe_.owns(ev.node) && !(link_event && stripe_.owns(ev.peer)))
+      continue;
     sim.schedule_at(ev.at, [this, ev] { apply_fault(ev); });
   }
 
   for (const net::NodeId sender : net.senders) {
-    if (!owns(sender)) continue;
-    const auto l = static_cast<std::size_t>(
-        net.map.local_of[static_cast<std::size_t>(sender)]);
+    if (!stripe_.owns(sender)) continue;
+    const std::size_t l = stripe_.local(sender);
     auto emit = [this, l](net::DataPacket p) {
       if (!dual_.empty())
         dual_[l]->send(p);
@@ -369,30 +366,28 @@ void Partition::crash(std::size_t local, net::NodeId node) {
   if (links) links->set_node_up(node, false);
 }
 
-void Partition::publish(net::MembershipDelta::Kind kind, net::NodeId node,
+void Partition::publish(net::LinkChange::Kind kind, net::NodeId node,
                         net::NodeId peer, bool battery_death) {
-  on_change_({net::MembershipDelta{sim_->now(), shard_, node, peer, kind},
+  on_change_({net::MembershipDelta{sim_->now(), stripe_.shard, node, peer,
+                                   kind},
               battery_death});
 }
 
 void Partition::on_battery_death(net::NodeId node) {
-  crash(static_cast<std::size_t>(
-            net_->map.local_of[static_cast<std::size_t>(node)]),
-        node);
+  crash(stripe_.local(node), node);
   ++m.battery_deaths;
   if (m.battery_deaths == 1) m.time_to_first_death = sim_->now();
-  publish(net::MembershipDelta::Kind::kNodeDown, node, -1,
+  publish(net::LinkChange::Kind::kNodeDown, node, -1,
           /*battery_death=*/true);
 }
 
 void Partition::apply_fault(const sim::FaultEvent& ev) {
-  using Kind = net::MembershipDelta::Kind;
+  using Kind = net::LinkChange::Kind;
   const auto node = static_cast<net::NodeId>(ev.node);
   const auto peer = static_cast<net::NodeId>(ev.peer);
   // Node events are scheduled on the owner only, so the stripe-local
   // index is valid wherever it is used below.
-  const auto l = static_cast<std::size_t>(
-      net_->map.local_of[static_cast<std::size_t>(node)]);
+  const std::size_t l = stripe_.local(node);
   switch (ev.kind) {
     case sim::FaultKind::kNodeCrash:
       crash(l, node);
@@ -423,7 +418,7 @@ void Partition::apply_fault(const sim::FaultEvent& ev) {
       const bool up = ev.kind == sim::FaultKind::kLinkUp;
       if (links) links->set_link_up(node, peer, up);
       // Only the node's owner counts and publishes the flip.
-      if (net_->map.shard_of[static_cast<std::size_t>(node)] != shard_) break;
+      if (!stripe_.owns(node)) break;
       ++(up ? m.fault_link_ups : m.fault_link_downs);
       publish(up ? Kind::kLinkUp : Kind::kLinkDown, node, peer, false);
       break;
@@ -434,8 +429,7 @@ void Partition::apply_fault(const sim::FaultEvent& ev) {
 void Partition::collect(util::Seconds end) {
   // Memory-model invariant: exactly one node family is populated, and
   // every node-indexed vector is sized by the owned stripe.
-  const auto owned =
-      static_cast<std::size_t>(net_->map.owned_count(shard_));
+  const auto owned = static_cast<std::size_t>(stripe_.owned);
   BCP_ENSURE(fwd_.size() + dual_.size() + duty_.size() == owned);
   BCP_ENSURE(batteries.empty() || batteries.size() == owned);
   m.events_processed = sim_->processed_count();

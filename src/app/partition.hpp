@@ -5,9 +5,10 @@
 // expanded fault plan, built once on the caller's thread — plus one
 // Partition per engine queue. A Partition builds, collects and tears down
 // everything for the node ids it owns (ShardMap::owned_nodes), indexed
-// stripe-locally through ShardMap::local_of: the node assemblies,
-// workloads, finite batteries, membership LinkState, dynamic routes and
-// the RunMetrics they accumulate.
+// stripe-locally through its net::Stripe view (ShardMap::stripe): the
+// node assemblies, workloads, finite batteries, membership LinkState
+// (dense over the owned ids, a sparse down-set for the rest), dynamic
+// routes and the RunMetrics they accumulate.
 //
 // The engines are thin drivers around it (scenario.cpp):
 //   * the single queue is one partition over the identity map, one
@@ -152,11 +153,11 @@ class Partition {
   void crash(std::size_t local, net::NodeId node);
   void on_battery_death(net::NodeId node);
   void apply_fault(const sim::FaultEvent& ev);
-  void publish(net::MembershipDelta::Kind kind, net::NodeId node,
+  void publish(net::LinkChange::Kind kind, net::NodeId node,
                net::NodeId peer, bool battery_death);
 
   const SharedNet* net_ = nullptr;
-  int shard_ = 0;
+  net::Stripe stripe_;  ///< the owned node ids and their local slots
   sim::Simulator* sim_ = nullptr;
   phy::Channel* low_ = nullptr;
   phy::Channel* high_ = nullptr;

@@ -198,8 +198,8 @@ RunMetrics run_single_queue(const SharedNet& net) {
 // so the result is a pure function of (config, shard count): sim_threads
 // never changes a byte of output.
 //
-// Membership epochs: every partition owns one stripe-local LinkState
-// replica, read by both of its radio classes. The owner of a node
+// Membership epochs: every partition owns one LinkState replica over its
+// stripe, read by both of its radio classes. The owner of a node
 // executes its crash / recover / depletion at the exact event instant
 // against its own replica and queues the mutation as a
 // net::MembershipDelta; the coordinator
@@ -231,20 +231,13 @@ RunMetrics run_sharded(const SharedNet& net) {
   // (which runs as engine phases) happens before either is destroyed.
   std::vector<Partition> parts(static_cast<std::size_t>(shard_count));
 
-  // The coordinator's replica stays dense (one O(n) byte array); the
-  // per-partition replicas are stripe-local instead: dense over the owned
-  // stripe plus the halo of boundary neighbors the partition's channels
-  // can name in a link_up query (union over both radio graphs), sparse for
-  // everything else a broadcast delta mentions.
+  // The coordinator's replica is dense over the whole network (one O(n)
+  // byte array); each partition's replica is dense over its own stripe
+  // and sparse for every remote node a broadcast delta takes down.
   std::optional<net::LinkState> coord;
   if (net.has_links) {
-    std::vector<const net::ConnectivityGraph*> radio_graphs;
-    if (net.low.graph) radio_graphs.push_back(net.low.graph.get());
-    if (net.high.graph) radio_graphs.push_back(net.high.graph.get());
-    const auto halos = map.halos(radio_graphs);
     for (int s = 0; s < shard_count; ++s)
-      parts[static_cast<std::size_t>(s)].links.emplace(
-          map.domain(s, halos[static_cast<std::size_t>(s)]));
+      parts[static_cast<std::size_t>(s)].links.emplace(net.n, map.stripe(s));
     coord.emplace(net.n);
   }
 

@@ -1,25 +1,18 @@
 #include "net/link_state.hpp"
 
 #include <algorithm>
-#include <utility>
 
 #include "util/assert.hpp"
 
 namespace bcp::net {
 
-LinkState::LinkState(int node_count) : node_count_(node_count) {
+LinkState::LinkState(int node_count, Stripe stripe)
+    : node_count_(node_count), stripe_(stripe) {
   BCP_REQUIRE(node_count > 0);
-  node_up_.assign(static_cast<std::size_t>(node_count), 1);
-}
-
-LinkState::LinkState(std::shared_ptr<const StripeDomain> domain)
-    : node_count_(domain == nullptr ? 0 : domain->node_count),
-      domain_(std::move(domain)) {
-  BCP_REQUIRE(domain_ != nullptr && domain_->node_count > 0);
-  BCP_REQUIRE(domain_->shard_of != nullptr && domain_->local_of != nullptr);
-  BCP_REQUIRE(domain_->owned > 0 &&
-              domain_->dense_count() <= domain_->node_count);
-  node_up_.assign(static_cast<std::size_t>(domain_->dense_count()), 1);
+  BCP_REQUIRE(stripe_.whole() || (stripe_.local_of != nullptr &&
+                                  stripe_.owned > 0 &&
+                                  stripe_.owned <= node_count));
+  node_up_.assign(stripe_.slots(node_count), 1);
 }
 
 std::uint64_t LinkState::key(NodeId a, NodeId b) {
@@ -30,36 +23,22 @@ std::uint64_t LinkState::key(NodeId a, NodeId b) {
 
 bool LinkState::node_up(NodeId node) const {
   BCP_REQUIRE(node >= 0 && node < node_count());
-  if (domain_ != nullptr) {
-    const std::int32_t slot = domain_->dense_slot(node);
-    if (slot < 0) return down_remote_.find(node) == down_remote_.end();
-    return node_up_[static_cast<std::size_t>(slot)] != 0;
-  }
-  return node_up_[static_cast<std::size_t>(node)] != 0;
+  if (!stripe_.owns(node)) return down_remote_.find(node) == down_remote_.end();
+  return node_up_[stripe_.local(node)] != 0;
 }
 
 void LinkState::set_node_up(NodeId node, bool up) {
   BCP_REQUIRE(node >= 0 && node < node_count());
-  if (domain_ != nullptr) {
-    const std::int32_t slot = domain_->dense_slot(node);
-    if (slot < 0) {
-      // Outside owned + halo: the sparse overflow. Same idempotence and
-      // revision discipline as the dense path.
-      const bool changed =
-          up ? down_remote_.erase(node) > 0 : down_remote_.insert(node).second;
-      if (changed) node_changed(node, up);
-      return;
-    }
-    auto& state = node_up_[static_cast<std::size_t>(slot)];
-    if ((state != 0) == up) return;
+  bool changed;
+  if (stripe_.owns(node)) {
+    auto& state = node_up_[stripe_.local(node)];
+    changed = (state != 0) != up;
     state = up ? 1 : 0;
-    node_changed(node, up);
-    return;
+  } else {
+    changed =
+        up ? down_remote_.erase(node) > 0 : down_remote_.insert(node).second;
   }
-  auto& state = node_up_[static_cast<std::size_t>(node)];
-  if ((state != 0) == up) return;
-  state = up ? 1 : 0;
-  node_changed(node, up);
+  if (changed) node_changed(node, up);
 }
 
 void LinkState::node_changed(NodeId node, bool up) {
@@ -81,20 +60,13 @@ void LinkState::set_link_up(NodeId a, NodeId b, bool up) {
 }
 
 void LinkState::apply(const MembershipDelta& delta) {
-  switch (delta.kind) {
-    case MembershipDelta::Kind::kNodeDown:
-      set_node_up(delta.node, false);
-      break;
-    case MembershipDelta::Kind::kNodeUp:
-      set_node_up(delta.node, true);
-      break;
-    case MembershipDelta::Kind::kLinkDown:
-      set_link_up(delta.node, delta.peer, false);
-      break;
-    case MembershipDelta::Kind::kLinkUp:
-      set_link_up(delta.node, delta.peer, true);
-      break;
-  }
+  using Kind = LinkChange::Kind;
+  BCP_REQUIRE_MSG(delta.kind != Kind::kTouch,
+                  "a membership delta must change membership");
+  if (delta.kind == Kind::kNodeDown || delta.kind == Kind::kNodeUp)
+    set_node_up(delta.node, delta.kind == Kind::kNodeUp);
+  else
+    set_link_up(delta.node, delta.peer, delta.kind == Kind::kLinkUp);
 }
 
 }  // namespace bcp::net

@@ -19,21 +19,17 @@
 // been taken down explicitly. Setting a state it already has is a no-op
 // and does not bump the revision.
 //
-// Memory model: the historical constructor keeps one dense byte per node —
-// right for the single-queue engine and for the coordinator replica. A
-// sharded partition instead constructs its replica over a StripeDomain:
-// dense bytes only for the stripe it owns plus the halo of boundary
-// neighbors it must hear (the ids its channel partition ever asks about),
-// and a sparse down-set for every other node a broadcast membership delta
-// names. Queries and revision bumps are semantically identical to the
-// dense layout — same answers, same revisions, byte-identical downstream
-// metrics — while per-partition memory drops from O(n) to
-// O(n/shards + halo).
+// Memory model: a LinkState is laid out over a Stripe — dense bytes for
+// the nodes the stripe owns, and a sparse down-set for every other id.
+// The whole-network stripe owns every node, so the single-queue engine
+// and the sharded coordinator keep one dense byte per node. A sharded
+// partition's replica owns its stripe: O(n/shards) dense bytes, plus one
+// down-set entry per remote node a broadcast membership delta took down.
+// Answers and revision bumps do not depend on the stripe.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -41,64 +37,35 @@
 
 namespace bcp::net {
 
-/// One membership mutation, ready to be re-applied to another replica.
-///
-/// The sharded engine keeps one LinkState replica per shard: the shard
-/// that owns a node applies crash/recover/flap mutations to its own
-/// replica at the exact event instant, queues the mutation as a delta,
-/// and the coordinator broadcasts the accumulated batch to every replica
-/// at the next window barrier (sorted by `before` — (time, shard, node,
-/// peer, kind)), so remote shards see a membership change at most one
-/// window late. Re-applying a delta to the replica that originated it is
-/// a no-op by LinkState's set-idempotence, so the broadcast does not bump
-/// the owner's revision a second time.
-struct MembershipDelta {
-  enum class Kind : std::uint8_t { kNodeDown, kNodeUp, kLinkDown, kLinkUp };
-  double time = 0;       ///< event instant in the owning shard
-  std::int32_t shard = 0;  ///< owning shard (deterministic tie-break)
-  NodeId node = -1;
-  NodeId peer = -1;  ///< second endpoint for link deltas, -1 otherwise
-  Kind kind = Kind::kNodeDown;
+/// Which global node ids one partition owns, and each owned id's dense
+/// local slot. phy::ShardMap::stripe builds one per shard; the arrays are
+/// the map's shared per-node arrays (not owned; the ShardMap must outlive
+/// every reader). The default, with null arrays, is the whole network:
+/// every id owned, at its global id. That case costs one null test.
+struct Stripe {
+  const std::int32_t* shard_of = nullptr;  ///< global id → owning stripe
+  const std::int32_t* local_of = nullptr;  ///< global id → local slot
+  std::int32_t shard = 0;
+  std::int32_t owned = 0;  ///< the stripe's population (unused when whole)
 
-  /// Deterministic application order: (time, shard, node, peer, kind).
-  static bool before(const MembershipDelta& a, const MembershipDelta& b) {
-    if (a.time != b.time) return a.time < b.time;
-    if (a.shard != b.shard) return a.shard < b.shard;
-    if (a.node != b.node) return a.node < b.node;
-    if (a.peer != b.peer) return a.peer < b.peer;
-    return static_cast<int>(a.kind) < static_cast<int>(b.kind);
+  bool whole() const { return shard_of == nullptr; }
+  /// The stripe that owns `id` (this one, for the whole network).
+  std::int32_t owner(NodeId id) const {
+    return whole() ? shard : shard_of[static_cast<std::size_t>(id)];
   }
-};
-
-/// Stripe-local id domain of one partition: which global node ids get a
-/// dense slot in that partition's node-indexed state. Slots [0, owned)
-/// are the stripe's own nodes in ascending global-id order (the same
-/// contiguous local ids phy::ShardMap::local_of assigns); slots
-/// [owned, owned + halo) are the halo — remote nodes adjacent to an owned
-/// node in some radio graph, i.e. every id the partition's channels can
-/// name in a membership query. Built once per shard (phy::ShardMap::
-/// domain) for that shard's replica, which both radio classes read.
-struct StripeDomain {
-  int node_count = 0;      ///< global population (bounds checks)
-  std::int32_t shard = 0;  ///< which stripe this domain describes
-  std::int32_t owned = 0;  ///< dense slots [0, owned)
-  /// Global per-node arrays (not owned; the ShardMap outlives the run).
-  const std::int32_t* shard_of = nullptr;
-  const std::int32_t* local_of = nullptr;
-  /// Halo ids → dense slots in [owned, owned + halo_slot.size()).
-  std::unordered_map<NodeId, std::int32_t> halo_slot;
-
-  std::int32_t dense_count() const {
-    return owned + static_cast<std::int32_t>(halo_slot.size());
+  bool owns(NodeId id) const {
+    return whole() || shard_of[static_cast<std::size_t>(id)] == shard;
   }
-
-  /// Dense slot of a global id, or -1 when the id is outside owned + halo
-  /// (those fall through to a replica's sparse down-set).
-  std::int32_t dense_slot(NodeId global) const {
-    if (shard_of[static_cast<std::size_t>(global)] == shard)
-      return local_of[static_cast<std::size_t>(global)];
-    const auto it = halo_slot.find(global);
-    return it == halo_slot.end() ? -1 : it->second;
+  /// Dense slot of an owned id. A remote id's local_of entry indexes
+  /// another stripe, so callers check owns() first.
+  std::size_t local(NodeId id) const {
+    return whole() ? static_cast<std::size_t>(id)
+                   : static_cast<std::size_t>(
+                         local_of[static_cast<std::size_t>(id)]);
+  }
+  /// Dense slots over a network of `node_count` nodes.
+  std::size_t slots(int node_count) const {
+    return static_cast<std::size_t>(whole() ? node_count : owned);
   }
 };
 
@@ -113,16 +80,41 @@ struct LinkChange {
   NodeId peer = -1;  ///< the other link endpoint, -1 otherwise
 };
 
+/// One membership mutation, ready to be re-applied to another replica.
+///
+/// The sharded engine keeps one LinkState replica per shard: the shard
+/// that owns a node applies crash/recover/flap mutations to its own
+/// replica at the exact event instant, queues the mutation as a delta,
+/// and the coordinator broadcasts the accumulated batch to every replica
+/// at the next window barrier (sorted by `before` — (time, shard, node,
+/// peer, kind)), so remote shards see a membership change at most one
+/// window late. Re-applying a delta to the replica that originated it is
+/// a no-op by LinkState's set-idempotence, so the broadcast does not bump
+/// the owner's revision a second time.
+struct MembershipDelta {
+  double time = 0;       ///< event instant in the owning shard
+  std::int32_t shard = 0;  ///< owning shard (deterministic tie-break)
+  NodeId node = -1;
+  NodeId peer = -1;  ///< second endpoint for link deltas, -1 otherwise
+  LinkChange::Kind kind = LinkChange::Kind::kNodeDown;  ///< never kTouch
+
+  /// Deterministic application order: (time, shard, node, peer, kind).
+  static bool before(const MembershipDelta& a, const MembershipDelta& b) {
+    if (a.time != b.time) return a.time < b.time;
+    if (a.shard != b.shard) return a.shard < b.shard;
+    if (a.node != b.node) return a.node < b.node;
+    if (a.peer != b.peer) return a.peer < b.peer;
+    return static_cast<int>(a.kind) < static_cast<int>(b.kind);
+  }
+};
+
 class LinkState {
  public:
-  /// Dense over every node — the single-queue engine's shared state and
-  /// the sharded coordinator's ground-truth replica.
-  explicit LinkState(int node_count);
-
-  /// Stripe-local replica: dense over `domain` (owned stripe + halo),
-  /// sparse beyond it. Answers and revision bumps are identical to the
-  /// dense layout for any query in [0, node_count).
-  explicit LinkState(std::shared_ptr<const StripeDomain> domain);
+  /// Over `node_count` nodes, dense over the ids `stripe` owns — the
+  /// whole network by default (the single-queue engine's shared state and
+  /// the sharded coordinator's replica), one partition's stripe for its
+  /// replica. Answers and revision bumps are the same for either.
+  explicit LinkState(int node_count, Stripe stripe = {});
 
   int node_count() const { return node_count_; }
 
@@ -143,6 +135,7 @@ class LinkState {
 
   /// Replays one membership delta onto this replica (no-op, and no
   /// revision bump, if the state already matches — see MembershipDelta).
+  /// Rejects kTouch, which is no membership change.
   void apply(const MembershipDelta& delta);
 
   /// Number of effective changes so far; consumers cache against it.
@@ -161,11 +154,10 @@ class LinkState {
   int down_node_count() const { return down_nodes_; }
   std::size_t down_link_count() const { return down_links_.size(); }
 
-  /// Dense bytes actually allocated: node_count() for the historical
-  /// layout, owned + halo for a stripe-local replica (the white-box
+  /// Dense bytes actually allocated: node_count() for the whole network,
+  /// the owned population for a stripe's replica (the white-box
   /// memory-model assertion the sharded tests pin).
   std::size_t dense_size() const { return node_up_.size(); }
-  bool stripe_local() const { return domain_ != nullptr; }
 
  private:
   static std::uint64_t key(NodeId a, NodeId b);
@@ -173,10 +165,10 @@ class LinkState {
   void node_changed(NodeId node, bool up);
 
   int node_count_ = 0;
-  std::shared_ptr<const StripeDomain> domain_;  ///< null = dense layout
-  std::vector<std::uint8_t> node_up_;  ///< dense part (all, or owned+halo)
-  /// Stripe-local only: down nodes outside the dense domain. Bounded by
-  /// the number of distinct nodes membership deltas ever name, never by n.
+  Stripe stripe_;
+  std::vector<std::uint8_t> node_up_;  ///< per owned node, by local slot
+  /// Down nodes the stripe does not own. Bounded by the number of
+  /// distinct nodes membership deltas ever name, never by n.
   std::unordered_set<NodeId> down_remote_;
   std::unordered_set<std::uint64_t> down_links_;
   /// Grows with the number of effective changes, never with n.

@@ -48,20 +48,14 @@ Channel::Channel(sim::Simulator& sim,
   uniform_loss_ = model_->uniform();
   unit_loss_ = uniform_loss_ ? model_->loss_prob(0, 0, 0) : 0.0;
   unit_rx_mw_ = uniform_loss_ ? model_->rx_power_mw(0, 0, 0) : 0.0;
-  // Per-node arrays: the global population, or a partition's owned stripe
-  // (every access then translates through li()).
-  auto n = static_cast<std::size_t>(graph_->node_count());
-  if (sharding.shard_of != nullptr) {
-    BCP_REQUIRE(sharding.local_of != nullptr && sharding.emit != nullptr);
-    BCP_REQUIRE(sharding.my_shard >= 0 &&
-                sharding.my_shard < sharding.shard_count);
-    BCP_REQUIRE(sharding.owned_count > 0 &&
-                sharding.owned_count <= graph_->node_count());
-    shard_of_ = sharding.shard_of;
-    local_of_ = sharding.local_of;
-    my_shard_ = sharding.my_shard;
+  // Per-node arrays: the global population, or a partition's owned stripe.
+  stripe_ = sharding.stripe;
+  const std::size_t n = stripe_.slots(graph_->node_count());
+  if (!stripe_.whole()) {
+    BCP_REQUIRE(stripe_.local_of != nullptr && sharding.emit != nullptr);
+    BCP_REQUIRE(stripe_.shard >= 0 && stripe_.shard < sharding.shard_count);
+    BCP_REQUIRE(stripe_.owned > 0 && stripe_.owned <= graph_->node_count());
     boundary_emit_ = std::move(sharding.emit);
-    n = static_cast<std::size_t>(sharding.owned_count);
     remote_seen_.assign(static_cast<std::size_t>(sharding.shard_count), 0);
     remote_dsts_.reserve(static_cast<std::size_t>(sharding.shard_count));
   }
@@ -74,15 +68,12 @@ Channel::Channel(sim::Simulator& sim,
 
 void Channel::attach(net::NodeId node, ChannelListener* listener) {
   BCP_REQUIRE(node >= 0 && node < graph().node_count());
-  BCP_REQUIRE_MSG(owned(node), "listener node not owned by this shard");
+  BCP_REQUIRE_MSG(stripe_.owns(node),
+                  "listener node not owned by this shard");
   BCP_REQUIRE(listener != nullptr);
-  BCP_REQUIRE_MSG(listeners_[li(node)] == nullptr,
-                  "listener already attached");
-  listeners_[li(node)] = listener;
-}
-
-std::vector<Channel::Arrival>& Channel::arrivals(net::NodeId node) {
-  return arrivals_[li(node)];
+  auto& slot = listeners_[stripe_.local(node)];
+  BCP_REQUIRE_MSG(slot == nullptr, "listener already attached");
+  slot = listener;
 }
 
 std::uint32_t Channel::acquire_tx_slot() {
@@ -101,9 +92,11 @@ std::uint32_t Channel::acquire_tx_slot() {
 void Channel::start_tx(net::NodeId src, const Frame& frame,
                        util::Seconds duration) {
   BCP_REQUIRE(src >= 0 && src < graph().node_count());
-  BCP_REQUIRE_MSG(owned(src), "transmitter not owned by this shard");
+  BCP_REQUIRE_MSG(stripe_.owns(src),
+                  "transmitter not owned by this shard");
   BCP_REQUIRE(duration > 0);
-  BCP_REQUIRE_MSG(transmitting_[li(src)] == 0, "node already transmitting");
+  const std::size_t si = stripe_.local(src);
+  BCP_REQUIRE_MSG(transmitting_[si] == 0, "node already transmitting");
   BCP_REQUIRE(frame.rx_node != src);
 
   const std::uint32_t slot = acquire_tx_slot();
@@ -113,11 +106,11 @@ void Channel::start_tx(net::NodeId src, const Frame& frame,
       (static_cast<std::uint64_t>(tx_slots_[slot].gen) << 32) | slot;
   // Copying the frame shares its pooled message payload — no deep copy.
   tx_slots_[slot].tx = Transmission{src, frame, end, now, false};
-  transmitting_[li(src)] = tx_id;
+  transmitting_[si] = tx_id;
   ++stats_.frames;
 
   // Half-duplex: whatever the transmitter was hearing is lost to it.
-  for (auto& a : arrivals(src)) a.clean = false;
+  for (auto& a : arrivals_[si]) a.clean = false;
 
   const auto nbrs = graph().neighbors(src);
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
@@ -127,15 +120,16 @@ void Channel::start_tx(net::NodeId src, const Frame& frame,
     if (links_ != nullptr && !links_->link_up(src, r)) continue;
     // A hearer owned by another shard gets the frame via that shard's
     // mailbox instead (exported once per destination shard below).
-    if (shard_of_ != nullptr && !owned(r)) {
-      const std::int32_t dst = shard_of_[r];
+    if (!stripe_.owns(r)) {
+      const std::int32_t dst = stripe_.owner(r);
       if (!remote_seen_[static_cast<std::size_t>(dst)]) {
         remote_seen_[static_cast<std::size_t>(dst)] = 1;
         remote_dsts_.push_back(dst);
       }
       continue;
     }
-    auto& at_r = arrivals(r);
+    const std::size_t ri = stripe_.local(r);
+    auto& at_r = arrivals_[ri];
     const double loss =
         uniform_loss_ ? unit_loss_ : model_->loss_prob(src, i, r);
     bool clean;
@@ -143,7 +137,7 @@ void Channel::start_tx(net::NodeId src, const Frame& frame,
     double interference_mw = 0.0;
     if (!capture_) {
       // Overlap at r corrupts both the new frame and everything in flight.
-      const bool overlap = !at_r.empty() || transmitting_[li(r)] != 0;
+      const bool overlap = !at_r.empty() || transmitting_[ri] != 0;
       for (auto& a : at_r) a.clean = false;
       clean = !overlap && !rng_.chance(loss);
     } else {
@@ -156,19 +150,19 @@ void Channel::start_tx(net::NodeId src, const Frame& frame,
       // different, denser RNG consumption than the golden-pinned default
       // path.)
       rx_mw = uniform_loss_ ? unit_rx_mw_ : model_->rx_power_mw(src, i, r);
-      double& power_sum = arrival_power_mw_[li(r)];
+      double& power_sum = arrival_power_mw_[ri];
       for (auto& a : at_r)
         a.peak_interference_mw = std::max(
             a.peak_interference_mw, power_sum - a.rx_power_mw + rx_mw);
       interference_mw = power_sum;
       power_sum += rx_mw;
-      clean = transmitting_[li(r)] == 0 && !rng_.chance(loss);
+      clean = transmitting_[ri] == 0 && !rng_.chance(loss);
     }
     at_r.push_back(Arrival{tx_id, clean, end, rx_mw, interference_mw, now});
-    auto& max_end = arrival_max_end_[li(r)];
+    auto& max_end = arrival_max_end_[ri];
     max_end = std::max(max_end, end);
     ++stats_.rx_starts;
-    if (auto* l = listeners_[li(r)]; l != nullptr)
+    if (auto* l = listeners_[ri]; l != nullptr)
       l->on_rx_start(tx_id, frame, duration);
   }
 
@@ -198,9 +192,9 @@ void Channel::start_tx(net::NodeId src, const Frame& frame,
 }
 
 void Channel::inject_remote(RemoteFrame rf) {
-  BCP_REQUIRE(shard_of_ != nullptr);
+  BCP_REQUIRE(!stripe_.whole());
   BCP_REQUIRE(rf.src >= 0 && rf.src < graph().node_count());
-  BCP_REQUIRE(!owned(rf.src));
+  BCP_REQUIRE(!stripe_.owns(rf.src));
   BCP_REQUIRE(rf.end > rf.start);
   const std::uint32_t slot = acquire_tx_slot();
   const std::uint64_t tx_id =
@@ -238,20 +232,20 @@ void Channel::begin_remote(std::uint64_t tx_id) {
   const auto nbrs = graph().neighbors(src);
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
     const net::NodeId r = nbrs[i];
-    if (!owned(r)) continue;
+    if (!stripe_.owns(r)) continue;
     // The receiving shard's replica is exact for its own nodes: a hearer
     // this shard already knows is down (crashed locally, or via a prior
     // epoch) never hears the remote frame. The transmitter's shard also
     // masks at start_tx from its replica, which may be one window stale
     // for this link — the documented staleness bound.
     if (links_ != nullptr && !links_->link_up(src, r)) continue;
-    auto& at_r = arrivals(r);
+    const std::size_t ri = stripe_.local(r);
+    auto& at_r = arrivals_[ri];
     const double loss =
         uniform_loss_ ? unit_loss_ : model_->loss_prob(src, i, r);
     // Half-duplex over the true interval: the hearer's own transmission
     // collides only if it actually shared air time with [s, e).
-    const bool tx_overlap =
-        transmitting_[li(r)] != 0 && own_tx(li(r)).start < e;
+    const bool tx_overlap = transmitting_[ri] != 0 && own_tx(ri).start < e;
     bool clean;
     double rx_mw = 0.0;
     double interference_mw = 0.0;
@@ -266,7 +260,7 @@ void Channel::begin_remote(std::uint64_t tx_id) {
       clean = !overlap && !rng_.chance(loss);
     } else {
       rx_mw = uniform_loss_ ? unit_rx_mw_ : model_->rx_power_mw(src, i, r);
-      double& power_sum = arrival_power_mw_[li(r)];
+      double& power_sum = arrival_power_mw_[ri];
       for (auto& a : at_r) {
         if (a.start < e && s < a.end) {
           a.peak_interference_mw = std::max(
@@ -278,10 +272,10 @@ void Channel::begin_remote(std::uint64_t tx_id) {
       clean = !tx_overlap && !rng_.chance(loss);
     }
     at_r.push_back(Arrival{tx_id, clean, e, rx_mw, interference_mw, s});
-    auto& max_end = arrival_max_end_[li(r)];
+    auto& max_end = arrival_max_end_[ri];
     max_end = std::max(max_end, e);
     ++stats_.rx_starts;
-    if (auto* l = listeners_[li(r)]; l != nullptr)
+    if (auto* l = listeners_[ri]; l != nullptr)
       l->on_rx_start(tx_id, frame, remaining);
   }
 
@@ -307,16 +301,18 @@ void Channel::finish_tx(std::uint64_t tx_id) {
   // completion before finishing early, so whoever reaches here is still
   // the transmission's owner. Remote frames never owned the mask.
   if (!tx.remote) {
-    BCP_ENSURE(transmitting_[li(tx.src)] == tx_id);
-    transmitting_[li(tx.src)] = 0;
+    auto& own = transmitting_[stripe_.local(tx.src)];
+    BCP_ENSURE(own == tx_id);
+    own = 0;
   }
 
   for (const net::NodeId r : graph().neighbors(tx.src)) {
     // Sharded: hearers owned by other shards were fed from their own
     // copy of the frame (and a remote src's own-shard hearers were local
     // there) — nothing to deliver here.
-    if (shard_of_ != nullptr && !owned(r)) continue;
-    auto& at_r = arrivals(r);
+    if (!stripe_.owns(r)) continue;
+    const std::size_t ri = stripe_.local(r);
+    auto& at_r = arrivals_[ri];
     // Arrival order within a node's list carries no meaning (collision
     // marking and clear_at are order-independent), so swap-remove.
     std::size_t i = 0;
@@ -340,7 +336,7 @@ void Channel::finish_tx(std::uint64_t tx_id) {
               (a.peak_interference_mw <= 0.0 ||
                a.rx_power_mw >=
                    min_sinr_ * (noise_mw_ + a.peak_interference_mw));
-      double& power_sum = arrival_power_mw_[li(r)];
+      double& power_sum = arrival_power_mw_[ri];
       power_sum -= a.rx_power_mw;
       if (at_r.size() == 1) power_sum = 0.0;  // busy period over: drop residue
     }
@@ -350,7 +346,7 @@ void Channel::finish_tx(std::uint64_t tx_id) {
       ++stats_.deliveries_clean;
     else
       ++stats_.deliveries_corrupt;
-    if (auto* l = listeners_[li(r)]; l != nullptr)
+    if (auto* l = listeners_[ri]; l != nullptr)
       l->on_rx_end(tx_id, tx.frame, clean);
   }
 }
@@ -364,14 +360,15 @@ std::int64_t Channel::live_arrivals() const {
 
 void Channel::abort_tx_of(net::NodeId src) {
   BCP_REQUIRE(src >= 0 && src < graph().node_count());
-  BCP_REQUIRE_MSG(owned(src), "abort of a node another shard owns");
-  const std::uint64_t tx_id = transmitting_[li(src)];
+  BCP_REQUIRE_MSG(stripe_.owns(src),
+                  "abort of a node another shard owns");
+  const std::uint64_t tx_id = transmitting_[stripe_.local(src)];
   if (tx_id == 0) return;
   // Truncation corrupts the frame for every hearer this shard feeds
   // (remote hearers got their own copy of the frame in their shard)…
   for (const net::NodeId r : graph().neighbors(src)) {
-    if (shard_of_ != nullptr && !owned(r)) continue;
-    for (auto& a : arrivals(r))
+    if (!stripe_.owns(r)) continue;
+    for (auto& a : arrivals_[stripe_.local(r)])
       if (a.tx_id == tx_id) a.clean = false;
   }
   // …and the carrier dies with the node: finish the transmission NOW so
@@ -388,15 +385,17 @@ void Channel::abort_tx_of(net::NodeId src) {
 
 bool Channel::busy_at(net::NodeId node) const {
   BCP_REQUIRE(node >= 0 && node < graph().node_count());
-  BCP_REQUIRE_MSG(owned(node), "carrier sense at a node another shard owns");
-  const std::size_t i = li(node);
+  BCP_REQUIRE_MSG(stripe_.owns(node),
+                  "carrier sense at a node another shard owns");
+  const std::size_t i = stripe_.local(node);
   return transmitting_[i] != 0 || !arrivals_[i].empty();
 }
 
 util::Seconds Channel::clear_at(net::NodeId node) const {
   BCP_REQUIRE(node >= 0 && node < graph().node_count());
-  BCP_REQUIRE_MSG(owned(node), "carrier sense at a node another shard owns");
-  const std::size_t i = li(node);
+  BCP_REQUIRE_MSG(stripe_.owns(node),
+                  "carrier sense at a node another shard owns");
+  const std::size_t i = stripe_.local(node);
   util::Seconds t = sim_.now();
   if (transmitting_[i] != 0) t = std::max(t, own_tx(i).end);
   // Every arrival already removed ended at or before now, so the running

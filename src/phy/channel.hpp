@@ -131,23 +131,18 @@ class Channel {
       std::function<void(std::int32_t dst_shard, RemoteFrame&& rf)>;
 
   /// Makes a channel one shard of a partitioned medium: local deliveries
-  /// are restricted to nodes with shard_of[id] == my_shard, and every
-  /// transmission heard by other shards is handed to `emit` (once per
-  /// destination shard). The per-node arrays are sized to `owned_count`
-  /// from construction — every access translates global → stripe-local
-  /// through `local_of`, so a partition's node-indexed memory is
-  /// O(n/shards), not O(n) (the shared read-only graph stays global).
-  /// `shard_of`/`local_of` are shared per-node arrays (phy::ShardMap's),
-  /// not owned, and must outlive the channel. A default spec (null
-  /// `shard_of`) is an unsharded channel. Composes with set_link_state:
-  /// attach the shard's own LinkState replica and both the local hearer
-  /// loop and remote-frame replay consult it.
+  /// are restricted to the ids `stripe` owns, and every transmission
+  /// heard by other shards is handed to `emit` (once per destination
+  /// shard). The per-node arrays are sized to the stripe's population and
+  /// indexed by its local slots, so a partition's node-indexed memory is
+  /// O(n/shards), not O(n) (the shared read-only graph stays global). A
+  /// default spec (the whole-network stripe) is an unsharded channel.
+  /// Composes with set_link_state: attach the shard's own LinkState
+  /// replica and both the local hearer loop and remote-frame replay
+  /// consult it.
   struct ShardingSpec {
-    const std::int32_t* shard_of = nullptr;  ///< global id → owning shard
-    const std::int32_t* local_of = nullptr;  ///< global id → stripe-local id
-    std::int32_t my_shard = 0;
+    net::Stripe stripe;
     std::int32_t shard_count = 0;
-    std::int32_t owned_count = 0;  ///< population of my_shard's stripe
     BoundaryEmit emit;
   };
 
@@ -289,26 +284,12 @@ class Channel {
   };
 
   void finish_tx(std::uint64_t tx_id);
-  std::vector<Arrival>& arrivals(net::NodeId node);
   std::uint32_t acquire_tx_slot();
   /// The transmission of the node at per-node index `i`; only valid while
   /// transmitting_[i] is set (its slot stays live until finish_tx clears
   /// the mask).
   const Transmission& own_tx(std::size_t i) const {
     return tx_slots_[static_cast<std::uint32_t>(transmitting_[i])].tx;
-  }
-  bool owned(net::NodeId node) const {
-    return shard_of_ == nullptr || shard_of_[node] == my_shard_;
-  }
-  /// Index of `node` into the per-node vectors: the global id unsharded,
-  /// its stripe-local id on a partition. Only valid for owned ids —
-  /// a remote id's local_of entry indexes a *different* shard's stripe, so
-  /// every caller sits behind an owned() check.
-  std::size_t li(net::NodeId node) const {
-    return local_of_ == nullptr
-               ? static_cast<std::size_t>(node)
-               : static_cast<std::size_t>(
-                     local_of_[static_cast<std::size_t>(node)]);
   }
   /// Begins a remote frame's reception in this shard: records arrivals at
   /// owned hearers over the true [start, end) interval and schedules (or,
@@ -350,10 +331,10 @@ class Channel {
   // from its slot (own_tx).
   std::vector<std::uint64_t> transmitting_;
 
-  // Sharded operation (null/empty when off).
-  const std::int32_t* shard_of_ = nullptr;
-  const std::int32_t* local_of_ = nullptr;
-  std::int32_t my_shard_ = 0;
+  // Sharded operation (whole-network stripe, no emit, when off). The
+  // per-node vectors are indexed by stripe_.local(), valid for owned ids
+  // only.
+  net::Stripe stripe_;
   BoundaryEmit boundary_emit_;
   std::int64_t boundary_exports_ = 0;
   // start_tx scratch: destination shards of the current frame (deduped).

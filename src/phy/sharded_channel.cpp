@@ -66,47 +66,11 @@ ShardMap ShardMap::stripes(const std::vector<net::Position>& positions,
   return map;
 }
 
-std::vector<std::vector<net::NodeId>> ShardMap::halos(
-    const std::vector<const net::ConnectivityGraph*>& graphs) const {
-  const auto n = shard_of.size();
-  std::vector<std::vector<net::NodeId>> halo(
-      static_cast<std::size_t>(count));
-  for (const net::ConnectivityGraph* g : graphs) {
-    BCP_REQUIRE(g != nullptr &&
-                g->node_count() == static_cast<int>(n));
-    for (std::size_t o = 0; o < n; ++o) {
-      const std::int32_t s = shard_of[o];
-      for (const net::NodeId r : g->neighbors(static_cast<net::NodeId>(o)))
-        if (shard_of[static_cast<std::size_t>(r)] != s)
-          halo[static_cast<std::size_t>(s)].push_back(r);
-    }
-  }
-  for (auto& h : halo) {
-    std::sort(h.begin(), h.end());
-    h.erase(std::unique(h.begin(), h.end()), h.end());
-    h.shrink_to_fit();
-  }
-  return halo;
-}
-
-std::shared_ptr<const net::StripeDomain> ShardMap::domain(
-    int shard, const std::vector<net::NodeId>& halo) const {
+net::Stripe ShardMap::stripe(int shard) const {
   BCP_REQUIRE(shard >= 0 && shard < count);
-  auto d = std::make_shared<net::StripeDomain>();
-  d->node_count = static_cast<int>(shard_of.size());
-  d->shard = static_cast<std::int32_t>(shard);
-  d->owned = static_cast<std::int32_t>(owned_count(shard));
-  d->shard_of = shard_of.data();
-  d->local_of = local_of.data();
-  d->halo_slot.reserve(halo.size());
-  std::int32_t slot = d->owned;
-  for (const net::NodeId g : halo) {
-    BCP_REQUIRE(g >= 0 && g < d->node_count);
-    BCP_REQUIRE_MSG(shard_of[static_cast<std::size_t>(g)] != shard,
-                    "halo id owned by the stripe itself");
-    d->halo_slot.emplace(g, slot++);
-  }
-  return d;
+  return net::Stripe{shard_of.data(), local_of.data(),
+                     static_cast<std::int32_t>(shard),
+                     static_cast<std::int32_t>(owned_count(shard))};
 }
 
 ShardedMedium::ShardedMedium(
@@ -123,11 +87,8 @@ ShardedMedium::ShardedMedium(
   channels_.resize(static_cast<std::size_t>(count_));
   for (int s = 0; s < count_; ++s) {
     Channel::ShardingSpec spec;
-    spec.shard_of = map_.shard_of.data();
-    spec.local_of = map_.local_of.data();
-    spec.my_shard = s;
+    spec.stripe = map_.stripe(s);
     spec.shard_count = count_;
-    spec.owned_count = map_.owned_count(s);
     spec.emit = [this, s](std::int32_t dst, Channel::RemoteFrame&& rf) {
       // Double-buffered by the parity of the window being executed;
       // only shard s's pinned thread writes (src, dst) buffers.

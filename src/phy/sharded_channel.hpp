@@ -34,7 +34,7 @@ namespace bcp::phy {
 /// contiguous per stripe, assigned in ascending global-id order, so a
 /// partition's per-node vectors of length owned_count(s) are dense and
 /// the translation is one shared O(n) array (like shard_of itself), not
-/// per-shard state.
+/// per-shard state. Partitions read both arrays through stripe(s).
 struct ShardMap {
   int count = 1;
   std::vector<std::int32_t> shard_of;  ///< per node id: owning stripe
@@ -55,20 +55,9 @@ struct ShardMap {
     return owned[static_cast<std::size_t>(shard)];
   }
 
-  /// Per stripe: the halo — remote global ids adjacent to an owned node in
-  /// any of `graphs` (union over radio classes), sorted ascending. These
-  /// are exactly the ids a partition can name in a membership query whose
-  /// answer must be epoch-exact, so they get dense slots in the stripe's
-  /// LinkState replica.
-  std::vector<std::vector<net::NodeId>> halos(
-      const std::vector<const net::ConnectivityGraph*>& graphs) const;
-
-  /// The stripe-local id domain net::LinkState builds its replica over:
-  /// dense slots [0, owned) via local_of, then one slot per halo id in the
-  /// given order. The domain aliases this map's arrays — the ShardMap must
-  /// outlive every replica built on it.
-  std::shared_ptr<const net::StripeDomain> domain(
-      int shard, const std::vector<net::NodeId>& halo) const;
+  /// Stripe `shard` as the id view its partition reads: ownership and
+  /// local slots through this map's arrays, which must outlive the view.
+  net::Stripe stripe(int shard) const;
 };
 
 class ShardedMedium {

@@ -190,10 +190,11 @@ std::string ResultSink::to_json(const std::string& bench_name) const {
       has_rss |= e.key == "peak_rss_mib";
     }
     // Sharded runs carry the process peak RSS in their meta automatically:
-    // the O(n/shards + halo) partition memory model is only auditable if
-    // every sharded BENCH_*.json records it. Sampled at export (after the
-    // runs); unsharded exports stay byte-identical to the historical
-    // format, so the figure/table goldens are untouched.
+    // the partition memory model (node state dense over the owned stripe,
+    // a sparse down-set for remote ids) is only auditable if every sharded
+    // BENCH_*.json records it. Sampled at export (after the runs);
+    // unsharded exports stay byte-identical to the historical format, so
+    // the figure/table goldens are untouched.
     if (sharded && !has_rss) {
       out += ", ";
       append_quoted(out, "peak_rss_mib");

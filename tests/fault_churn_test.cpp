@@ -140,7 +140,7 @@ TEST(LinkState, ChangeLogRecordsEveryEffectiveChangeInOrder) {
   links.set_link_up(1, 3, false);  // same pair: not logged
   links.touch();
   links.set_node_up(2, true);
-  links.apply({0.0, 0, 1, 3, net::MembershipDelta::Kind::kLinkUp});
+  links.apply({0.0, 0, 1, 3, Kind::kLinkUp});
   const std::vector<net::LinkChange>& log = links.changes();
   ASSERT_EQ(log.size(), 5u);
   EXPECT_EQ(links.revision(), 5u);
@@ -152,6 +152,10 @@ TEST(LinkState, ChangeLogRecordsEveryEffectiveChangeInOrder) {
     EXPECT_EQ(std::make_tuple(log[i].kind, log[i].node, log[i].peer),
               want[i])
         << "entry " << i;
+  // A touch changes no membership, so it is no delta to replay.
+  EXPECT_THROW(links.apply({0.0, 0, -1, -1, Kind::kTouch}),
+               std::invalid_argument);
+  EXPECT_EQ(links.revision(), 5u);
 }
 
 // ------------------------------------------------------- DynamicRouting --

@@ -220,11 +220,8 @@ TEST(ChannelPartition, SlotsAreStripeSizedFromConstruction) {
   std::vector<std::pair<std::int32_t, NodeId>> exported;
   const auto spec = [&] {
     Channel::ShardingSpec s;
-    s.shard_of = shard_of.data();
-    s.local_of = local_of.data();
-    s.my_shard = 1;
+    s.stripe = net::Stripe{shard_of.data(), local_of.data(), 1, 2};
     s.shard_count = 2;
-    s.owned_count = 2;
     s.emit = [&exported](std::int32_t dst, Channel::RemoteFrame&& rf) {
       exported.emplace_back(dst, rf.src);
     };
@@ -249,7 +246,7 @@ TEST(ChannelPartition, SlotsAreStripeSizedFromConstruction) {
   EXPECT_THROW(Channel(sim, graph, Channel::Params{}, 1, std::move(no_emit)),
                std::invalid_argument);
   Channel::ShardingSpec bad_shard = spec();
-  bad_shard.my_shard = 2;
+  bad_shard.stripe.shard = 2;
   EXPECT_THROW(
       Channel(sim, graph, Channel::Params{}, 1, std::move(bad_shard)),
       std::invalid_argument);

@@ -460,8 +460,8 @@ std::vector<RxEvent> run_sharded_membership(
         d.time = f.at;
         d.shard = s;
         d.node = f.node;
-        d.kind = f.up ? net::MembershipDelta::Kind::kNodeUp
-                      : net::MembershipDelta::Kind::kNodeDown;
+        d.kind = f.up ? net::LinkChange::Kind::kNodeUp
+                      : net::LinkChange::Kind::kNodeDown;
         pending[static_cast<std::size_t>(s)].push_back(d);
       });
     }
@@ -696,12 +696,17 @@ TEST(ShardedScenario, IdleOnlyBatteryDeathMatchesSingleQueueExactly) {
 
 // ---- Stripe-local node state (the id-mapping memory model) -----------------
 
-TEST(ShardMap, LocalIdsAreContiguousAscendingAndInvertOwned) {
-  // Positions deliberately scrambled relative to ids so stripes interleave.
+/// 23 nodes on a line, positions scrambled relative to ids so the five
+/// stripes interleave in id space.
+phy::ShardMap scrambled_five_stripes() {
   std::vector<net::Position> positions;
   for (int i = 0; i < 23; ++i)
     positions.push_back({static_cast<double>((i * 7) % 23) * 5.0, 0.0});
-  const phy::ShardMap map = phy::ShardMap::stripes(positions, 5);
+  return phy::ShardMap::stripes(positions, 5);
+}
+
+TEST(ShardMap, LocalIdsAreContiguousAscendingAndInvertOwned) {
+  const phy::ShardMap map = scrambled_five_stripes();
   ASSERT_EQ(map.count, 5);
   ASSERT_EQ(map.local_of.size(), 23u);
   int total = 0;
@@ -722,33 +727,33 @@ TEST(ShardMap, LocalIdsAreContiguousAscendingAndInvertOwned) {
   EXPECT_EQ(total, 23);  // every node owned by exactly one stripe
 }
 
-TEST(ShardMap, HalosAreTheRemoteNeighborsOfOwnedNodes) {
-  const ChainFixture fx;  // 0—1—2—3; two stripes cut between 1 and 2
-  const phy::ShardMap map = phy::ShardMap::stripes(fx.positions, 2);
-  const net::ConnectivityGraph graph(fx.positions, fx.range);
-  const auto halos = map.halos({&graph});
-  ASSERT_EQ(halos.size(), 2u);
-  // Stripe 0 owns {0,1}; its only cross-boundary edge is 1—2, so the halo
-  // is exactly {2} (and symmetrically {1} for stripe 1). Nodes 0 and 3
-  // never appear: no owned node of the other stripe can hear them.
-  EXPECT_EQ(halos[0], (std::vector<net::NodeId>{2}));
-  EXPECT_EQ(halos[1], (std::vector<net::NodeId>{1}));
-}
-
-TEST(ShardMap, DomainAssignsOwnedSlotsDenseThenHalo) {
-  const ChainFixture fx;
-  const phy::ShardMap map = phy::ShardMap::stripes(fx.positions, 2);
-  const net::ConnectivityGraph graph(fx.positions, fx.range);
-  const auto halos = map.halos({&graph});
-  const auto domain = map.domain(0, halos[0]);
-  ASSERT_NE(domain, nullptr);
-  EXPECT_EQ(domain->shard, 0);
-  EXPECT_EQ(domain->owned, 2);
-  EXPECT_EQ(domain->dense_count(), 3);  // owned {0,1} + halo {2}
-  EXPECT_EQ(domain->dense_slot(0), 0);
-  EXPECT_EQ(domain->dense_slot(1), 1);
-  EXPECT_EQ(domain->dense_slot(2), 2);   // first halo slot
-  EXPECT_EQ(domain->dense_slot(3), -1);  // outside owned + halo
+TEST(ShardMap, StripeViewOwnsAndLocalizesEveryId) {
+  const phy::ShardMap map = scrambled_five_stripes();
+  for (int s = 0; s < map.count; ++s) {
+    const net::Stripe stripe = map.stripe(s);
+    EXPECT_FALSE(stripe.whole());
+    EXPECT_EQ(stripe.shard, s);
+    EXPECT_EQ(stripe.owned, map.owned_count(s));
+    EXPECT_EQ(stripe.slots(23), static_cast<std::size_t>(map.owned_count(s)));
+    for (net::NodeId id = 0; id < 23; ++id) {
+      const auto g = static_cast<std::size_t>(id);
+      EXPECT_EQ(stripe.owner(id), map.shard_of[g]) << "id " << id;
+      ASSERT_EQ(stripe.owns(id), map.shard_of[g] == s) << "id " << id;
+      if (stripe.owns(id)) {
+        EXPECT_EQ(map.owned_nodes(s)[stripe.local(id)], id) << "id " << id;
+      }
+    }
+  }
+  EXPECT_THROW(map.stripe(map.count), std::invalid_argument);
+  // The default view is the whole network: every id owned, at its own id.
+  const net::Stripe whole;
+  EXPECT_TRUE(whole.whole());
+  EXPECT_EQ(whole.slots(23), 23u);
+  for (net::NodeId id = 0; id < 23; ++id) {
+    EXPECT_TRUE(whole.owns(id));
+    EXPECT_EQ(whole.owner(id), 0);
+    EXPECT_EQ(whole.local(id), static_cast<std::size_t>(id));
+  }
 }
 
 TEST(ShardedChannel, PartitionVectorsAreStripeLocal) {
@@ -770,33 +775,29 @@ TEST(ShardedChannel, PartitionVectorsAreStripeLocal) {
         << "shard " << s;
 }
 
-TEST(LinkStateReplica, StripeLocalDenseSizeIsOwnedPlusHalo) {
-  const ChainFixture fx;
-  const phy::ShardMap map = phy::ShardMap::stripes(fx.positions, 2);
-  const net::ConnectivityGraph graph(fx.positions, fx.range);
-  const auto halos = map.halos({&graph});
-  const net::LinkState replica(map.domain(0, halos[0]));
-  EXPECT_TRUE(replica.stripe_local());
-  EXPECT_EQ(replica.dense_size(), 3u);  // 2 owned + 1 halo, not n = 4
-  EXPECT_EQ(replica.node_count(), 4);   // queries still span the world
-  const net::LinkState dense(4);
-  EXPECT_FALSE(dense.stripe_local());
-  EXPECT_EQ(dense.dense_size(), 4u);
+TEST(LinkStateReplica, StripeLocalDenseSizeIsOwnedCount) {
+  const phy::ShardMap map = scrambled_five_stripes();
+  for (int s = 0; s < map.count; ++s) {
+    const net::LinkState replica(23, map.stripe(s));
+    EXPECT_EQ(replica.dense_size(),
+              static_cast<std::size_t>(map.owned_count(s)));
+    EXPECT_EQ(replica.node_count(), 23);  // queries still span the world
+  }
+  EXPECT_EQ(net::LinkState(23).dense_size(), 23u);
 }
 
 TEST(LinkStateReplica, StripeLocalAnswersMatchDenseUnderChurn) {
-  const ChainFixture fx;
+  const ChainFixture fx;  // 0—1—2—3; stripe 0 owns {0,1}
   const phy::ShardMap map = phy::ShardMap::stripes(fx.positions, 2);
-  const net::ConnectivityGraph graph(fx.positions, fx.range);
-  const auto halos = map.halos({&graph});
-  net::LinkState stripe(map.domain(0, halos[0]));
+  net::LinkState stripe(4, map.stripe(0));
   net::LinkState dense(4);
-  // Mutation sequence spanning owned (0,1), halo (2) and out-of-domain (3)
-  // ids, with idempotent repeats: every answer and every revision bump
-  // must match the dense layout exactly.
+  // Mutation sequence spanning owned ids (0, 1), the boundary neighbor 2
+  // and the far id 3, with idempotent repeats: every answer and every
+  // revision bump must match the whole-network layout exactly.
   const auto check = [&] {
     EXPECT_EQ(stripe.all_up(), dense.all_up());
     EXPECT_EQ(stripe.down_node_count(), dense.down_node_count());
+    EXPECT_EQ(stripe.down_link_count(), dense.down_link_count());
     EXPECT_EQ(stripe.revision(), dense.revision());
     for (net::NodeId v = 0; v < 4; ++v)
       EXPECT_EQ(stripe.node_up(v), dense.node_up(v)) << "node " << v;
@@ -809,21 +810,26 @@ TEST(LinkStateReplica, StripeLocalAnswersMatchDenseUnderChurn) {
   };
   const std::vector<std::pair<net::NodeId, bool>> flips{
       {1, false}, {1, false},  // repeat: no revision bump in either
-      {3, false},              // out-of-domain → sparse down-set
-      {2, false},              // halo slot
-      {1, true},  {3, true},  {2, true}, {0, false}, {0, true}};
+      {3, false}, {3, false},  // far id → sparse down-set, repeated
+      {2, false},              // boundary neighbor → sparse down-set
+      {1, true},  {3, true},  {3, true}, {2, true},
+      {0, false}, {0, true},  {2, false}, {2, true}};
   check();
   for (const auto& [node, up] : flips) {
     stripe.set_node_up(node, up);
     dense.set_node_up(node, up);
     check();
   }
-  stripe.set_link_up(1, 2, false);
-  dense.set_link_up(1, 2, false);
-  check();
-  stripe.set_link_up(1, 2, true);
-  dense.set_link_up(1, 2, true);
-  check();
+  const std::vector<std::tuple<net::NodeId, net::NodeId, bool>> link_flips{
+      {1, 2, false}, {2, 1, false},  // same pair: no revision bump
+      {2, 3, false},                 // both endpoints remote
+      {1, 2, true},  {3, 2, true}};
+  for (const auto& [a, b, up] : link_flips) {
+    stripe.set_link_up(a, b, up);
+    dense.set_link_up(a, b, up);
+    check();
+  }
+  EXPECT_TRUE(stripe.all_up());
 }
 
 TEST(ShardedScenario, ShardCountAboveNodeCountIsRejected) {
