@@ -169,6 +169,18 @@ app::ScenarioConfig random_nodes(app::ScenarioConfig cfg, int nodes) {
   return cfg;
 }
 
+/// Lossy dual-radio multi-hop with SINR capture on 4 stripes, inline
+/// (sim_threads = 1). Cross-stripe frames that arrive late take
+/// phy::Channel::begin_remote's capture branch, whose interference sum
+/// runs in arrival-list order, so this cell pins that order too.
+app::ScenarioConfig sharded_capture() {
+  auto cfg = sharded(lossy(mh(app::EvalModel::kDualRadio)), 4);
+  cfg.capture_enabled = true;
+  cfg.sim_threads = 1;
+  return cfg;
+}
+constexpr const char* kShardedCaptureDigest = "fcabbfcd0da641b4";
+
 struct Cell {
   const char* name;
   const char* digest;
@@ -230,6 +242,7 @@ std::vector<Cell> cells() {
        [] { return sharded(mh(EvalModel::kWifiDutyCycled), 4); }},
       {"sharded4_dual_churn_lifetime", "9576f87417f8405b",
        [] { return sharded(lifetime(churn(mh(EvalModel::kDualRadio))), 4); }},
+      {"sharded4_dual_capture", kShardedCaptureDigest, sharded_capture},
   };
 }
 
@@ -239,6 +252,15 @@ TEST_P(GoldenMatrix, DigestIsPinned) {
   const Cell& cell = GetParam();
   const std::string metrics = serialize(app::run_scenario(cell.config()));
   EXPECT_EQ(hex(fnv1a(metrics)), cell.digest) << metrics;
+}
+
+// The sharded capture cell again on 4 worker threads: the digest must not
+// depend on how the stripes are spread over threads.
+TEST(GoldenMatrixThreads, ShardedCaptureMatchesAtFourThreads) {
+  app::ScenarioConfig cfg = sharded_capture();
+  cfg.sim_threads = 4;
+  const std::string metrics = serialize(app::run_scenario(cfg));
+  EXPECT_EQ(hex(fnv1a(metrics)), kShardedCaptureDigest) << metrics;
 }
 
 INSTANTIATE_TEST_SUITE_P(

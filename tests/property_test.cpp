@@ -237,12 +237,13 @@ struct CrossModelCase {
   bool multi_hop;
   app::EvalModel model;
   bool capture = false;  ///< SINR/capture collision resolution on
-  /// > 1 runs the case on the sharded parallel engine (fault-free cases
-  /// only — the sharded path rejects fault plans). The conservation laws
+  /// > 1 runs the case on the sharded parallel engine, which accepts
+  /// fault plans and batteries like the single queue (membership changes
+  /// reach the other stripes at window barriers). The conservation laws
   /// must hold per-shard and therefore summed.
   int shards = 0;
-  /// > 0 enables finite batteries with this per-radio-class budget
-  /// (single-queue engine only — the sharded path rejects batteries).
+  /// > 0 enables finite batteries with this per-radio-class budget, on
+  /// either engine (see the sharded4_dual_churn_lifetime golden cell).
   double sensor_j = 0;
   double wifi_j = 0;
 };
