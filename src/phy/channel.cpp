@@ -60,8 +60,7 @@ Channel::Channel(sim::Simulator& sim,
     remote_dsts_.reserve(static_cast<std::size_t>(sharding.shard_count));
   }
   listeners_.resize(n, nullptr);
-  arrivals_.resize(n);
-  if (capture_) arrival_power_mw_.resize(n, 0.0);
+  lease_.resize(n, kNoSlot);
   transmitting_.resize(n, 0);
   arrival_max_end_.resize(n, 0.0);
 }
@@ -89,6 +88,14 @@ std::uint32_t Channel::acquire_tx_slot() {
   return slot;
 }
 
+void Channel::add_list() {
+  const auto list = static_cast<std::uint32_t>(lists_.size());
+  BCP_ENSURE_MSG(list != kNoSlot, "arrival list space exhausted");
+  lists_.emplace_back();
+  lists_[list].next_free = list_free_head_;
+  list_free_head_ = list;
+}
+
 void Channel::start_tx(net::NodeId src, const Frame& frame,
                        util::Seconds duration) {
   BCP_REQUIRE(src >= 0 && src < graph().node_count());
@@ -110,7 +117,8 @@ void Channel::start_tx(net::NodeId src, const Frame& frame,
   ++stats_.frames;
 
   // Half-duplex: whatever the transmitter was hearing is lost to it.
-  for (auto& a : arrivals_[si]) a.clean = false;
+  if (lease_[si] != kNoSlot)
+    for (auto& a : lists_[lease_[si]].arrivals) a.clean = false;
 
   const auto nbrs = graph().neighbors(src);
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
@@ -129,7 +137,8 @@ void Channel::start_tx(net::NodeId src, const Frame& frame,
       continue;
     }
     const std::size_t ri = stripe_.local(r);
-    auto& at_r = arrivals_[ri];
+    ArrivalList& list = lease_list(ri);
+    auto& at_r = list.arrivals;
     const double loss =
         uniform_loss_ ? unit_loss_ : model_->loss_prob(src, i, r);
     bool clean;
@@ -137,6 +146,7 @@ void Channel::start_tx(net::NodeId src, const Frame& frame,
     double interference_mw = 0.0;
     if (!capture_) {
       // Overlap at r corrupts both the new frame and everything in flight.
+      // (A list leased just now is empty.)
       const bool overlap = !at_r.empty() || transmitting_[ri] != 0;
       for (auto& a : at_r) a.clean = false;
       clean = !overlap && !rng_.chance(loss);
@@ -150,7 +160,7 @@ void Channel::start_tx(net::NodeId src, const Frame& frame,
       // different, denser RNG consumption than the golden-pinned default
       // path.)
       rx_mw = uniform_loss_ ? unit_rx_mw_ : model_->rx_power_mw(src, i, r);
-      double& power_sum = arrival_power_mw_[ri];
+      double& power_sum = list.power_mw;
       for (auto& a : at_r)
         a.peak_interference_mw = std::max(
             a.peak_interference_mw, power_sum - a.rx_power_mw + rx_mw);
@@ -240,7 +250,8 @@ void Channel::begin_remote(std::uint64_t tx_id) {
     // for this link — the documented staleness bound.
     if (links_ != nullptr && !links_->link_up(src, r)) continue;
     const std::size_t ri = stripe_.local(r);
-    auto& at_r = arrivals_[ri];
+    ArrivalList& list = lease_list(ri);
+    auto& at_r = list.arrivals;
     const double loss =
         uniform_loss_ ? unit_loss_ : model_->loss_prob(src, i, r);
     // Half-duplex over the true interval: the hearer's own transmission
@@ -260,7 +271,7 @@ void Channel::begin_remote(std::uint64_t tx_id) {
       clean = !overlap && !rng_.chance(loss);
     } else {
       rx_mw = uniform_loss_ ? unit_rx_mw_ : model_->rx_power_mw(src, i, r);
-      double& power_sum = arrival_power_mw_[ri];
+      double& power_sum = list.power_mw;
       for (auto& a : at_r) {
         if (a.start < e && s < a.end) {
           a.peak_interference_mw = std::max(
@@ -312,18 +323,24 @@ void Channel::finish_tx(std::uint64_t tx_id) {
     // there) — nothing to deliver here.
     if (!stripe_.owns(r)) continue;
     const std::size_t ri = stripe_.local(r);
-    auto& at_r = arrivals_[ri];
-    // Arrival order within a node's list carries no meaning (collision
-    // marking and clear_at are order-independent), so swap-remove.
+    const std::uint32_t lease = lease_[ri];
+    // Swap-remove. Collision marking and clear_at are order-independent,
+    // but begin_remote's capture interference sum reads the list in
+    // order, so the list must see exactly this sequence of push_back and
+    // swap-remove operations.
+    ArrivalList* list = lease == kNoSlot ? nullptr : &lists_[lease];
     std::size_t i = 0;
-    while (i < at_r.size() && at_r[i].tx_id != tx_id) ++i;
-    if (i >= at_r.size()) {
+    if (list != nullptr)
+      while (i < list->arrivals.size() && list->arrivals[i].tx_id != tx_id)
+        ++i;
+    if (list == nullptr || i == list->arrivals.size()) {
       // Only possible with dynamic link state: the link was down at
       // start_tx, so this hearer never got the arrival. The current state
       // is irrelevant — arrivals, not the mask, are the ground truth.
       BCP_ENSURE(links_ != nullptr);
       continue;
     }
+    auto& at_r = list->arrivals;
     bool clean = at_r[i].clean;
     if (capture_) {
       const Arrival& a = at_r[i];
@@ -336,12 +353,18 @@ void Channel::finish_tx(std::uint64_t tx_id) {
               (a.peak_interference_mw <= 0.0 ||
                a.rx_power_mw >=
                    min_sinr_ * (noise_mw_ + a.peak_interference_mw));
-      double& power_sum = arrival_power_mw_[ri];
-      power_sum -= a.rx_power_mw;
-      if (at_r.size() == 1) power_sum = 0.0;  // busy period over: drop residue
+      list->power_mw -= a.rx_power_mw;
     }
     at_r[i] = at_r.back();
     at_r.pop_back();
+    if (at_r.empty()) {
+      // The busy period is over: park the list, dropping the power sum's
+      // residue, before the listener can start another lease.
+      list->power_mw = 0.0;
+      list->next_free = list_free_head_;
+      list_free_head_ = lease;
+      lease_[ri] = kNoSlot;
+    }
     if (clean)
       ++stats_.deliveries_clean;
     else
@@ -353,8 +376,8 @@ void Channel::finish_tx(std::uint64_t tx_id) {
 
 std::int64_t Channel::live_arrivals() const {
   std::int64_t total = 0;
-  for (const auto& a : arrivals_)
-    total += static_cast<std::int64_t>(a.size());
+  for (const auto& list : lists_)
+    total += static_cast<std::int64_t>(list.arrivals.size());
   return total;
 }
 
@@ -368,7 +391,9 @@ void Channel::abort_tx_of(net::NodeId src) {
   // (remote hearers got their own copy of the frame in their shard)…
   for (const net::NodeId r : graph().neighbors(src)) {
     if (!stripe_.owns(r)) continue;
-    for (auto& a : arrivals_[stripe_.local(r)])
+    const std::uint32_t lease = lease_[stripe_.local(r)];
+    if (lease == kNoSlot) continue;
+    for (auto& a : lists_[lease].arrivals)
       if (a.tx_id == tx_id) a.clean = false;
   }
   // …and the carrier dies with the node: finish the transmission NOW so
@@ -388,7 +413,7 @@ bool Channel::busy_at(net::NodeId node) const {
   BCP_REQUIRE_MSG(stripe_.owns(node),
                   "carrier sense at a node another shard owns");
   const std::size_t i = stripe_.local(node);
-  return transmitting_[i] != 0 || !arrivals_[i].empty();
+  return transmitting_[i] != 0 || lease_[i] != kNoSlot;
 }
 
 util::Seconds Channel::clear_at(net::NodeId node) const {

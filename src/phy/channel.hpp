@@ -198,6 +198,11 @@ class Channel {
   /// rx_starts == deliveries_clean + deliveries_corrupt + live_arrivals().
   std::int64_t live_arrivals() const;
 
+  /// Arrival lists the channel has created. A hearer leases one only
+  /// while it has a frame on the air, so this is the peak number of
+  /// hearers busy at once, not the node count.
+  std::size_t arrival_lists() const { return lists_.size(); }
+
   /// The propagation model delivery draws against (never null).
   const PropagationModel& propagation() const { return *model_; }
 
@@ -283,8 +288,36 @@ class Channel {
     sim::Simulator::EventHandle finish_event;
   };
 
+  /// The live arrivals of a busy hearer, with the running sum of their
+  /// rx powers in capture mode — an arrival's instantaneous interference
+  /// is that sum minus its own power. Leased to a hearer on its first live
+  /// arrival and returned, empty and with its capacity kept, when the last
+  /// one ends; the sum restarts at exactly 0 with each lease, so
+  /// floating-point residue cannot outlive a busy period. Returned lists
+  /// are free-listed like the tx slots.
+  struct ArrivalList {
+    std::vector<Arrival> arrivals;
+    double power_mw = 0.0;
+    std::uint32_t next_free = kNoSlot;
+  };
+
   void finish_tx(std::uint64_t tx_id);
   std::uint32_t acquire_tx_slot();
+  /// The list of the hearer at per-node index `i`, leasing one if it has
+  /// none. A new lease can grow lists_ and move every list, so the result
+  /// must not be held across another hearer's lease. Inline: every
+  /// arrival takes this path.
+  ArrivalList& lease_list(std::size_t i) {
+    std::uint32_t& lease = lease_[i];
+    if (lease == kNoSlot) {
+      if (list_free_head_ == kNoSlot) add_list();
+      lease = list_free_head_;
+      list_free_head_ = lists_[lease].next_free;
+    }
+    return lists_[lease];
+  }
+  /// Grows the pool by one list, put on the free list.
+  void add_list();
   /// The transmission of the node at per-node index `i`; only valid while
   /// transmitting_[i] is set (its slot stays live until finish_tx clears
   /// the mask).
@@ -317,16 +350,15 @@ class Channel {
   std::vector<TxSlot> tx_slots_;
   std::uint32_t tx_free_head_ = kNoSlot;
   std::vector<ChannelListener*> listeners_;
-  // Per node: live arrivals only (each is removed by its finish_tx, so
-  // busy_at's emptiness check never sees a dead entry), with capacity
-  // retained across the run.
-  std::vector<std::vector<Arrival>> arrivals_;
-  // Capture mode: per node, the running sum of live arrival rx powers —
-  // an arrival's instantaneous interference is this sum minus its own
-  // power. Reset to exactly 0 whenever the arrival list empties, so
-  // floating-point residue cannot outlive a busy period. Empty (never
-  // read) when capture is off.
-  std::vector<double> arrival_power_mw_;
+  // Per node: the index in lists_ of its leased arrival list, or kNoSlot
+  // while it hears nothing. A leased list holds live arrivals only (each
+  // is removed by its finish_tx, and the lease returns with the last), so
+  // busy_at tests the lease alone.
+  std::vector<std::uint32_t> lease_;
+  // The arrival lists, leased or on the free list for the next hearer
+  // that needs one.
+  std::vector<ArrivalList> lists_;
+  std::uint32_t list_free_head_ = kNoSlot;
   // Per node: own tx id or 0. The transmission's start and end are read
   // from its slot (own_tx).
   std::vector<std::uint64_t> transmitting_;

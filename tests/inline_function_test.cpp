@@ -3,7 +3,10 @@
 // MessageRef (shared-immutable pooled payloads) and util::SlidingQueue.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <deque>
 #include <memory>
 #include <utility>
 
@@ -215,6 +218,77 @@ TEST(SlidingQueue, PopReleasesElementResourcesImmediately) {
   q.pop_front();  // must drop the element now, not at compaction time
   EXPECT_TRUE(watch.expired());
   EXPECT_EQ(*q.front(), 6);
+}
+
+/// An element type no other test queues, so this thread's spare list for
+/// it starts empty.
+struct Parked {
+  int v = 0;
+};
+
+TEST(SlidingQueue, DrainedBufferIsReusedByAnotherQueuesFirstPush) {
+  using Queue = util::SlidingQueue<Parked>;
+  ASSERT_EQ(Queue::spare_buffers(), 0u);
+  Queue a;
+  for (int i = 0; i < 8; ++i) a.push_back(Parked{i});
+  const Parked* storage = &a.front();
+  while (!a.empty()) a.pop_front();
+  EXPECT_EQ(Queue::spare_buffers(), 1u);
+  // The next queue to go non-empty takes the parked buffer, capacity kept.
+  Queue b;
+  b.push_back(Parked{42});
+  EXPECT_EQ(Queue::spare_buffers(), 0u);
+  EXPECT_EQ(&b.front(), storage);
+  for (int i = 1; i < 8; ++i) b.push_back(Parked{42 + i});
+  EXPECT_EQ(&b.front(), storage);  // no regrowth within the old capacity
+  // clear() parks too; a queue that never held anything parks nothing.
+  b.clear();
+  EXPECT_EQ(Queue::spare_buffers(), 1u);
+  Queue never_used;
+  never_used.clear();
+  EXPECT_EQ(Queue::spare_buffers(), 1u);
+  a.push_back(Parked{7});
+  EXPECT_EQ(&a.front(), storage);
+  a.clear();
+}
+
+TEST(SlidingQueue, FifoClearAndSwapMatchAReferenceDeque) {
+  // Several queues share one spare list; each must still behave like its
+  // own std::deque through pushes, pops, drains, clears and swaps.
+  constexpr int kQueues = 4;
+  util::SlidingQueue<int> q[kQueues];
+  std::deque<int> ref[kQueues];
+  std::uint64_t state = 12345;
+  const auto next = [&state] {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return static_cast<int>(state >> 33);
+  };
+  for (int step = 0; step < 20000; ++step) {
+    const int i = next() % kQueues;
+    const int op = next() % 16;
+    if (op < 8) {
+      q[i].push_back(step);
+      ref[i].push_back(step);
+    } else if (op < 14) {
+      if (!ref[i].empty()) {
+        ASSERT_EQ(q[i].front(), ref[i].front()) << "step " << step;
+        q[i].pop_front();
+        ref[i].pop_front();
+      }
+    } else if (op == 14) {
+      q[i].clear();
+      ref[i].clear();
+    } else {
+      const int j = next() % kQueues;
+      q[i].swap(q[j]);
+      ref[i].swap(ref[j]);
+    }
+    for (int k = 0; k < kQueues; ++k) {
+      ASSERT_EQ(q[k].size(), ref[k].size()) << "step " << step;
+      ASSERT_TRUE(std::equal(q[k].begin(), q[k].end(), ref[k].begin()))
+          << "step " << step;
+    }
+  }
 }
 
 }  // namespace

@@ -15,6 +15,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
+#include <vector>
 
 #include "energy/radio_model.hpp"
 #include "mac/csma_mac.hpp"
@@ -26,6 +28,7 @@
 #include "sim/simulator.hpp"
 #include "test_hosts.hpp"
 #include "util/alloc_count_hook.hpp"
+#include "util/sliding_queue.hpp"
 #include "util/units.hpp"
 
 namespace bcp {
@@ -77,10 +80,10 @@ TEST(PerfAlloc, NestedSchedulingFromCallbacksIsAllocationFreeWhenWarm) {
 
 TEST(PerfAlloc, CaptureChannelHotPathIsAllocationFreeWhenWarm) {
   // The SINR/capture path threads per-arrival power state through the
-  // TxSlot/arrival vectors — none of which may touch the allocator once
-  // warm, exactly like the default channel. Colliding transmissions
-  // exercise the interference bookkeeping (peak updates + running sums)
-  // on every cycle.
+  // TxSlots and leased arrival lists — none of which may touch the
+  // allocator once warm, exactly like the default channel. Colliding
+  // transmissions exercise the interference bookkeeping (peak updates +
+  // running sums) on every cycle.
   sim::Simulator s;
   phy::Channel::Params params;
   params.propagation.kind = phy::PropagationKind::kLogDistance;
@@ -106,7 +109,7 @@ TEST(PerfAlloc, CaptureChannelHotPathIsAllocationFreeWhenWarm) {
     }
     s.run();
   };
-  cycle(64);  // warm-up: arrival/slot vectors reach high-water capacity
+  cycle(64);  // warm-up: arrival lists and slots reach high-water capacity
   const std::uint64_t before = g_alloc_count;
   for (int round = 0; round < 50; ++round) cycle(64);
   EXPECT_EQ(g_alloc_count - before, 0u)
@@ -149,6 +152,33 @@ TEST(PerfAlloc, CsmaUnicastExchangeIsAllocationFreeWhenWarm) {
   EXPECT_EQ(s0.tx_success, 201 * 8);
   EXPECT_EQ(s1.acks_sent, 201 * 8);
   EXPECT_EQ(delivered, 201 * 8);
+}
+
+TEST(PerfAlloc, QueuesFilledAndDrainedInTurnShareOneBuffer) {
+  // A thousand per-node queues see bursts one after another, the way MAC
+  // queues do across a large network. A drained queue parks its buffer
+  // for the next, so warm-up allocates for one queue's growth, not for
+  // every queue, and the steady state allocates nothing.
+  std::vector<util::SlidingQueue<net::MessageRef>> queues(1000);
+  net::Message m;
+  m.src = 0;
+  m.dst = 1;
+  m.body = net::DataPacket{0, 1, 1, util::bytes(32), 0.0};
+  const net::MessageRef msg = net::make_message(std::move(m));
+  const auto burst = [&msg](util::SlidingQueue<net::MessageRef>& q) {
+    for (int i = 0; i < 8; ++i) q.push_back(msg);
+    while (!q.empty()) q.pop_front();
+  };
+  const std::uint64_t cold = g_alloc_count;
+  for (auto& q : queues) burst(q);
+  // Capacity 1, 2, 4, 8 for the one buffer, plus the spare list itself.
+  EXPECT_LE(g_alloc_count - cold, 5u)
+      << "queues that are never non-empty together did not share storage";
+  const std::uint64_t before = g_alloc_count;
+  for (int round = 0; round < 20; ++round)
+    for (auto& q : queues) burst(q);
+  EXPECT_EQ(g_alloc_count - before, 0u)
+      << "queues filled and drained in turn allocated in steady state";
 }
 
 TEST(PerfAlloc, PooledControlMessagesAreAllocationFreeWhenWarm) {

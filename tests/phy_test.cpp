@@ -2,7 +2,9 @@
 // and the radio power/reception state machine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -619,6 +621,157 @@ TEST(ChannelAbort, AbortedInterferenceDoesNotOutliveTheAbort) {
                                    "past the abort time";
   EXPECT_EQ(ch.stats().rx_starts,
             ch.stats().deliveries_clean + ch.stats().deliveries_corrupt);
+}
+
+// ---------------------------------------------------- Arrival list lease --
+
+TEST(ChannelLease, ListReturnsWhenTheLastArrivalEnds) {
+  // Two nodes in range: each frame leases the other node's list. The
+  // second frame's hearer is another node, and it reuses the list the
+  // first hearer returned instead of growing the pool.
+  sim::Simulator sim;
+  Channel ch(sim, {{0, 0}, {10, 0}}, 50.0, Channel::Params{0.0}, 1);
+  Probe p0, p1;
+  ch.attach(0, &p0);
+  ch.attach(1, &p1);
+  EXPECT_EQ(ch.arrival_lists(), 0u);
+  ch.start_tx(0, make_frame(0, 1), 0.01);
+  EXPECT_EQ(ch.arrival_lists(), 1u);
+  EXPECT_TRUE(ch.busy_at(1));
+  EXPECT_DOUBLE_EQ(ch.clear_at(1), 0.01);
+  sim.run();
+  EXPECT_FALSE(ch.busy_at(1));
+  EXPECT_DOUBLE_EQ(ch.clear_at(1), sim.now());
+  EXPECT_EQ(ch.live_arrivals(), 0);
+  ch.start_tx(1, make_frame(1, 0), 0.01);
+  EXPECT_TRUE(ch.busy_at(0));
+  sim.run();
+  EXPECT_EQ(ch.arrival_lists(), 1u);
+  ASSERT_EQ(p1.ends.size(), 1u);
+  ASSERT_EQ(p0.ends.size(), 1u);
+  EXPECT_TRUE(p1.ends[0].clean);
+  EXPECT_TRUE(p0.ends[0].clean);
+}
+
+TEST(ChannelLease, AbortReturnsTheList) {
+  sim::Simulator sim;
+  Channel ch(sim, {{0, 0}, {10, 0}}, 50.0, Channel::Params{0.0}, 1);
+  Probe p0, p1;
+  ch.attach(0, &p0);
+  ch.attach(1, &p1);
+  ch.start_tx(0, make_frame(0, 1), 0.1);
+  sim.schedule_at(0.05, [&] {
+    ch.abort_tx_of(0);
+    EXPECT_FALSE(ch.busy_at(1));
+    // The aborted frame's end still bounds carrier sense at node 1.
+    EXPECT_DOUBLE_EQ(ch.clear_at(1), 0.1);
+    ch.start_tx(1, make_frame(1, 0), 0.01);
+  });
+  sim.run();
+  EXPECT_EQ(ch.arrival_lists(), 1u);
+  ASSERT_EQ(p1.ends.size(), 1u);
+  EXPECT_FALSE(p1.ends[0].clean);
+  ASSERT_EQ(p0.ends.size(), 1u);
+  EXPECT_TRUE(p0.ends[0].clean);
+  EXPECT_EQ(ch.live_arrivals(), 0);
+}
+
+TEST(ChannelLease, LateRemoteFrameReturnsTheList) {
+  // Stripe 1 of two owns nodes 3 and 4; node 2 (stripe 0) is in range of
+  // node 3 only. A remote frame that already ended is begun and finished
+  // at once, so node 3's list comes back before inject_remote returns.
+  sim::Simulator sim;
+  const auto graph = std::make_shared<const net::ConnectivityGraph>(
+      std::vector<Position>{{0, 0}, {30, 0}, {60, 0}, {90, 0}, {120, 0}},
+      40.0);
+  const std::vector<std::int32_t> shard_of{0, 0, 0, 1, 1};
+  const std::vector<std::int32_t> local_of{0, 1, 2, 0, 1};
+  Channel::ShardingSpec spec;
+  spec.stripe = net::Stripe{shard_of.data(), local_of.data(), 1, 2};
+  spec.shard_count = 2;
+  spec.emit = [](std::int32_t, Channel::RemoteFrame&&) {};
+  Channel part(sim, graph, Channel::Params{}, 1, std::move(spec));
+  Probe p3, p4;
+  part.attach(3, &p3);
+  part.attach(4, &p4);
+  const auto remote = [](util::Seconds start, util::Seconds end) {
+    Channel::RemoteFrame rf;
+    rf.src = 2;
+    rf.frame = make_frame(2, 3);
+    rf.frame.message = net::MessageRef{};
+    rf.start = start;
+    rf.end = end;
+    return rf;
+  };
+  sim.schedule_at(0.05, [&] {
+    part.inject_remote(remote(0.0, 0.01));
+    EXPECT_FALSE(part.busy_at(3));
+    EXPECT_EQ(part.live_arrivals(), 0);
+    EXPECT_EQ(part.arrival_lists(), 1u);
+    // A frame still on the air re-leases the parked list.
+    part.inject_remote(remote(0.04, 0.06));
+    EXPECT_TRUE(part.busy_at(3));
+    EXPECT_FALSE(part.busy_at(4));
+  });
+  sim.run();
+  EXPECT_EQ(part.arrival_lists(), 1u);
+  EXPECT_FALSE(part.busy_at(3));
+  ASSERT_EQ(p3.ends.size(), 2u);
+  EXPECT_TRUE(p3.ends[0].clean);
+  EXPECT_TRUE(p3.ends[1].clean);
+  EXPECT_TRUE(p4.ends.empty());
+}
+
+TEST(ChannelLease, HearerBehindADownLinkNeverLeases) {
+  // Line 0 -- 1 -- 2: node 1 hears both ends. With link 0-1 down, node
+  // 0's frame reaches nobody, so no list is leased and carrier sense at
+  // node 1 stays clear.
+  sim::Simulator sim;
+  Channel ch(sim, {{0, 0}, {50, 0}, {100, 0}}, 60.0, Channel::Params{0.0},
+             1);
+  Probe probes[3];
+  for (NodeId i = 0; i < 3; ++i) ch.attach(i, &probes[i]);
+  net::LinkState links(3);
+  links.set_link_up(0, 1, false);
+  ch.set_link_state(&links);
+  ch.start_tx(0, make_frame(0, 1), 0.01);
+  EXPECT_EQ(ch.arrival_lists(), 0u);
+  EXPECT_TRUE(ch.busy_at(0));
+  EXPECT_FALSE(ch.busy_at(1));
+  EXPECT_DOUBLE_EQ(ch.clear_at(1), 0.0);
+  // Node 2's frame overlaps in time but not at node 1's ears: clean.
+  ch.start_tx(2, make_frame(2, 1), 0.01);
+  EXPECT_EQ(ch.arrival_lists(), 1u);
+  sim.run();
+  EXPECT_TRUE(probes[1].ends.size() == 1 && probes[1].ends[0].clean);
+  EXPECT_EQ(ch.live_arrivals(), 0);
+  EXPECT_EQ(ch.arrival_lists(), 1u);
+}
+
+TEST(ChannelLease, PoolPeaksAtTheBusyHearersNotTheNodeCount) {
+  // A 10x10 grid at 10 m with a 12 m range: an interior node has four
+  // neighbours. One frame at a time needs at most max-degree lists; two
+  // far-apart interior frames at once need the sum of their degrees.
+  sim::Simulator sim;
+  std::vector<Position> pos;
+  for (int y = 0; y < 10; ++y)
+    for (int x = 0; x < 10; ++x) pos.push_back({10.0 * x, 10.0 * y});
+  Channel ch(sim, pos, 12.0, Channel::Params{0.0}, 1);
+  std::size_t max_degree = 0;
+  for (NodeId n = 0; n < 100; ++n) {
+    max_degree = std::max(max_degree, ch.graph().neighbors(n).size());
+    ch.start_tx(n, make_frame(n, ch.graph().neighbors(n)[0]), 0.01);
+    sim.run();
+  }
+  EXPECT_EQ(max_degree, 4u);
+  EXPECT_EQ(ch.arrival_lists(), max_degree);
+  ch.start_tx(11, make_frame(11, 12), 0.01);
+  ch.start_tx(88, make_frame(88, 87), 0.01);
+  sim.run();
+  EXPECT_EQ(ch.arrival_lists(), 8u);
+  EXPECT_EQ(ch.node_slots(), 100u);
+  EXPECT_EQ(ch.live_arrivals(), 0);
+  EXPECT_EQ(ch.stats().deliveries_corrupt, 0);
 }
 
 // ---------------------------------------------------------------- Radio --
