@@ -6,24 +6,14 @@
 // Runs the multi-hop grid at 0.2 Kbps with a 500-packet threshold (which
 // unbounded BCP fills in ~640 s) under deadlines of 30/60/120 s, and
 // reports the goodput / energy / delay triangle for each policy — one
-// sweep over the registry's "mh/dual" / "mh/dual-flush-high" /
-// "mh/dual-fallback-low" variants.
+// sweep over the unbounded protocol and the two deadline policies.
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
 #include "util/options.hpp"
-
-namespace {
-
-struct Cell {
-  std::string label;
-  std::string variant;
-  double deadline;  // 0 = unbounded
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace bcp;
@@ -37,45 +27,25 @@ int main(int argc, char** argv) {
       .add_int("seed", 1, "base seed")
       .add_int("jobs", 0, "sweep worker threads (0 = all hardware cores)");
   if (!opt.parse(argc, argv)) return 1;
-  const int senders = static_cast<int>(opt.get_int("senders"));
-  const int burst = static_cast<int>(opt.get_int("burst"));
-  const double duration = opt.get_double("duration");
 
-  std::vector<Cell> cells = {{"Unbounded", "mh/dual", 0}};
-  for (const double d : {30.0, 60.0, 120.0}) {
-    cells.push_back({"FlushHigh", "mh/dual-flush-high", d});
-    cells.push_back({"FallbackLow", "mh/dual-fallback-low", d});
-  }
+  app::ScenarioConfig unbounded = app::ScenarioConfig::multi_hop(
+      app::EvalModel::kDualRadio, static_cast<int>(opt.get_int("senders")),
+      static_cast<int>(opt.get_int("burst")));
+  unbounded.rate_bps = 200.0;
+  unbounded.duration = opt.get_double("duration");
+  std::vector<Cell> cells = {{"Unbounded", unbounded}};
+  for (const double d : {30.0, 60.0, 120.0})
+    for (const auto& [label, policy] :
+         {std::pair{"FlushHigh", core::DelayPolicy::kFlushHigh},
+          std::pair{"FallbackLow", core::DelayPolicy::kFallbackLow}}) {
+      Cell cell{label, unbounded};
+      cell.config.bcp.delay_policy = policy;
+      cell.config.bcp.max_buffering_delay = d;
+      cells.push_back(std::move(cell));
+    }
 
-  app::SweepGrid grid;
-  std::vector<int> cell_ids;
-  for (std::size_t i = 0; i < cells.size(); ++i)
-    cell_ids.push_back(static_cast<int>(i));
-  grid.axis_ints("cell", cell_ids);
-  const app::SweepFn fn = [&cells, senders, burst,
-                           duration](const app::SweepJob& job) {
-    const Cell& cell =
-        cells[static_cast<std::size_t>(job.point.get_int("cell"))];
-    const app::SweepPoint scenario_point(
-        job.point.index(), {{"senders", static_cast<double>(senders)},
-                            {"burst", static_cast<double>(burst)},
-                            {"rate_bps", 200.0},
-                            {"duration", duration},
-                            {"deadline_s", cell.deadline}});
-    auto cfg =
-        app::ScenarioRegistry::builtin().make(cell.variant, scenario_point);
-    cfg.seed = job.seed;
-    return app::standard_metrics(app::run_scenario(cfg));
-  };
-
-  app::SweepOptions sweep;
-  sweep.replications = static_cast<int>(opt.get_int("runs"));
-  sweep.base_seed = static_cast<std::uint64_t>(opt.get_int("seed"));
-  sweep.threads = static_cast<int>(opt.get_int("jobs"));
-  const app::SweepRunner runner(sweep);
-  stats::ResultSink sink = runner.run(grid, fn);
-  for (std::size_t i = 0; i < cells.size(); ++i)
-    sink.set_label(i, cells[i].label);
+  const app::SweepOptions sweep = sweep_options(opt);
+  stats::ResultSink sink = run_cells(cells, {}, sweep);
 
   stats::TextTable t;
   t.add_row({"policy", "deadline_s", "goodput", "energy_J_per_Kbit",
@@ -85,9 +55,10 @@ int main(int argc, char** argv) {
     const auto& energy = sink.metric(i, "normalized_energy");
     const auto& delay = sink.metric(i, "mean_delay_s");
     const auto& wakeups = sink.metric(i, "wifi_wakeup_transitions");
+    const core::BcpConfig& bcp = cells[i].config.bcp;
     t.add_row({cells[i].label,
-               cells[i].deadline > 0
-                   ? stats::TextTable::num(cells[i].deadline)
+               bcp.delay_policy != core::DelayPolicy::kUnbounded
+                   ? stats::TextTable::num(bcp.max_buffering_delay)
                    : std::string("-"),
                stats::TextTable::num_ci(goodput.mean(),
                                         goodput.ci_half_width()),
@@ -99,19 +70,7 @@ int main(int argc, char** argv) {
   }
   stats::print_titled(
       "Ablation — delay-constrained buffering (MH, 0.2 Kbps, burst 500)", t);
-  {
-    const app::SweepPoint meta_point(
-        0, {{"senders", static_cast<double>(senders)},
-            {"burst", static_cast<double>(burst)},
-            {"rate_bps", 200.0},
-            {"duration", duration},
-            {"deadline_s", 0.0}});
-    set_scenario_meta(
-        sink,
-        app::ScenarioRegistry::builtin().make(cells.front().variant,
-                                              meta_point),
-        sweep.base_seed);
-  }
+  set_scenario_meta(sink, cells.front().config, sweep.base_seed);
   export_json("ablation_delay_policy", sink);
   std::printf(
       "Reading: Unbounded = best energy, worst delay. FlushHigh buys the\n"

@@ -17,18 +17,14 @@
 // (emitted only for capture runs — the conditional-meta contract).
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
 #include "util/options.hpp"
 
-namespace {
-
-using namespace bcp;
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace bcp;
   using namespace bcp::benchharness;
   util::Options opt("bench_capture",
                     "bulk goodput with vs without SINR capture");
@@ -40,59 +36,41 @@ int main(int argc, char** argv) {
       .add_int("seed", 1, "base RNG seed")
       .add_int("jobs", 0, "sweep worker threads (0 = all hardware cores)");
   if (!opt.parse(argc, argv)) return 1;
-  const int runs = static_cast<int>(opt.get_int("runs"));
-  const double duration = opt.get_double("duration");
-  const int senders = static_cast<int>(opt.get_int("senders"));
-  const int burst = static_cast<int>(opt.get_int("burst"));
   const double capture_db = opt.get_double("capture-db");
   const auto seed = static_cast<std::uint64_t>(opt.get_int("seed"));
 
-  // Registry variant per cell, doubling as its label. Paired (baseline,
-  // capture) order: cell 2k is the baseline of cell 2k+1, which the delta
-  // report below relies on.
-  const std::vector<const char*> cells = {
-      "sh/dual",       "capture-sh/dual",
-      "mh/dual",       "capture-mh/dual",
-      "lossy-sh/dual", "capture-lossy-sh/dual",
-      "lossy-mh/dual", "capture-lossy-mh/dual",
-  };
+  // Paired (baseline, capture) cells: cell 2k is the baseline of cell
+  // 2k+1, which the delta report below relies on. The lossy pairs run
+  // log-distance links at the PropagationSpec defaults.
+  std::vector<Cell> cells;
+  for (const bool lossy : {false, true})
+    for (const bool multi_hop : {false, true}) {
+      Cell base{std::string(lossy ? "lossy-" : "") +
+                    (multi_hop ? "mh/dual" : "sh/dual"),
+                paper_preset(multi_hop, app::EvalModel::kDualRadio,
+                             static_cast<int>(opt.get_int("senders")),
+                             static_cast<int>(opt.get_int("burst")))};
+      base.config.duration = opt.get_double("duration");
+      if (lossy)
+        base.config.propagation.kind = phy::PropagationKind::kLogDistance;
+      Cell capture{"capture-" + base.label, base.config};
+      capture.config.capture_enabled = true;
+      capture.config.capture_threshold_db = capture_db;
+      cells.push_back(std::move(base));
+      cells.push_back(std::move(capture));
+    }
 
-  app::SweepGrid grid;
-  std::vector<int> cell_ids;
-  for (std::size_t i = 0; i < cells.size(); ++i)
-    cell_ids.push_back(static_cast<int>(i));
-  grid.axis_ints("cell", cell_ids);
-
-  const app::SweepFn fn = [&](const app::SweepJob& job) {
-    const char* variant =
-        cells[static_cast<std::size_t>(job.point.get_int("cell"))];
-    const app::SweepPoint point(
-        job.point.index(),
-        {{"senders", static_cast<double>(senders)},
-         {"burst", static_cast<double>(burst)},
-         {"duration", duration},
-         {"capture_db", capture_db}});
-    app::ScenarioConfig cfg =
-        app::ScenarioRegistry::builtin().make(variant, point);
-    cfg.seed = job.seed;
-    const app::RunMetrics m = app::run_scenario(cfg);
-    stats::ResultSink::Metrics metrics = app::standard_metrics(m);
-    metrics.emplace_back("chan_frames", static_cast<double>(m.chan_frames));
-    metrics.emplace_back("chan_rx_starts",
-                         static_cast<double>(m.chan_rx_starts));
-    metrics.emplace_back("chan_rx_ends",
-                         static_cast<double>(m.chan_rx_ends));
-    return metrics;
-  };
-
-  app::SweepOptions sweep;
-  sweep.replications = runs;
-  sweep.base_seed = seed;
-  sweep.threads = static_cast<int>(opt.get_int("jobs"));
-  const app::SweepRunner runner(sweep);
-  stats::ResultSink sink = runner.run(grid, fn);
-  for (std::size_t i = 0; i < cells.size(); ++i)
-    sink.set_label(grid.index_of({i}), cells[i]);
+  const app::SweepOptions sweep = sweep_options(opt);
+  stats::ResultSink sink =
+      run_cells(cells, {}, sweep,
+                [](const app::RunMetrics& m, stats::ResultSink::Metrics& out) {
+                  out.emplace_back("chan_frames",
+                                   static_cast<double>(m.chan_frames));
+                  out.emplace_back("chan_rx_starts",
+                                   static_cast<double>(m.chan_rx_starts));
+                  out.emplace_back("chan_rx_ends",
+                                   static_cast<double>(m.chan_rx_ends));
+                });
 
   stats::print_titled(
       "Capture sweep — bulk goodput, SINR capture off vs on", sink.to_table());
@@ -100,9 +78,10 @@ int main(int argc, char** argv) {
   std::printf("\nGoodput, capture off -> on (threshold %.1f dB):\n",
               capture_db);
   for (std::size_t p = 0; p + 1 < cells.size(); p += 2) {
-    const double off = sink.metric(grid.index_of({p}), "goodput").mean();
-    const double on = sink.metric(grid.index_of({p + 1}), "goodput").mean();
-    std::printf("  %-22s %.4f -> %.4f (%+.2f%%)\n", cells[p], off, on,
+    const double off = sink.metric(p, "goodput").mean();
+    const double on = sink.metric(p + 1, "goodput").mean();
+    std::printf("  %-22s %.4f -> %.4f (%+.2f%%)\n", cells[p].label.c_str(),
+                off, on,
                 off > 0 ? 100.0 * (on - off) / off : 0.0);
   }
 
@@ -112,16 +91,8 @@ int main(int argc, char** argv) {
   // is file-level (one per BENCH export), so `meta_variant` names the
   // cell these identity keys describe — the baseline half of every pair
   // ran unit-disc and/or capture-off, as the cell labels say.
-  const app::SweepPoint meta_point(
-      0, {{"senders", static_cast<double>(senders)},
-          {"burst", static_cast<double>(burst)},
-          {"duration", duration},
-          {"capture_db", capture_db}});
-  sink.set_meta("meta_variant", "capture-lossy-mh/dual");
-  set_scenario_meta(sink,
-                    app::ScenarioRegistry::builtin().make(
-                        "capture-lossy-mh/dual", meta_point),
-                    seed);
+  sink.set_meta("meta_variant", cells.back().label);
+  set_scenario_meta(sink, cells.back().config, seed);
   export_json("capture", sink);
   return 0;
 }

@@ -21,19 +21,8 @@
 #include "common.hpp"
 #include "util/options.hpp"
 
-namespace {
-
-using namespace bcp;
-
-struct Cell {
-  const char* variant;
-  int crashes;  ///< 0 keeps the variant's own default axes
-  int shards = 0;  ///< > 1 runs the cell on the sharded engine
-};
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace bcp;
   using namespace bcp::benchharness;
   util::Options opt("bench_fault_churn",
                     "goodput/energy under node churn and lossy channels");
@@ -46,110 +35,89 @@ int main(int argc, char** argv) {
       .add_int("jobs", 0, "sweep worker threads (0 = all hardware cores)");
   if (!opt.parse(argc, argv)) return 1;
   const int runs = static_cast<int>(opt.get_int("runs"));
-  const double duration = opt.get_double("duration");
-  const int senders = static_cast<int>(opt.get_int("senders"));
-  const int burst = static_cast<int>(opt.get_int("burst"));
-  const auto fault_seed =
-      static_cast<std::uint64_t>(opt.get_int("fault-seed"));
   const auto seed = static_cast<std::uint64_t>(opt.get_int("seed"));
 
+  // The paper grid at the preset offered load.
+  const auto scenario = [&](bool multi_hop, app::EvalModel model) {
+    app::ScenarioConfig cfg = paper_preset(
+        multi_hop, model, static_cast<int>(opt.get_int("senders")),
+        static_cast<int>(opt.get_int("burst")));
+    cfg.duration = opt.get_double("duration");
+    return cfg;
+  };
+  // `crashes` victims, each down for 60 s on average.
+  const auto churn = [&](const char* label, bool multi_hop,
+                         app::EvalModel model, int crashes) {
+    Cell cell{std::string(label) + "-x" + std::to_string(crashes),
+              scenario(multi_hop, model)};
+    cell.config.faults.node_crashes = crashes;
+    cell.config.faults.mean_downtime = 60.0;
+    cell.config.faults.seed =
+        static_cast<std::uint64_t>(opt.get_int("fault-seed"));
+    return cell;
+  };
+  // Log-distance + shadowing links at the PropagationSpec defaults.
+  const auto lossy = [&](const char* label, app::EvalModel model) {
+    Cell cell{label, scenario(true, model)};
+    cell.config.propagation.kind = phy::PropagationKind::kLogDistance;
+    return cell;
+  };
+  using app::EvalModel;
+  std::vector<Cell> cells = {
+      {"mh/dual", scenario(true, EvalModel::kDualRadio)},
+      churn("churn-mh/dual", true, EvalModel::kDualRadio, 2),
+      churn("churn-mh/dual", true, EvalModel::kDualRadio, 6),
+      churn("churn-mh/sensor", true, EvalModel::kSensor, 2),
+      churn("churn-mh/sensor", true, EvalModel::kSensor, 6),
+      churn("churn-sh/dual", false, EvalModel::kDualRadio, 4),
+      churn("churn-mh/dual", true, EvalModel::kDualRadio, 6),
+      lossy("lossy-mh/dual", EvalModel::kDualRadio),
+      lossy("lossy-mh/sensor", EvalModel::kSensor),
+  };
   // The sharded cell repeats the heaviest churn schedule on the parallel
   // engine (membership epochs at window barriers) — same fault plan, same
   // metrics columns, so the two engines' churn numbers sit side by side.
-  const std::vector<Cell> cells = {
-      {"mh/dual", 0},         {"churn-mh/dual", 2}, {"churn-mh/dual", 6},
-      {"churn-mh/sensor", 2}, {"churn-mh/sensor", 6}, {"churn-sh/dual", 4},
-      {"churn-mh/dual", 6, /*shards=*/4},
-      {"lossy-mh/dual", 0},   {"lossy-mh/sensor", 0},
-  };
+  Cell& sharded = cells[6];
+  sharded.label += "-sharded4";
+  sharded.config.shards = 4;
+  sharded.config.sim_threads = 1;  // the sweep already saturates the cores
 
-  app::SweepGrid grid;
-  std::vector<int> cell_ids;
-  for (std::size_t i = 0; i < cells.size(); ++i)
-    cell_ids.push_back(static_cast<int>(i));
-  grid.axis_ints("cell", cell_ids);
-
-  const app::SweepFn fn = [&](const app::SweepJob& job) {
-    const Cell& cell =
-        cells[static_cast<std::size_t>(job.point.get_int("cell"))];
-    const app::SweepPoint point(
-        job.point.index(),
-        {{"senders", static_cast<double>(senders)},
-         {"burst", static_cast<double>(burst)},
-         {"duration", duration},
-         {"crashes", static_cast<double>(cell.crashes)},
-         {"fault_seed", static_cast<double>(fault_seed)}});
-    app::ScenarioConfig cfg =
-        app::ScenarioRegistry::builtin().make(cell.variant, point);
-    cfg.seed = job.seed;
-    if (cell.shards > 1) {
-      cfg.shards = cell.shards;
-      cfg.sim_threads = 1;  // the sweep already saturates the cores
-    }
-    const app::RunMetrics m = app::run_scenario(cfg);
-    stats::ResultSink::Metrics metrics = app::standard_metrics(m);
-    metrics.emplace_back("dropped_node_down",
+  stats::ResultSink sink = run_cells(
+      cells, {}, sweep_options(opt),
+      [](const app::RunMetrics& m, stats::ResultSink::Metrics& out) {
+        out.emplace_back("dropped_node_down",
                          static_cast<double>(m.dropped_node_down));
-    metrics.emplace_back("fault_node_crashes",
+        out.emplace_back("fault_node_crashes",
                          static_cast<double>(m.fault_node_crashes));
-    metrics.emplace_back("fault_node_recoveries",
+        out.emplace_back("fault_node_recoveries",
                          static_cast<double>(m.fault_node_recoveries));
-    metrics.emplace_back("fault_recoveries_refused",
+        out.emplace_back("fault_recoveries_refused",
                          static_cast<double>(m.fault_recoveries_refused));
-    metrics.emplace_back("route_rebuilds",
+        out.emplace_back("route_rebuilds",
                          static_cast<double>(m.route_rebuilds));
-    metrics.emplace_back("bcp_packets_lost_to_crash",
+        out.emplace_back("bcp_packets_lost_to_crash",
                          static_cast<double>(m.bcp_packets_lost_to_crash));
-    metrics.emplace_back("mac_crash_drops",
+        out.emplace_back("mac_crash_drops",
                          static_cast<double>(m.mac_crash_drops));
-    return metrics;
-  };
-
-  app::SweepOptions sweep;
-  sweep.replications = runs;
-  sweep.base_seed = seed;
-  sweep.threads = static_cast<int>(opt.get_int("jobs"));
-  const app::SweepRunner runner(sweep);
-  stats::ResultSink sink = runner.run(grid, fn);
-  for (std::size_t i = 0; i < cells.size(); ++i)
-    sink.set_label(grid.index_of({i}),
-                   std::string(cells[i].variant) +
-                       (cells[i].crashes > 0
-                            ? "-x" + std::to_string(cells[i].crashes)
-                            : "") +
-                       (cells[i].shards > 1
-                            ? "-sharded" + std::to_string(cells[i].shards)
-                            : ""));
+      });
 
   stats::print_titled(
       "Fault/churn sweep — bulk transfer vs crashes and lossy links",
       sink.to_table());
 
-  // Run-identity metadata, read from the configs the cells actually ran
-  // (not re-stated constants, so registry-default drift cannot desync the
-  // export): the lossy cells' channel model + PER parameters via
-  // set_scenario_meta, and the churn cells' fault-plan identity.
-  const app::SweepPoint meta_point(
-      0, {{"senders", static_cast<double>(senders)},
-          {"burst", static_cast<double>(burst)},
-          {"duration", duration},
-          {"crashes", 4.0},
-          {"fault_seed", static_cast<double>(fault_seed)}});
-  const app::ScenarioConfig lossy_cfg =
-      app::ScenarioRegistry::builtin().make("lossy-mh/dual", meta_point);
-  set_scenario_meta(sink, lossy_cfg, seed);
-  const app::ScenarioConfig churn_cfg =
-      app::ScenarioRegistry::builtin().make("churn-mh/dual", meta_point);
-  sink.set_meta("fault_seed",
-                static_cast<double>(churn_cfg.faults.seed));
-  sink.set_meta("fault_mean_downtime_s", churn_cfg.faults.mean_downtime);
+  // Run-identity metadata, read from the configs the cells actually ran:
+  // the lossy cells' channel model + PER parameters via set_scenario_meta,
+  // and the churn cells' fault-plan identity.
+  set_scenario_meta(sink, cells[7].config, seed);  // lossy-mh/dual
+  const sim::FaultPlanSpec& faults = cells[1].config.faults;
+  sink.set_meta("fault_seed", static_cast<double>(faults.seed));
+  sink.set_meta("fault_mean_downtime_s", faults.mean_downtime);
   // Conditional-meta contract: the refused-recovery count appears only
   // when some run actually refused one (needs batteries, so it is zero
   // here unless a battery-enabled cell is added).
   double refused = 0;
   for (std::size_t i = 0; i < cells.size(); ++i)
-    refused += sink.metric(grid.index_of({i}), "fault_recoveries_refused")
-                   .mean() * runs;
+    refused += sink.metric(i, "fault_recoveries_refused").mean() * runs;
   if (refused > 0) sink.set_meta("fault_recoveries_refused", refused);
   export_json("fault_churn", sink);
   return 0;

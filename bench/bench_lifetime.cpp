@@ -3,10 +3,10 @@
 // and read how long each evaluation model keeps the network alive, and
 // how much data it delivers before the first node dies.
 //
-//   lifetime-mh/dual       dual-radio BCP (bulk transmission)
-//   lifetime-mh/wifi       always-on 802.11
-//   lifetime-mh/wifi-duty  sleep-cycled 802.11 strawman
-//   lifetime-mh/sensor     pure sensor network
+//   dual                   dual-radio BCP (bulk transmission)
+//   wifi                   always-on 802.11
+//   wifi-duty              sleep-cycled 802.11 strawman
+//   sensor                 pure sensor network
 //   dual-sharded4          the dual cell on the sharded engine
 //   dual+churn-sharded4    sharded + a node-crash/link-flap fault plan on
 //                          top of the batteries (membership epochs carry
@@ -71,102 +71,72 @@ int main(int argc, char** argv) {
   if (!opt.parse(argc, argv)) return 1;
   const int runs = static_cast<int>(opt.get_int("runs"));
   const double duration = opt.get_double("duration");
-  const double sensor_j = opt.get_double("sensor-j");
   const double wifi_j = opt.get_double("wifi-j");
-  const int n_senders = static_cast<int>(opt.get_int("senders"));
   const auto seed = static_cast<std::uint64_t>(opt.get_int("seed"));
   const auto t_bench = std::chrono::steady_clock::now();
 
-  // One registry variant per cell; the fifth cell re-runs dual with the
-  // lifetime-aware routing policy (battery-fraction link cost), and the
-  // last two repeat dual on the sharded engine — alone, and under node
-  // churn on top of the finite batteries (membership epochs at window
-  // barriers carry both the crashes and the battery deaths).
-  struct Cell {
-    const char* variant;
-    const char* label;
-    bool lifetime_routing;
-    int shards = 0;   ///< > 1 runs the cell on the sharded engine
-    int crashes = 0;  ///< > 0 adds a fault plan on top of the batteries
+  // One cell per evaluation model on the multi-hop grid with finite
+  // batteries; the fifth cell re-runs dual with the lifetime-aware
+  // routing policy (battery-fraction link cost), and the last two repeat
+  // dual on the sharded engine — alone, and under node churn on top of the
+  // finite batteries (membership epochs at window barriers carry both the
+  // crashes and the battery deaths).
+  const auto lifetime_cell = [&](const char* label, app::EvalModel model) {
+    Cell cell{label,
+              paper_preset(true, model,
+                           static_cast<int>(opt.get_int("senders")), 500)};
+    cell.config.duration = duration;
+    cell.config.battery.enabled = true;
+    cell.config.battery.sensor_initial_j = opt.get_double("sensor-j");
+    cell.config.battery.wifi_initial_j = wifi_j;
+    return cell;
   };
-  const std::vector<Cell> cells = {
-      {"lifetime-mh/dual", "dual", false},
-      {"lifetime-mh/wifi", "wifi", false},
-      {"lifetime-mh/wifi-duty", "wifi-duty", false},
-      {"lifetime-mh/sensor", "sensor", false},
-      {"lifetime-mh/dual", "dual+lifetime-routing", true},
-      {"lifetime-mh/dual", "dual-sharded4", false, 4, 0},
-      {"lifetime-mh/dual", "dual+churn-sharded4", false, 4, 4},
+  std::vector<Cell> cells = {
+      lifetime_cell("dual", app::EvalModel::kDualRadio),
+      lifetime_cell("wifi", app::EvalModel::kWifi),
+      lifetime_cell("wifi-duty", app::EvalModel::kWifiDutyCycled),
+      lifetime_cell("sensor", app::EvalModel::kSensor),
+      lifetime_cell("dual+lifetime-routing", app::EvalModel::kDualRadio),
+      lifetime_cell("dual-sharded4", app::EvalModel::kDualRadio),
+      lifetime_cell("dual+churn-sharded4", app::EvalModel::kDualRadio),
   };
+  cells[4].config.route_policy = net::RoutePolicy::kLifetimeAware;
+  for (const std::size_t i : {5, 6}) {
+    cells[i].config.shards = 4;
+    cells[i].config.sim_threads = 1;  // the sweep already saturates the cores
+  }
+  cells[6].config.faults.node_crashes = 4;
+  cells[6].config.faults.link_flaps = 2;
 
-  app::SweepGrid grid;
-  std::vector<int> cell_ids;
-  for (std::size_t i = 0; i < cells.size(); ++i)
-    cell_ids.push_back(static_cast<int>(i));
-  grid.axis_ints("cell", cell_ids);
-
-  const auto scenario_point = [&](std::size_t index, const Cell& cell) {
-    std::vector<std::pair<std::string, double>> axes = {
-        {"senders", static_cast<double>(n_senders)},
-        {"duration", duration},
-        {"sensor_j", sensor_j},
-        {"wifi_j", wifi_j}};
-    if (cell.lifetime_routing) axes.emplace_back("lifetime_routing", 1.0);
-    return app::SweepPoint(index, std::move(axes));
-  };
-
-  const app::SweepFn fn = [&](const app::SweepJob& job) {
-    const Cell& cell = cells[static_cast<std::size_t>(
-        job.point.get_int("cell"))];
-    app::ScenarioConfig cfg = app::ScenarioRegistry::builtin().make(
-        cell.variant, scenario_point(job.point.index(), cell));
-    cfg.seed = job.seed;
-    if (cell.shards > 1) {
-      cfg.shards = cell.shards;
-      cfg.sim_threads = 1;  // the sweep already saturates the cores
-    }
-    if (cell.crashes > 0) {
-      cfg.faults.node_crashes = cell.crashes;
-      cfg.faults.link_flaps = 2;
-    }
-    const app::RunMetrics m = app::run_scenario(cfg);
-    stats::ResultSink::Metrics metrics = app::standard_metrics(m);
-    // Lifetime metrics ride alongside the golden-protected standard set.
-    // time_to_* stay raw (-1 = never happened) so the JSON distinguishes
-    // "survived the run" from "died at t=0".
-    metrics.emplace_back("time_to_first_death_s", m.time_to_first_death);
-    metrics.emplace_back("battery_deaths",
+  stats::ResultSink sink = run_cells(
+      cells, {}, sweep_options(opt),
+      [](const app::RunMetrics& m, stats::ResultSink::Metrics& out) {
+        // Lifetime metrics ride alongside the golden-protected standard
+        // set. time_to_* stay raw (-1 = never happened) so the JSON
+        // distinguishes "survived the run" from "died at t=0".
+        out.emplace_back("time_to_first_death_s", m.time_to_first_death);
+        out.emplace_back("battery_deaths",
                          static_cast<double>(m.battery_deaths));
-    metrics.emplace_back("time_to_sink_partition_s",
+        out.emplace_back("time_to_sink_partition_s",
                          m.time_to_sink_partition);
-    metrics.emplace_back("delivered_bits_until_first_death",
-                         static_cast<double>(
-                             m.delivered_bits_until_first_death));
-    metrics.emplace_back("delivered_bits_until_partition",
-                         static_cast<double>(
-                             m.delivered_bits_until_partition));
-    metrics.emplace_back("battery_max_drawn_fraction",
+        out.emplace_back(
+            "delivered_bits_until_first_death",
+            static_cast<double>(m.delivered_bits_until_first_death));
+        out.emplace_back(
+            "delivered_bits_until_partition",
+            static_cast<double>(m.delivered_bits_until_partition));
+        out.emplace_back("battery_max_drawn_fraction",
                          m.battery_max_drawn_fraction);
-    // Churn-on-batteries accounting: how much of the fault plan actually
-    // executed (a recovery aimed at a battery-dead node is refused —
-    // battery death is final).
-    metrics.emplace_back("fault_node_crashes",
+        // Churn-on-batteries accounting: how much of the fault plan
+        // actually executed (a recovery aimed at a battery-dead node is
+        // refused — battery death is final).
+        out.emplace_back("fault_node_crashes",
                          static_cast<double>(m.fault_node_crashes));
-    metrics.emplace_back("fault_node_recoveries",
+        out.emplace_back("fault_node_recoveries",
                          static_cast<double>(m.fault_node_recoveries));
-    metrics.emplace_back("fault_recoveries_refused",
+        out.emplace_back("fault_recoveries_refused",
                          static_cast<double>(m.fault_recoveries_refused));
-    return metrics;
-  };
-
-  app::SweepOptions sweep;
-  sweep.replications = runs;
-  sweep.base_seed = seed;
-  sweep.threads = static_cast<int>(opt.get_int("jobs"));
-  const app::SweepRunner runner(sweep);
-  stats::ResultSink sink = runner.run(grid, fn);
-  for (std::size_t ci = 0; ci < cells.size(); ++ci)
-    sink.set_label(grid.index_of({ci}), cells[ci].label);
+      });
 
   stats::print_titled("Lifetime sweep — finite batteries, equal offered load",
                       sink.to_table());
@@ -177,8 +147,7 @@ int main(int argc, char** argv) {
   std::printf("\nLifetime vs goodput (Pareto):\n");
   std::printf("  %-22s %12s %9s %14s %8s\n", "cell", "lifetime-s",
               "goodput", "bits@1st-death", "deaths");
-  for (std::size_t ci = 0; ci < cells.size(); ++ci) {
-    const std::size_t p = grid.index_of({ci});
+  for (std::size_t p = 0; p < cells.size(); ++p) {
     const double ttfd = sink.metric(p, "time_to_first_death_s").mean();
     const double goodput = sink.metric(p, "goodput").mean();
     const double bits =
@@ -189,7 +158,7 @@ int main(int argc, char** argv) {
       std::snprintf(lifetime, sizeof lifetime, ">=%.0f", duration);
     else
       std::snprintf(lifetime, sizeof lifetime, "%.1f", ttfd);
-    std::printf("  %-22s %12s %9.3f %14.0f %8.1f\n", cells[ci].label,
+    std::printf("  %-22s %12s %9.3f %14.0f %8.1f\n", cells[p].label.c_str(),
                 lifetime, goodput, bits, deaths);
   }
 
@@ -197,16 +166,12 @@ int main(int argc, char** argv) {
   // lifetime-routing cell's policy keys describe only itself, as its
   // label says.
   sink.set_meta("meta_variant", "lifetime-mh/dual");
-  set_scenario_meta(sink,
-                    app::ScenarioRegistry::builtin().make(
-                        "lifetime-mh/dual", scenario_point(0, cells.back())),
-                    seed);
+  set_scenario_meta(sink, cells.front().config, seed);
   // Conditional-meta contract: the refused-recovery total appears only
   // when the churn cells actually refused one.
   double refused = 0;
-  for (std::size_t ci = 0; ci < cells.size(); ++ci)
-    refused += sink.metric(grid.index_of({ci}), "fault_recoveries_refused")
-                   .mean() * runs;
+  for (std::size_t p = 0; p < cells.size(); ++p)
+    refused += sink.metric(p, "fault_recoveries_refused").mean() * runs;
   if (refused > 0) sink.set_meta("fault_recoveries_refused", refused);
 
   // ---- Headline cell: lifetime at 100k+ nodes on the sharded engine ------

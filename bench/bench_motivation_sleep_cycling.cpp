@@ -4,9 +4,8 @@
 //
 // Runs the MH grid workload (10 senders, 0.2 Kbps) on:
 //   * a pure 802.11 network sleep-cycled at duty 100%/10%/2% (idealized,
-//     cost-free synchronization — a best case for sleep cycling; the
-//     registry's "mh/wifi-duty" variant), and
-//   * the dual-radio network with BCP (burst 500; "mh/dual"),
+//     cost-free synchronization — a best case for sleep cycling), and
+//   * the dual-radio network with BCP (burst 500),
 // and prints delivery, delay, per-node power and the J/Kbit metric.
 //
 // Expected: even at 2% duty the sleep-cycled 802.11 radio burns orders of
@@ -14,20 +13,11 @@
 // wake-up energy regardless of traffic), while BCP pays only per burst.
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
 #include "util/options.hpp"
-
-namespace {
-
-struct Cell {
-  std::string label;
-  std::string variant;
-  double duty;  // only for wifi-duty
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace bcp;
@@ -43,39 +33,27 @@ int main(int argc, char** argv) {
   const int senders = static_cast<int>(opt.get_int("senders"));
   const double duration = opt.get_double("duration");
 
-  const std::vector<Cell> cells = {
-      {"802.11 sleep-cycled 100%", "mh/wifi-duty", 1.0},
-      {"802.11 sleep-cycled 10%", "mh/wifi-duty", 0.10},
-      {"802.11 sleep-cycled 2%", "mh/wifi-duty", 0.02},
-      {"Dual-radio BCP (burst 500)", "mh/dual", 0},
+  // Both multi-hop presets at 0.2 Kbps.
+  const auto mh = [&](app::EvalModel model) {
+    app::ScenarioConfig cfg = paper_preset(true, model, senders, 500);
+    cfg.rate_bps = 200.0;
+    cfg.duration = duration;
+    return cfg;
   };
+  std::vector<Cell> cells;
+  for (const auto& [label, duty] :
+       {std::pair{"802.11 sleep-cycled 100%", 1.0},
+        std::pair{"802.11 sleep-cycled 10%", 0.10},
+        std::pair{"802.11 sleep-cycled 2%", 0.02}}) {
+    Cell cell{label, mh(app::EvalModel::kWifiDutyCycled)};
+    cell.config.duty_cycle = duty;
+    cells.push_back(std::move(cell));
+  }
+  cells.push_back(
+      {"Dual-radio BCP (burst 500)", mh(app::EvalModel::kDualRadio)});
 
-  app::SweepGrid grid;
-  grid.axis_ints("cell", {0, 1, 2, 3});
-  const app::SweepFn fn = [&cells, senders,
-                           duration](const app::SweepJob& job) {
-    const Cell& cell =
-        cells[static_cast<std::size_t>(job.point.get_int("cell"))];
-    const app::SweepPoint scenario_point(
-        job.point.index(), {{"senders", static_cast<double>(senders)},
-                            {"burst", 500},
-                            {"rate_bps", 200.0},
-                            {"duration", duration},
-                            {"duty", cell.duty}});
-    auto cfg =
-        app::ScenarioRegistry::builtin().make(cell.variant, scenario_point);
-    cfg.seed = job.seed;
-    return app::standard_metrics(app::run_scenario(cfg));
-  };
-
-  app::SweepOptions sweep;
-  sweep.replications = static_cast<int>(opt.get_int("runs"));
-  sweep.base_seed = static_cast<std::uint64_t>(opt.get_int("seed"));
-  sweep.threads = static_cast<int>(opt.get_int("jobs"));
-  const app::SweepRunner runner(sweep);
-  stats::ResultSink sink = runner.run(grid, fn);
-  for (std::size_t i = 0; i < cells.size(); ++i)
-    sink.set_label(i, cells[i].label);
+  const app::SweepOptions sweep = sweep_options(opt);
+  stats::ResultSink sink = run_cells(cells, {}, sweep);
 
   stats::TextTable t;
   t.add_row({"configuration", "goodput", "delay_s", "J_per_Kbit",
@@ -95,19 +73,7 @@ int main(int argc, char** argv) {
       "Motivation (§1) — sleep-cycled 802.11 vs dual-radio BCP, MH grid, "
       "0.2 Kbps",
       t);
-  {
-    const app::SweepPoint meta_point(
-        0, {{"senders", static_cast<double>(senders)},
-            {"burst", 500},
-            {"rate_bps", 200.0},
-            {"duration", duration},
-            {"duty", cells.front().duty}});
-    set_scenario_meta(
-        sink,
-        app::ScenarioRegistry::builtin().make(cells.front().variant,
-                                              meta_point),
-        sweep.base_seed);
-  }
+  set_scenario_meta(sink, cells.front().config, sweep.base_seed);
   export_json("motivation_sleep_cycling", sink);
   std::printf(
       "Expected: per-node power of sleep-cycled 802.11 scales with duty\n"

@@ -18,13 +18,36 @@
 // TDMA runs — the conditional-meta contract).
 #include <cstdio>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
 #include "util/options.hpp"
 
+namespace {
+
+using namespace bcp;
+
+/// A radio class's TDMA defaults with the bench's overrides applied (a
+/// slot or guard <= 0 and a drift < 0 keep the default). The defaults go
+/// through the same ms and ppm round trip as the overrides, so 100 ppm
+/// reads back as 9.9999999999999991e-05, the value the exports record.
+mac::TdmaParams tdma_knobs(mac::TdmaParams knobs, double slot_ms,
+                           double guard_ms, double drift_ppm) {
+  knobs.slot_len =
+      util::milliseconds(slot_ms > 0 ? slot_ms : knobs.slot_len / 1e-3);
+  knobs.guard =
+      util::milliseconds(guard_ms > 0 ? guard_ms : knobs.guard / 1e-3);
+  knobs.beacon_period = 0;  // the tightest superframe
+  knobs.sync_drift =
+      (drift_ppm >= 0 ? drift_ppm : knobs.sync_drift * 1e6) * 1e-6;
+  return knobs;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  using namespace bcp;
   using namespace bcp::benchharness;
   util::Options opt("bench_tdma",
                     "goodput and energy, CSMA/CA vs sink-coordinated TDMA");
@@ -36,68 +59,50 @@ int main(int argc, char** argv) {
       .add_int("seed", 1, "base RNG seed")
       .add_int("jobs", 0, "sweep worker threads (0 = all hardware cores)");
   if (!opt.parse(argc, argv)) return 1;
-  const int runs = static_cast<int>(opt.get_int("runs"));
-  const double duration = opt.get_double("duration");
   const double slot_ms = opt.get_double("slot-ms");
   const double guard_ms = opt.get_double("guard-ms");
   const double drift_ppm = opt.get_double("drift-ppm");
   const auto seed = static_cast<std::uint64_t>(opt.get_int("seed"));
-
-  // Registry variant per cell, doubling as its label. Paired (CSMA, TDMA)
-  // order: cell 2k is the baseline of cell 2k+1, which the delta report
-  // below relies on.
-  const std::vector<const char*> cells = {
-      "sh/sensor", "tdma-sh/sensor",
-      "mh/sensor", "tdma-mh/sensor",
-      "mh/wifi",   "tdma-mh/wifi",
-  };
   const std::vector<int> senders = {10, 25};
 
-  app::SweepGrid grid;
-  std::vector<int> cell_ids;
-  for (std::size_t i = 0; i < cells.size(); ++i)
-    cell_ids.push_back(static_cast<int>(i));
-  grid.axis_ints("cell", cell_ids).axis_ints("senders", senders);
+  // Paired (CSMA, TDMA) cells: cell 2k is the baseline of cell 2k+1, which
+  // the delta report below relies on. TDMA replaces CSMA/CA on the data
+  // radio of the model.
+  std::vector<Cell> cells;
+  for (const auto& [label, multi_hop, model] :
+       {std::tuple{"sh/sensor", false, app::EvalModel::kSensor},
+        std::tuple{"mh/sensor", true, app::EvalModel::kSensor},
+        std::tuple{"mh/wifi", true, app::EvalModel::kWifi}}) {
+    const bool wifi = model == app::EvalModel::kWifi;
+    Cell csma{label, paper_preset(multi_hop, model, senders[0], 1)};
+    csma.config.duration = opt.get_double("duration");
+    Cell tdma{"tdma-" + csma.label, csma.config};
+    mac::MacSpec& spec = wifi ? tdma.config.wifi_mac : tdma.config.sensor_mac;
+    spec.family = mac::MacFamily::kTdma;
+    spec.tdma = tdma_knobs(
+        wifi ? mac::tdma_wifi_params() : mac::tdma_sensor_params(), slot_ms,
+        guard_ms, drift_ppm);
+    cells.push_back(std::move(csma));
+    cells.push_back(std::move(tdma));
+  }
 
-  // The TDMA knob overrides ride into the tdma-* builders as sweep axes;
-  // the CSMA cells ignore them.
-  const auto scenario_point = [&](std::size_t index, double n_senders) {
-    std::vector<std::pair<std::string, double>> axes = {
-        {"senders", n_senders}, {"duration", duration}};
-    if (slot_ms > 0) axes.emplace_back("slot_ms", slot_ms);
-    if (guard_ms > 0) axes.emplace_back("guard_ms", guard_ms);
-    if (drift_ppm >= 0) axes.emplace_back("drift_ppm", drift_ppm);
-    return app::SweepPoint(index, std::move(axes));
-  };
-
-  const app::SweepFn fn = [&](const app::SweepJob& job) {
-    const char* variant =
-        cells[static_cast<std::size_t>(job.point.get_int("cell"))];
-    app::ScenarioConfig cfg = app::ScenarioRegistry::builtin().make(
-        variant, scenario_point(job.point.index(), job.point.get("senders")));
-    cfg.seed = job.seed;
-    const app::RunMetrics m = app::run_scenario(cfg);
-    stats::ResultSink::Metrics metrics = app::standard_metrics(m);
-    metrics.emplace_back("tdma_beacons_sent",
+  stats::ResultSink sink = run_cells(
+      cells, senders, sweep_options(opt),
+      [](const app::RunMetrics& m, stats::ResultSink::Metrics& out) {
+        out.emplace_back("tdma_beacons_sent",
                          static_cast<double>(m.tdma_beacons_sent));
-    metrics.emplace_back("tdma_beacons_heard",
+        out.emplace_back("tdma_beacons_heard",
                          static_cast<double>(m.tdma_beacons_heard));
-    metrics.emplace_back("tdma_slots_skipped",
+        out.emplace_back("tdma_slots_skipped",
                          static_cast<double>(m.tdma_slots_skipped));
-    return metrics;
+      });
+  const auto point = [&](std::size_t ci, std::size_t si) {
+    return ci * senders.size() + si;
   };
-
-  app::SweepOptions sweep;
-  sweep.replications = runs;
-  sweep.base_seed = seed;
-  sweep.threads = static_cast<int>(opt.get_int("jobs"));
-  const app::SweepRunner runner(sweep);
-  stats::ResultSink sink = runner.run(grid, fn);
   for (std::size_t ci = 0; ci < cells.size(); ++ci)
     for (std::size_t si = 0; si < senders.size(); ++si)
-      sink.set_label(grid.index_of({ci, si}),
-                     std::string(cells[ci]) + "@" +
-                         std::to_string(senders[si]));
+      sink.set_label(point(ci, si),
+                     cells[ci].label + "@" + std::to_string(senders[si]));
 
   stats::print_titled("TDMA sweep — CSMA/CA vs sink-coordinated slotting",
                       sink.to_table());
@@ -107,14 +112,14 @@ int main(int argc, char** argv) {
               "goodput", "energy J/Kbit");
   for (std::size_t p = 0; p + 1 < cells.size(); p += 2)
     for (std::size_t si = 0; si < senders.size(); ++si) {
-      const std::size_t csma = grid.index_of({p, si});
-      const std::size_t tdma = grid.index_of({p + 1, si});
+      const std::size_t csma = point(p, si);
+      const std::size_t tdma = point(p + 1, si);
       const double g0 = sink.metric(csma, "goodput").mean();
       const double g1 = sink.metric(tdma, "goodput").mean();
       const double e0 = sink.metric(csma, "normalized_energy").mean();
       const double e1 = sink.metric(tdma, "normalized_energy").mean();
       std::printf("  %-14s %7d  %.3f -> %.3f (%+.1f%%)  %.3f -> %.3f (%+.1f%%)\n",
-                  cells[p], senders[si], g0, g1,
+                  cells[p].label.c_str(), senders[si], g0, g1,
                   g0 > 0 ? 100.0 * (g1 - g0) / g0 : 0.0, e0, e1,
                   e0 > 0 ? 100.0 * (e1 - e0) / e0 : 0.0);
     }
@@ -124,12 +129,9 @@ int main(int argc, char** argv) {
   // block is file-level, so `meta_variant` names the cell these identity
   // keys describe — the CSMA half of every pair ran the CSMA/CA default, as
   // the cell labels say.
-  sink.set_meta("meta_variant", "tdma-mh/sensor");
-  set_scenario_meta(sink,
-                    app::ScenarioRegistry::builtin().make(
-                        "tdma-mh/sensor",
-                        scenario_point(0, senders.front())),
-                    seed);
+  const Cell& meta_cell = cells[3];  // tdma-mh/sensor
+  sink.set_meta("meta_variant", meta_cell.label);
+  set_scenario_meta(sink, meta_cell.config, seed);
   export_json("tdma", sink);
   return 0;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <numeric>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -36,6 +37,14 @@ app::SweepOptions sweep_options(const SimOptions& opt) {
   so.replications = opt.runs;
   so.base_seed = opt.seed;
   so.threads = opt.jobs;
+  return so;
+}
+
+app::SweepOptions sweep_options(const util::Options& opt) {
+  app::SweepOptions so;
+  so.replications = static_cast<int>(opt.get_int("runs"));
+  so.base_seed = static_cast<std::uint64_t>(opt.get_int("seed"));
+  so.threads = static_cast<int>(opt.get_int("jobs"));
   return so;
 }
 
@@ -182,56 +191,59 @@ stats::ResultSink run_grid_bench(const std::string& bench_name,
   return sink;
 }
 
-namespace {
-
-/// Registry name of one figure column's scenario.
-std::string variant_name(bool multi_hop, app::EvalModel model) {
-  const std::string prefix = multi_hop ? "mh/" : "sh/";
-  switch (model) {
-    case app::EvalModel::kSensor:
-      return prefix + "sensor";
-    case app::EvalModel::kWifi:
-      return prefix + "wifi";
-    case app::EvalModel::kWifiDutyCycled:
-      // The wifi-duty builders require a "duty" axis the figure grids
-      // don't carry; sweep it directly (see bench_motivation_sleep_cycling)
-      // instead of through a sender-sweep column.
-      BCP_REQUIRE_MSG(false,
-                      "kWifiDutyCycled is not supported as a figure column");
-      break;
-    case app::EvalModel::kDualRadio:
-      return prefix + "dual";
-  }
-  return prefix + "?";
+app::ScenarioConfig paper_preset(bool multi_hop, app::EvalModel model,
+                                 int senders, int burst) {
+  if (model != app::EvalModel::kDualRadio) burst = 1;
+  return multi_hop ? app::ScenarioConfig::multi_hop(model, senders, burst)
+                   : app::ScenarioConfig::single_hop(model, senders, burst);
 }
 
-/// A distinct simulated configuration; columns reading different metrics
-/// off the same (model, burst) share one cell.
-struct Cell {
-  std::string variant;
-  int burst;  // 0 for the single-radio models
-};
-
-/// SweepFn for a figure grid with axes ("cell", "senders"): decodes the
-/// cell, synthesizes the registry point, runs the scenario.
-app::SweepFn cell_sweep_fn(std::vector<Cell> cells, double rate_bps,
-                           double duration) {
-  return [cells = std::move(cells), rate_bps,
-          duration](const app::SweepJob& job) {
-    const auto ci = static_cast<std::size_t>(job.point.get_int("cell"));
-    BCP_REQUIRE(ci < cells.size());
-    const Cell& cell = cells[ci];
-    const app::SweepPoint scenario_point(
-        job.point.index(),
-        {{"senders", job.point.get("senders")},
-         {"burst", static_cast<double>(cell.burst > 0 ? cell.burst : 1)},
-         {"rate_bps", rate_bps},
-         {"duration", duration}});
+stats::ResultSink run_cells(const std::vector<Cell>& cells,
+                            const std::vector<int>& senders,
+                            const app::SweepOptions& options,
+                            const ExtraMetrics& extra) {
+  std::vector<int> cell_ids(cells.size());
+  std::iota(cell_ids.begin(), cell_ids.end(), 0);
+  app::SweepGrid grid;
+  grid.axis_ints("cell", cell_ids);
+  if (!senders.empty()) grid.axis_ints("senders", senders);
+  const app::SweepFn fn = [&](const app::SweepJob& job) {
     app::ScenarioConfig cfg =
-        app::ScenarioRegistry::builtin().make(cell.variant, scenario_point);
+        cells[static_cast<std::size_t>(job.point.get_int("cell"))].config;
+    if (!senders.empty()) cfg.n_senders = job.point.get_int("senders");
     cfg.seed = job.seed;
-    return app::standard_metrics(app::run_scenario(cfg));
+    const app::RunMetrics m = app::run_scenario(cfg);
+    stats::ResultSink::Metrics metrics = app::standard_metrics(m);
+    if (extra) extra(m, metrics);
+    return metrics;
   };
+  stats::ResultSink sink = app::SweepRunner(options).run(grid, fn);
+  const std::size_t per_cell = std::max<std::size_t>(senders.size(), 1);
+  for (std::size_t p = 0; p < grid.size(); ++p)
+    sink.set_label(p, cells[p / per_cell].label);
+  return sink;
+}
+
+namespace {
+
+/// One §4.1 figure cell, labelled as the figures have always labelled it
+/// ("sh/sensor", "mh/dual-500"); rate_bps <= 0 keeps the preset's offered
+/// load.
+Cell figure_cell(bool multi_hop, app::EvalModel model, int burst,
+                 int senders, double rate_bps, double duration) {
+  // The duty-cycled strawman needs a duty cycle the figure columns don't
+  // carry; bench_motivation_sleep_cycling sweeps it directly.
+  BCP_REQUIRE_MSG(model != app::EvalModel::kWifiDutyCycled,
+                  "kWifiDutyCycled is not supported as a figure column");
+  const bool dual = model == app::EvalModel::kDualRadio;
+  Cell cell;
+  cell.label = std::string(multi_hop ? "mh/" : "sh/") +
+               (dual ? "dual-" + std::to_string(burst)
+                     : model == app::EvalModel::kSensor ? "sensor" : "wifi");
+  cell.config = paper_preset(multi_hop, model, senders, burst);
+  if (rate_bps > 0) cell.config.rate_bps = rate_bps;
+  cell.config.duration = duration;
+  return cell;
 }
 
 }  // namespace
@@ -241,39 +253,20 @@ void print_sender_sweep(const std::string& bench_name,
                         const SimOptions& opt,
                         const std::vector<Column>& columns,
                         double rate_bps) {
-  // Distinct cells in column order; remember each column's cell index.
+  // Distinct cells in column order; columns reading different metrics off
+  // the same (model, burst) share one cell.
   std::vector<Cell> cells;
   std::vector<std::size_t> column_cell(columns.size());
   for (std::size_t c = 0; c < columns.size(); ++c) {
-    const Cell cell{
-        variant_name(multi_hop, columns[c].model),
-        columns[c].model == app::EvalModel::kDualRadio ? columns[c].burst
-                                                       : 0};
+    Cell cell = figure_cell(multi_hop, columns[c].model, columns[c].burst,
+                            opt.senders.front(), rate_bps, opt.duration);
     std::size_t ci = 0;
-    while (ci < cells.size() && (cells[ci].variant != cell.variant ||
-                                 cells[ci].burst != cell.burst))
-      ++ci;
-    if (ci == cells.size()) cells.push_back(cell);
+    while (ci < cells.size() && cells[ci].label != cell.label) ++ci;
+    if (ci == cells.size()) cells.push_back(std::move(cell));
     column_cell[c] = ci;
   }
-
-  app::SweepGrid grid;
-  std::vector<int> cell_ids(cells.size());
-  for (std::size_t i = 0; i < cells.size(); ++i)
-    cell_ids[i] = static_cast<int>(i);
-  grid.axis_ints("cell", cell_ids).axis_ints("senders", opt.senders);
-
-  const app::SweepRunner runner(sweep_options(opt));
   stats::ResultSink sink =
-      runner.run(grid, cell_sweep_fn(cells, rate_bps, opt.duration));
-
-  for (std::size_t ci = 0; ci < cells.size(); ++ci)
-    for (std::size_t si = 0; si < opt.senders.size(); ++si) {
-      std::string label = cells[ci].variant;
-      if (cells[ci].burst > 0)
-        label += "-" + std::to_string(cells[ci].burst);
-      sink.set_label(grid.index_of({ci, si}), label);
-    }
+      run_cells(cells, opt.senders, sweep_options(opt));
 
   // Pivot to the paper's shape: rows = sender counts, one column per spec.
   stats::TextTable table;
@@ -284,25 +277,14 @@ void print_sender_sweep(const std::string& bench_name,
     std::vector<std::string> row{std::to_string(opt.senders[si])};
     for (std::size_t c = 0; c < columns.size(); ++c) {
       const stats::Summary& s =
-          sink.metric(grid.index_of({column_cell[c], si}),
+          sink.metric(column_cell[c] * opt.senders.size() + si,
                       metric_name(columns[c].metric));
       row.push_back(stats::TextTable::num_ci(s.mean(), s.ci_half_width()));
     }
     table.add_row(std::move(row));
   }
   stats::print_titled(title, table);
-  // Rebuild one cell's config (no simulation) to read the placement the
-  // whole figure ran on.
-  const app::SweepPoint meta_point(
-      0, {{"senders", static_cast<double>(opt.senders.front())},
-          {"burst", static_cast<double>(
-               cells.front().burst > 0 ? cells.front().burst : 1)},
-          {"rate_bps", rate_bps},
-          {"duration", opt.duration}});
-  set_scenario_meta(sink,
-                    app::ScenarioRegistry::builtin().make(
-                        cells.front().variant, meta_point),
-                    opt.seed);
+  set_scenario_meta(sink, cells.front().config, opt.seed);
   export_json(bench_name, sink);
 }
 
@@ -312,17 +294,14 @@ void print_energy_delay(const std::string& bench_name,
   app::SweepGrid grid;
   grid.axis_ints("senders", opt.senders).axis_ints("bursts", opt.bursts);
 
-  const std::string variant = multi_hop ? "mh/dual" : "sh/dual";
-  const double duration = opt.duration;
-  const app::SweepFn fn = [variant, rate_bps,
-                           duration](const app::SweepJob& job) {
-    const app::SweepPoint scenario_point(
-        job.point.index(), {{"senders", job.point.get("senders")},
-                            {"burst", job.point.get("bursts")},
-                            {"rate_bps", rate_bps},
-                            {"duration", duration}});
-    app::ScenarioConfig cfg =
-        app::ScenarioRegistry::builtin().make(variant, scenario_point);
+  const app::ScenarioConfig base =
+      figure_cell(multi_hop, app::EvalModel::kDualRadio, opt.bursts.front(),
+                  opt.senders.front(), rate_bps, opt.duration)
+          .config;
+  const app::SweepFn fn = [&base](const app::SweepJob& job) {
+    app::ScenarioConfig cfg = base;
+    cfg.n_senders = job.point.get_int("senders");
+    cfg.burst_packets = job.point.get_int("bursts");
     cfg.seed = job.seed;
     return app::standard_metrics(app::run_scenario(cfg));
   };
@@ -344,14 +323,7 @@ void print_energy_delay(const std::string& bench_name,
                                     energy.ci_half_width())});
     }
   stats::print_titled(title, table);
-  const app::SweepPoint meta_point(
-      0, {{"senders", static_cast<double>(opt.senders.front())},
-          {"burst", static_cast<double>(opt.bursts.front())},
-          {"rate_bps", rate_bps},
-          {"duration", duration}});
-  set_scenario_meta(
-      sink, app::ScenarioRegistry::builtin().make(variant, meta_point),
-      opt.seed);
+  set_scenario_meta(sink, base, opt.seed);
   export_json(bench_name, sink);
 }
 

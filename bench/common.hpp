@@ -15,11 +15,11 @@
 // working directory (see stats/result_sink.hpp for the format).
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "app/scenario.hpp"
-#include "app/scenario_registry.hpp"
 #include "app/sweep.hpp"
 #include "stats/result_sink.hpp"
 #include "stats/summary.hpp"
@@ -43,6 +43,8 @@ bool parse_sim_options(int argc, const char* const* argv, const char* name,
                        const char* summary, SimOptions* out);
 
 app::SweepOptions sweep_options(const SimOptions& opt);
+/// The same, from a bench's own --runs, --seed and --jobs flags.
+app::SweepOptions sweep_options(const util::Options& opt);
 
 enum class Metric {
   kGoodput,
@@ -90,6 +92,33 @@ stats::ResultSink run_grid_bench(const std::string& bench_name,
                                  const app::SweepGrid& grid,
                                  const app::SweepFn& fn,
                                  const app::SweepOptions& options);
+
+/// ScenarioConfig::multi_hop or ::single_hop for `model`. Only the
+/// dual-radio model buffers `burst` packets; the single-radio models send
+/// bursts of one.
+app::ScenarioConfig paper_preset(bool multi_hop, app::EvalModel model,
+                                 int senders, int burst);
+
+/// One simulated configuration of a bench: the label its points carry in
+/// the table and BENCH_*.json, and the config every job of it copies.
+struct Cell {
+  std::string label;
+  app::ScenarioConfig config;
+};
+
+/// A bench's own RunMetrics fields, appended after standard_metrics.
+using ExtraMetrics =
+    std::function<void(const app::RunMetrics&, stats::ResultSink::Metrics&)>;
+
+/// Runs `cells` as grid axis "cell", crossed with axis "senders" when
+/// `senders` is non-empty (it then overrides each cell's n_senders): every
+/// job runs a copy of its cell's config at the job's seed and reports
+/// standard_metrics plus `extra`. Each point is labelled with its cell's
+/// label; point (cell c, senders s) has index c * senders.size() + s.
+stats::ResultSink run_cells(const std::vector<Cell>& cells,
+                            const std::vector<int>& senders,
+                            const app::SweepOptions& options,
+                            const ExtraMetrics& extra = {});
 
 /// Writes sink JSON to BENCH_<bench_name>.json (cwd) and prints the path.
 void export_json(const std::string& bench_name,

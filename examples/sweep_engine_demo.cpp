@@ -1,17 +1,18 @@
 // Sweep-engine walkthrough: declare a parameter grid, fan it out across
 // every core, and export aggregate statistics.
 //
-//   $ ./sweep_engine_demo [--runs N] [--jobs N]
+//   $ ./sweep_engine_demo [--runs N] [--duration S] [--jobs N]
 //
 // Sweeps the multi-hop dual-radio scenario over (senders x burst) — a
-// miniature of Figure 9 — using the three engine pieces:
-//   1. app::ScenarioRegistry — name the workload variant ("mh/dual");
+// miniature of Figure 9 — in three steps:
+//   1. app::ScenarioConfig — start from the §4.1 multi-hop preset and set
+//      the typed fields each grid point varies;
 //   2. app::SweepGrid + app::SweepRunner — the cartesian grid, one
 //      Simulator per worker, deterministic seeds;
 //   3. stats::ResultSink — per-point mean±95% CI and BENCH_*.json.
 #include <cstdio>
 
-#include "app/scenario_registry.hpp"
+#include "app/scenario.hpp"
 #include "app/sweep.hpp"
 #include "stats/result_sink.hpp"
 #include "util/options.hpp"
@@ -26,37 +27,33 @@ int main(int argc, char** argv) {
       .add_int("jobs", 0, "worker threads (0 = all hardware cores)");
   if (!opt.parse(argc, argv)) return 1;
 
-  // 1. The grid: 3 sender counts x 3 burst sizes = 9 points. Axis names
-  //    are the parameters the registry's builders read.
-  app::SweepGrid grid;
-  grid.axis_ints("senders", {5, 15, 25})
-      .axis_ints("burst", {100, 500, 1000})
-      .constant("duration", opt.get_double("duration"));
+  // 1. The scenario: every job copies the preset and sets its point's
+  //    sender count and burst threshold.
+  app::ScenarioConfig base =
+      app::ScenarioConfig::multi_hop(app::EvalModel::kDualRadio, 5, 100);
+  base.duration = opt.get_double("duration");
+  const app::SweepFn fn = [&base](const app::SweepJob& job) {
+    app::ScenarioConfig cfg = base;
+    cfg.n_senders = job.point.get_int("senders");
+    cfg.burst_packets = job.point.get_int("burst");
+    cfg.seed = job.seed;
+    return app::standard_metrics(app::run_scenario(cfg));
+  };
 
-  // 2. The runner: replications x points jobs, seeds base, base+1, ...
+  // 2. The grid (3 sender counts x 3 burst sizes = 9 points) and the
+  //    runner: replications x points jobs, seeds base, base+1, ...
+  app::SweepGrid grid;
+  grid.axis_ints("senders", {5, 15, 25}).axis_ints("burst", {100, 500, 1000});
   app::SweepOptions sweep;
   sweep.replications = static_cast<int>(opt.get_int("runs"));
   sweep.threads = static_cast<int>(opt.get_int("jobs"));
   const app::SweepRunner runner(sweep);
-  const auto fn = app::scenario_sweep_fn(app::ScenarioRegistry::builtin(),
-                                         {"mh/dual"});
-
-  // scenario_sweep_fn reads the axis "variant" to pick the registry
-  // entry; with a single variant a constant axis pins it.
-  app::SweepGrid full = grid;
-  full.constant("variant", 0);
-
-  stats::ResultSink sink = runner.run(full, fn);
+  stats::ResultSink sink = runner.run(grid, fn);
 
   // 3. Export: aggregate table + machine-readable JSON.
   sink.to_table().print();
   sink.write_json("sweep_engine_demo", "BENCH_sweep_engine_demo.json");
   std::printf("\n%zu points x %d runs -> BENCH_sweep_engine_demo.json\n",
               sink.point_count(), sweep.replications);
-
-  std::printf("\nRegistered scenario variants:\n");
-  for (const auto& name : app::ScenarioRegistry::builtin().names())
-    std::printf("  %-22s %s\n", name.c_str(),
-                app::ScenarioRegistry::builtin().description(name).c_str());
   return 0;
 }

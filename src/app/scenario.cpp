@@ -376,4 +376,27 @@ const char* first_metric_difference(const RunMetrics& a, const RunMetrics& b) {
   return nullptr;
 }
 
+stats::ResultSink::Metrics standard_metrics(const RunMetrics& m) {
+  return {
+      {"goodput", m.goodput},
+      {"normalized_energy", m.normalized_energy},
+      {"normalized_energy_sensor_ideal", m.normalized_energy_sensor_ideal},
+      {"normalized_energy_sensor_header", m.normalized_energy_sensor_header},
+      {"mean_delay_s", m.mean_delay},
+      {"generated", static_cast<double>(m.generated)},
+      {"delivered", static_cast<double>(m.delivered)},
+      {"dropped_buffer", static_cast<double>(m.dropped_buffer)},
+      {"dropped_queue", static_cast<double>(m.dropped_queue)},
+      {"dropped_mac", static_cast<double>(m.dropped_mac)},
+      {"mac_tx_attempts", static_cast<double>(m.mac_tx_attempts)},
+      {"mac_tx_failed", static_cast<double>(m.mac_tx_failed)},
+      {"bcp_wakeups", static_cast<double>(m.bcp_wakeups)},
+      {"wifi_wakeup_transitions",
+       static_cast<double>(m.wifi_wakeup_transitions)},
+      {"wifi_on_seconds", m.wifi_on_seconds},
+      {"sensor_energy_ideal_J", m.sensor_energy.ideal()},
+      {"wifi_energy_full_J", m.wifi_energy.full()},
+  };
+}
+
 }  // namespace bcp::app

@@ -33,6 +33,7 @@
 #include "net/topology.hpp"
 #include "phy/propagation.hpp"
 #include "sim/fault_plan.hpp"
+#include "stats/result_sink.hpp"
 #include "util/units.hpp"
 
 namespace bcp::app {
@@ -336,6 +337,11 @@ void for_each_metric(M& m, F&& f) {
 /// every field matches. The determinism contract is exact, so this is the
 /// whole comparison a thread-count or repeat-run check needs.
 const char* first_metric_difference(const RunMetrics& a, const RunMetrics& b);
+
+/// The canonical RunMetrics -> named-metric mapping every scenario sweep
+/// reports (goodput, normalized energies, delay, traffic and protocol
+/// counters). Metric names are part of the BENCH_*.json format.
+stats::ResultSink::Metrics standard_metrics(const RunMetrics& m);
 
 /// Runs one scenario to completion and reports its metrics: validates
 /// the config, then runs it on the single-queue engine (shards == 1) or

@@ -18,12 +18,6 @@ double SweepPoint::get(const std::string& name) const {
   throw std::logic_error("unreachable");
 }
 
-double SweepPoint::get_or(const std::string& name, double fallback) const {
-  for (const auto& [n, v] : params_)
-    if (n == name) return v;
-  return fallback;
-}
-
 int SweepPoint::get_int(const std::string& name) const {
   return static_cast<int>(std::lround(get(name)));
 }
@@ -46,19 +40,6 @@ SweepGrid& SweepGrid::axis_ints(std::string name,
 
 SweepGrid& SweepGrid::constant(std::string name, double value) {
   return axis(std::move(name), {value});
-}
-
-const std::string& SweepGrid::axis_name(std::size_t a) const {
-  BCP_REQUIRE(a < axes_.size());
-  return axes_[a].name;
-}
-
-const std::vector<double>& SweepGrid::axis_values(
-    const std::string& name) const {
-  for (const auto& a : axes_)
-    if (a.name == name) return a.values;
-  BCP_REQUIRE_MSG(false, "no such sweep axis: " + name);
-  throw std::logic_error("unreachable");
 }
 
 std::size_t SweepGrid::size() const {

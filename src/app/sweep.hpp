@@ -48,9 +48,6 @@ class SweepPoint {
   /// Value of the named axis; throws if the grid has no such axis.
   double get(const std::string& name) const;
 
-  /// Like get(), but returns `fallback` when the axis does not exist.
-  double get_or(const std::string& name, double fallback) const;
-
   /// get() rounded to the nearest integer (axes often carry counts).
   int get_int(const std::string& name) const;
 
@@ -72,10 +69,6 @@ class SweepGrid {
 
   /// Convenience: a one-value axis (a constant recorded in every point).
   SweepGrid& constant(std::string name, double value);
-
-  std::size_t axis_count() const { return axes_.size(); }
-  const std::string& axis_name(std::size_t a) const;
-  const std::vector<double>& axis_values(const std::string& name) const;
 
   /// Number of grid points (product of axis sizes); 0 for an empty grid.
   std::size_t size() const;

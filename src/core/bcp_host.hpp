@@ -32,7 +32,7 @@ class BcpHost {
 
   virtual ~BcpHost() = default;
 
-  /// This node's id (both radio addresses map to it; see net::DualAddressMap).
+  /// This node's id, which both of its radios use as their address.
   virtual net::NodeId self() const = 0;
 
   virtual util::Seconds now() const = 0;

@@ -231,17 +231,4 @@ void CsmaCaMac::reset_on_crash() {
   delivered_seq_.clear();
 }
 
-void CsmaCaMac::flush_queue() {
-  sim_.cancel(backoff_timer_);
-  sim_.cancel(ack_timer_);
-  in_flight_ = false;
-  awaiting_ack_ = false;
-  util::SlidingQueue<Outgoing> failed;
-  failed.swap(queue_);
-  for (auto& out : failed) {
-    ++stats_->tx_failed;
-    report_tx_done(*out.msg, out.next_hop, false);
-  }
-}
-
 }  // namespace bcp::mac

@@ -51,16 +51,11 @@ class CsmaCaMac final : public Mac {
   std::size_t queue_size() const override { return queue_.size(); }
   const MacParams& params() const { return params_; }
 
-  /// Fails every queued frame (used when the owner powers the radio down
-  /// with traffic pending — BCP aborting a session).
-  void flush_queue() override;
-
   /// Crash reset: cancels every pending timer and silently discards all
   /// state — queued frames (their pooled payload refs included), pending
   /// acks, the in-flight cycle, and the duplicate-suppression history (a
-  /// rebooted node forgets what it delivered). Unlike flush_queue, no
-  /// tx_done upcalls fire: the owner is crashing, and its upper layers
-  /// are being reset with it. Counted in Stats::crash_drops/crash_resets.
+  /// rebooted node forgets what it delivered). No tx_done upcalls fire:
+  /// the owner is crashing, and its upper layers are being reset with it. Counted in Stats::crash_drops/crash_resets.
   void reset_on_crash() override;
 
  private:

@@ -12,7 +12,7 @@
 //     implement;
 //   * the radio's link observer (phy::RadioLink): a MAC is the link its
 //     radio reports to;
-//   * crash teardown (reset_on_crash) and queue abort (flush_queue), so
+//   * crash teardown (reset_on_crash) and recovery (on_recover), so
 //     FaultPlan churn works for any family;
 //   * the Stats block, including crash accounting. A MAC adds into a block
 //     it does not own: the scenario gives every MAC of a radio class in a
@@ -37,7 +37,7 @@ class MacHost {
   virtual void on_mac_rx(Mac& mac, const net::Message& msg,
                          net::NodeId from) = 0;
   /// A frame left the MAC: sent successfully, or dropped (retries
-  /// exhausted, no slot schedule, radio down, queue flush).
+  /// exhausted, no slot schedule, radio down).
   virtual void on_mac_tx_done(Mac& mac, const net::Message& msg,
                               net::NodeId next_hop, bool success) = 0;
 
@@ -98,15 +98,10 @@ class Mac : public phy::RadioLink {
   /// scenario run).
   const Stats& stats() const { return *stats_; }
 
-  /// Fails every queued frame (used when the owner powers the radio down
-  /// with traffic pending — BCP aborting a session).
-  virtual void flush_queue() = 0;
-
   /// Crash reset: cancels every pending timer and silently discards all
   /// state — queued frames (their pooled payload refs included) and any
-  /// in-progress transmit cycle. Unlike flush_queue, no tx_done upcalls
-  /// fire: the owner is crashing, and its upper layers are being reset
-  /// with it. Counted in Stats::crash_drops/crash_resets.
+  /// in-progress transmit cycle. No tx_done upcalls fire: the owner is
+  /// crashing, and its upper layers are being reset with it. Counted in Stats::crash_drops/crash_resets.
   virtual void reset_on_crash() = 0;
 
   /// Node recovery hook, called after the owner powers its radio back on.

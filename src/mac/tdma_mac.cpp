@@ -323,21 +323,6 @@ void TdmaMac::on_radio_frame_received(const phy::Frame& frame) {
 
 // ---- teardown ---------------------------------------------------------
 
-void TdmaMac::flush_queue() {
-  util::SlidingQueue<Outgoing> failed;
-  failed.swap(queue_);
-  if (current_) {
-    ++stats_->tx_failed;
-    const Outgoing done = std::move(*current_);
-    current_.reset();
-    report_tx_done(*done.msg, done.next_hop, false);
-  }
-  for (auto& out : failed) {
-    ++stats_->tx_failed;
-    report_tx_done(*out.msg, out.next_hop, false);
-  }
-}
-
 void TdmaMac::reset_on_crash() {
   sim_.cancel(beacon_timer_);
   sim_.cancel(slot_timer_);

@@ -77,11 +77,9 @@ class TdmaMac final : public Mac {
   }
   const TdmaParams& params() const { return params_; }
 
-  bool is_coordinator() const { return is_coordinator_; }
   /// True while the node's last-heard beacon still covers upcoming slots.
   bool synced() const;
 
-  void flush_queue() override;
   void reset_on_crash() override;
   void on_recover() override;
 

@@ -84,7 +84,6 @@ class ShardedSimulator {
   ShardedSimulator& operator=(const ShardedSimulator&) = delete;
 
   int shard_count() const { return shards_; }
-  int thread_count() const { return threads_; }
   util::Seconds window() const { return window_; }
   /// Worker a shard is pinned to (0 when running inline).
   int owner_thread(int s) const {

@@ -5,7 +5,6 @@
 #include <fstream>
 
 #include "util/assert.hpp"
-#include "util/log.hpp"
 #include "util/sysinfo.hpp"
 
 namespace bcp::stats {
@@ -244,7 +243,8 @@ bool ResultSink::write_json(const std::string& bench_name,
                             const std::string& path) const {
   std::ofstream f(path, std::ios::binary | std::ios::trunc);
   if (!f) {
-    util::log_error("cannot open " + path + " for writing");
+    std::fprintf(stderr, "[ERROR] cannot open %s for writing\n",
+                 path.c_str());
     return false;
   }
   f << to_json(bench_name);

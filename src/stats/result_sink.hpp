@@ -97,7 +97,8 @@ class ResultSink {
   /// Meta without those keys exports exactly the entries that were set.
   std::string to_json(const std::string& bench_name) const;
 
-  /// Writes to_json() to `path`. Returns false (and logs) on I/O failure.
+  /// Writes to_json() to `path`. Returns false, with an "[ERROR]" line on
+  /// stderr, on I/O failure.
   bool write_json(const std::string& bench_name,
                   const std::string& path) const;
 

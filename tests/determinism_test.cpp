@@ -15,7 +15,6 @@
 #include <string>
 
 #include "app/scenario.hpp"
-#include "app/scenario_registry.hpp"
 #include "app/sweep.hpp"
 #include "stats/result_sink.hpp"
 
@@ -77,13 +76,9 @@ stats::ResultSink run_slice(
   grid.axis_ints("cell", {0}).axis_ints("senders", {5, 15});
   const app::SweepFn fn = [propagation, capture, sensor_family,
                            battery](const app::SweepJob& job) {
-    const app::SweepPoint scenario_point(
-        job.point.index(), {{"senders", job.point.get("senders")},
-                            {"burst", 10.0},
-                            {"rate_bps", 0.0},
-                            {"duration", 120.0}});
-    app::ScenarioConfig cfg =
-        app::ScenarioRegistry::builtin().make("sh/dual", scenario_point);
+    app::ScenarioConfig cfg = app::ScenarioConfig::single_hop(
+        app::EvalModel::kDualRadio, job.point.get_int("senders"), 10);
+    cfg.duration = 120.0;
     cfg.seed = job.seed;
     cfg.propagation.kind = propagation;
     cfg.capture_enabled = capture;

@@ -2,7 +2,7 @@
 // schedule generation, LinkState semantics and its change log,
 // DynamicRouting's refresh-only-on-membership-change contract, the
 // in-place convergecast repair against a full rebuild under random
-// churn, and the churn/lossy registry variants end to end.
+// churn, and churn and lossy-channel scenarios end to end.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,8 +13,6 @@
 #include <vector>
 
 #include "app/scenario.hpp"
-#include "app/scenario_registry.hpp"
-#include "app/sweep.hpp"
 #include "net/link_state.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
@@ -456,21 +454,28 @@ TEST(DynamicRouting, LifetimeAwareAndAllPairsMatchAFullRebuildAfterTouch) {
   EXPECT_EQ(table.rebuild_count(), 6);
 }
 
-// --------------------------------------------- registry variants, e2e ----
+// ---------------------------------------- churn and lossy scenarios, e2e ----
 
-app::ScenarioConfig variant_config(const std::string& name, double duration,
-                                   std::uint64_t seed) {
-  const app::SweepPoint point(
-      0, {{"senders", 5}, {"burst", 50}, {"duration", duration}});
-  app::ScenarioConfig cfg =
-      app::ScenarioRegistry::builtin().make(name, point);
+/// The multi-hop grid with 5 senders (dual-radio bursts of 50 packets)
+/// and four crash/recover victims, each down for 60 s on average.
+app::ScenarioConfig churn_config(app::EvalModel model, double duration,
+                                 std::uint64_t seed) {
+  app::ScenarioConfig cfg = app::ScenarioConfig::multi_hop(
+      model, 5, model == app::EvalModel::kDualRadio ? 50 : 1);
+  cfg.duration = duration;
   cfg.seed = seed;
+  cfg.faults.node_crashes = 4;
+  cfg.faults.mean_downtime = 60.0;
   return cfg;
 }
 
+constexpr app::EvalModel kChurnModels[] = {app::EvalModel::kDualRadio,
+                                           app::EvalModel::kSensor};
+
 TEST(ChurnScenario, ChurnVariantsRunGreenAndCountFaults) {
-  for (const char* name : {"churn-mh/dual", "churn-mh/sensor"}) {
-    const auto m = app::run_scenario(variant_config(name, 300.0, 3));
+  for (const app::EvalModel model : kChurnModels) {
+    const char* name = app::to_string(model);
+    const auto m = app::run_scenario(churn_config(model, 300.0, 3));
     EXPECT_GT(m.generated, 0) << name;
     EXPECT_GT(m.delivered, 0) << name;
     EXPECT_GE(m.goodput, 0.0) << name;
@@ -485,8 +490,13 @@ TEST(ChurnScenario, ChurnVariantsRunGreenAndCountFaults) {
 }
 
 TEST(ChurnScenario, LossyVariantsRunGreen) {
-  for (const char* name : {"lossy-mh/dual", "lossy-mh/sensor"}) {
-    const auto m = app::run_scenario(variant_config(name, 300.0, 3));
+  for (const app::EvalModel model : kChurnModels) {
+    const char* name = app::to_string(model);
+    // The churn workload without its faults, over log-distance links.
+    app::ScenarioConfig cfg = churn_config(model, 300.0, 3);
+    cfg.faults = sim::FaultPlanSpec{};
+    cfg.propagation.kind = phy::PropagationKind::kLogDistance;
+    const auto m = app::run_scenario(cfg);
     EXPECT_GT(m.generated, 0) << name;
     EXPECT_GT(m.delivered, 0) << name;
     EXPECT_EQ(m.fault_node_crashes, 0) << name;
@@ -496,8 +506,9 @@ TEST(ChurnScenario, LossyVariantsRunGreen) {
 }
 
 TEST(ChurnScenario, ChurnRunsAreDeterministic) {
-  const auto a = app::run_scenario(variant_config("churn-mh/dual", 300.0, 9));
-  const auto b = app::run_scenario(variant_config("churn-mh/dual", 300.0, 9));
+  const auto cfg = churn_config(app::EvalModel::kDualRadio, 300.0, 9);
+  const auto a = app::run_scenario(cfg);
+  const auto b = app::run_scenario(cfg);
   EXPECT_EQ(a.generated, b.generated);
   EXPECT_EQ(a.delivered, b.delivered);
   EXPECT_EQ(a.fault_node_crashes, b.fault_node_crashes);
@@ -514,7 +525,7 @@ TEST(ChurnScenario, ChurnReducesGoodputVersusStaticNetwork) {
   // delivered for the survivors. At a tenth of that load delivery tracks
   // the offered traffic, so churn can only lose: the dead sender's own
   // node-down drops plus relay outages.
-  auto cfg = variant_config("churn-mh/sensor", 400.0, 11);
+  auto cfg = churn_config(app::EvalModel::kSensor, 400.0, 11);
   cfg.rate_bps = 200.0;
   cfg.faults.node_crashes = 8;
   cfg.faults.mean_downtime = 200.0;

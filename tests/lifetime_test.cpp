@@ -1,7 +1,7 @@
 // Tests for the finite-battery subsystem: BatterySpec validation, exact
 // depletion timing, the crash-path/battery-death equivalence (both call
-// the node's crash()), lifetime-aware routing, and the lifetime-*
-// registry variants end to end — including the headline acceptance check
+// the node's crash()), lifetime-aware routing, and finite-battery
+// scenarios end to end — including the headline acceptance check
 // that bulk transmission over the high-power radio outlives always-on
 // 802.11 at equal offered load.
 #include <gtest/gtest.h>
@@ -9,14 +9,10 @@
 #include <array>
 #include <memory>
 #include <stdexcept>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "app/nodes.hpp"
 #include "app/scenario.hpp"
-#include "app/scenario_registry.hpp"
-#include "app/sweep.hpp"
 #include "energy/battery.hpp"
 #include "energy/energy_meter.hpp"
 #include "energy/radio_model.hpp"
@@ -216,17 +212,26 @@ TEST(LifetimeRouting, UnreachableAliveMasksDeadNodes) {
   EXPECT_EQ(stranded[1], 3);
 }
 
-// --------------------------------------------- registry variants, e2e ----
+// --------------------------------------- finite-battery scenarios, e2e ----
 
-app::ScenarioConfig lifetime_config(
-    const std::string& variant, double duration, std::uint64_t seed,
-    std::vector<std::pair<std::string, double>> extra = {}) {
-  std::vector<std::pair<std::string, double>> axes = {
-      {"senders", 5}, {"burst", 50}, {"duration", duration}};
-  for (auto& kv : extra) axes.push_back(std::move(kv));
-  app::ScenarioConfig cfg = app::ScenarioRegistry::builtin().make(
-      variant, app::SweepPoint(0, std::move(axes)));
+/// The multi-hop grid with 5 senders (dual-radio bursts of 50 packets).
+app::ScenarioConfig mh_config(app::EvalModel model, double duration,
+                              std::uint64_t seed) {
+  app::ScenarioConfig cfg = app::ScenarioConfig::multi_hop(
+      model, 5, model == app::EvalModel::kDualRadio ? 50 : 1);
+  cfg.duration = duration;
   cfg.seed = seed;
+  return cfg;
+}
+
+/// mh_config with every node on a battery: `sensor_j` for the sensor
+/// radio, the BatterySpec default for the 802.11 one.
+app::ScenarioConfig lifetime_config(app::EvalModel model, double duration,
+                                    std::uint64_t seed,
+                                    double sensor_j = 150.0) {
+  app::ScenarioConfig cfg = mh_config(model, duration, seed);
+  cfg.battery.enabled = true;
+  cfg.battery.sensor_initial_j = sensor_j;
   return cfg;
 }
 
@@ -234,8 +239,10 @@ TEST(LifetimeScenario, VariantsRunGreenWithDefaultBudgets) {
   // Default budgets (150 J sensor / 600 J wifi) outlast a short run: the
   // battery machinery is live but nobody dies, and the "never happened"
   // sentinels survive into the metrics.
-  for (const char* name : {"lifetime-mh/dual", "lifetime-mh/sensor"}) {
-    const auto m = app::run_scenario(lifetime_config(name, 120.0, 3));
+  for (const app::EvalModel model :
+       {app::EvalModel::kDualRadio, app::EvalModel::kSensor}) {
+    const char* name = app::to_string(model);
+    const auto m = app::run_scenario(lifetime_config(model, 120.0, 3));
     EXPECT_GT(m.generated, 0) << name;
     EXPECT_GT(m.delivered, 0) << name;
     EXPECT_EQ(m.battery_deaths, 0) << name;
@@ -258,10 +265,10 @@ TEST(LifetimeScenario, DeadNodesContributeNothingAfterDeath) {
   // produced — deliveries, channel activity, MAC attempts, energies all
   // freeze at death; only the workload generator (whose packets die as
   // node-down drops) keeps counting.
-  const auto short_run = app::run_scenario(lifetime_config(
-      "lifetime-mh/sensor", 150.0, 5, {{"sensor_j", 3.0}}));
-  const auto long_run = app::run_scenario(lifetime_config(
-      "lifetime-mh/sensor", 300.0, 5, {{"sensor_j", 3.0}}));
+  const auto short_run = app::run_scenario(
+      lifetime_config(app::EvalModel::kSensor, 150.0, 5, 3.0));
+  const auto long_run = app::run_scenario(
+      lifetime_config(app::EvalModel::kSensor, 300.0, 5, 3.0));
   ASSERT_GT(short_run.battery_deaths, 0);
   EXPECT_GT(short_run.time_to_first_death, 0);
   EXPECT_LT(short_run.time_to_first_death, 150.0);
@@ -289,8 +296,8 @@ TEST(LifetimeScenario, TimeToFirstDeathMonotoneInInitialBudget) {
   // trajectory until the smaller battery's depletion instant.
   double previous = 0.0;
   for (const double joules : {2.0, 4.0, 8.0, 1000.0}) {
-    const auto m = app::run_scenario(lifetime_config(
-        "lifetime-mh/sensor", 150.0, 5, {{"sensor_j", joules}}));
+    const auto m = app::run_scenario(
+        lifetime_config(app::EvalModel::kSensor, 150.0, 5, joules));
     EXPECT_LE(m.battery_max_drawn_fraction, 1.0 + 1e-6);
     const double ttfd =
         m.time_to_first_death < 0 ? 1e18 : m.time_to_first_death;
@@ -305,12 +312,14 @@ TEST(LifetimeScenario, BulkTransmissionOutlivesAlwaysOnWifi) {
   // continuously and dies around 120 s; the dual-radio node keeps its
   // 802.11 radio off between bursts, so its first death lands strictly
   // later (or never, inside this horizon).
-  const std::vector<std::pair<std::string, double>> budgets = {
-      {"sensor_j", 100.0}, {"wifi_j", 100.0}};
-  const auto wifi = app::run_scenario(
-      lifetime_config("lifetime-lossy-mh/wifi", 300.0, 3, budgets));
-  const auto dual = app::run_scenario(
-      lifetime_config("lifetime-lossy-mh/dual", 300.0, 3, budgets));
+  const auto run = [](app::EvalModel model) {
+    app::ScenarioConfig cfg = lifetime_config(model, 300.0, 3, 100.0);
+    cfg.battery.wifi_initial_j = 100.0;
+    cfg.propagation.kind = phy::PropagationKind::kLogDistance;
+    return app::run_scenario(cfg);
+  };
+  const auto wifi = run(app::EvalModel::kWifi);
+  const auto dual = run(app::EvalModel::kDualRadio);
   ASSERT_GT(wifi.battery_deaths, 0);
   ASSERT_GT(wifi.time_to_first_death, 0);
   ASSERT_LT(wifi.time_to_first_death, 300.0);
@@ -321,19 +330,19 @@ TEST(LifetimeScenario, BulkTransmissionOutlivesAlwaysOnWifi) {
 }
 
 TEST(LifetimeScenario, LifetimeRoutingRunsGreenAndReroutes) {
-  const auto m = app::run_scenario(lifetime_config(
-      "lifetime-mh/dual", 120.0, 3, {{"lifetime_routing", 1.0}}));
+  auto cfg = lifetime_config(app::EvalModel::kDualRadio, 120.0, 3);
+  cfg.route_policy = net::RoutePolicy::kLifetimeAware;
+  const auto m = app::run_scenario(cfg);
   EXPECT_GT(m.delivered, 0);
   // The periodic refresh alone forces rebuilds even with nobody dead.
   EXPECT_GT(m.route_rebuilds, 0);
-  const auto again = app::run_scenario(lifetime_config(
-      "lifetime-mh/dual", 120.0, 3, {{"lifetime_routing", 1.0}}));
+  const auto again = app::run_scenario(cfg);
   EXPECT_EQ(again.delivered, m.delivered);
   EXPECT_EQ(again.events_processed, m.events_processed);
 }
 
 TEST(LifetimeScenario, LifetimeRoutingRequiresAnEnabledBattery) {
-  auto cfg = lifetime_config("mh/dual", 60.0, 3);
+  auto cfg = mh_config(app::EvalModel::kDualRadio, 60.0, 3);
   cfg.route_policy = net::RoutePolicy::kLifetimeAware;
   ASSERT_FALSE(cfg.battery.enabled);
   EXPECT_THROW(app::run_scenario(cfg), std::invalid_argument);
@@ -344,10 +353,10 @@ TEST(LifetimeScenario, FaultRecoveryOfABatteryDeadNodeIsANoOp) {
   // but a node whose battery also ran dry must stay dark — battery death
   // is unrecoverable. With budgets that kill everything well before the
   // end, recoveries must come up short of crashes.
-  auto cfg = lifetime_config("churn-mh/sensor", 300.0, 3);
-  cfg.battery = energy::BatterySpec{};
-  cfg.battery.enabled = true;
-  cfg.battery.sensor_initial_j = 2.0;  // ~66 s at Mica idle
+  auto cfg = lifetime_config(app::EvalModel::kSensor, 300.0, 3,
+                             2.0);  // ~66 s at Mica idle
+  cfg.faults.node_crashes = 4;
+  cfg.faults.mean_downtime = 60.0;
   const auto m = app::run_scenario(cfg);
   EXPECT_GT(m.battery_deaths, 0);
   EXPECT_LT(m.fault_node_recoveries, m.fault_node_crashes)

@@ -197,18 +197,6 @@ TEST_F(MacTest, ManyFramesUnderContentionMostlyArrive) {
   EXPECT_GE(stations_[1].received.size(), 70u);  // near-lossless medium
 }
 
-TEST_F(MacTest, FlushQueueFailsEverythingPending) {
-  build(0.0);
-  stations_[1].radio->power_off();  // acks never come: frames linger
-  for (std::uint32_t i = 1; i <= 4; ++i)
-    stations_[0].mac->enqueue(data_msg(0, 1, i), 1);
-  sim_.schedule_at(0.001, [&] { stations_[0].mac->flush_queue(); });
-  sim_.run();
-  EXPECT_EQ(stations_[0].tx_results.size(), 4u);
-  for (const bool ok : stations_[0].tx_results) EXPECT_FALSE(ok);
-  EXPECT_TRUE(stations_[0].mac->idle());
-}
-
 TEST_F(MacTest, RadioPoweredOffFailsFrameInsteadOfSpinning) {
   build(0.0);
   stations_[0].mac->enqueue(data_msg(0, 1), 1);

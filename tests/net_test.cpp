@@ -1,7 +1,6 @@
-// Unit tests: messages, topology, routing, address mapping.
+// Unit tests: messages, topology, routing.
 #include <gtest/gtest.h>
 
-#include "net/address.hpp"
 #include "net/message.hpp"
 #include "net/routing.hpp"
 #include "net/topology.hpp"
@@ -176,34 +175,6 @@ TEST(Routing, DeterministicTieBreaking) {
   const RoutingTable b{ConnectivityGraph(g.positions, 40.0)};
   for (NodeId from = 0; from < 36; ++from)
     EXPECT_EQ(a.next_hop(from, 0), b.next_hop(from, 0));
-}
-
-TEST(AddressMap, CanonicalRoundTrips) {
-  const auto map = DualAddressMap::canonical(36);
-  EXPECT_EQ(map.size(), 36);
-  for (NodeId id = 0; id < 36; ++id) {
-    const auto low = map.low_address(id);
-    const auto high = map.high_address(id);
-    ASSERT_TRUE(low.has_value());
-    ASSERT_TRUE(high.has_value());
-    EXPECT_EQ(map.node_of_low(*low), id);
-    EXPECT_EQ(map.node_of_high(*high), id);
-  }
-}
-
-TEST(AddressMap, UnknownLookupsAreEmpty) {
-  const auto map = DualAddressMap::canonical(4);
-  EXPECT_FALSE(map.low_address(99).has_value());
-  EXPECT_FALSE(map.node_of_low(0x1234).has_value());
-  EXPECT_FALSE(map.node_of_high(0xDEADBEEF).has_value());
-}
-
-TEST(AddressMap, DuplicateRegistrationThrows) {
-  DualAddressMap map;
-  map.add(0, 0x8000, 0x1);
-  EXPECT_THROW(map.add(0, 0x8001, 0x2), std::invalid_argument);
-  EXPECT_THROW(map.add(1, 0x8000, 0x3), std::invalid_argument);
-  EXPECT_THROW(map.add(2, 0x8002, 0x1), std::invalid_argument);
 }
 
 }  // namespace

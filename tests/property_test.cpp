@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <numeric>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -173,6 +174,17 @@ struct ScenarioCase {
   bool multi_hop;
 };
 
+std::string case_name(const ScenarioCase& c) {
+  return std::string(app::to_string(c.model)[0] == '8'
+                         ? "Wifi"
+                         : app::to_string(c.model)) +
+         "_b" + std::to_string(c.burst) + (c.multi_hop ? "_mh" : "_sh");
+}
+
+// gtest would otherwise print a case as its raw bytes, padding included,
+// and ctest's discovered test names would change with every process.
+void PrintTo(const ScenarioCase& c, std::ostream* os) { *os << case_name(c); }
+
 class ScenarioInvariants : public ::testing::TestWithParam<ScenarioCase> {};
 
 TEST_P(ScenarioInvariants, MetricsStayWithinPhysicalBounds) {
@@ -218,13 +230,7 @@ INSTANTIATE_TEST_SUITE_P(
                       ScenarioCase{app::EvalModel::kDualRadio, 500, true},
                       ScenarioCase{app::EvalModel::kDualRadio, 100, false},
                       ScenarioCase{app::EvalModel::kSensor, 100, false}),
-    [](const auto& param_info) {
-      return std::string(app::to_string(param_info.param.model)[0] == '8'
-                             ? "Wifi"
-                             : app::to_string(param_info.param.model)) +
-             "_b" + std::to_string(param_info.param.burst) +
-             (param_info.param.multi_hop ? "_mh" : "_sh");
-    });
+    [](const auto& param_info) { return case_name(param_info.param); });
 
 // ------------------------- propagation model × fault plan invariants ----
 
@@ -247,6 +253,9 @@ struct CrossModelCase {
   double sensor_j = 0;
   double wifi_j = 0;
 };
+
+// As for ScenarioCase: the raw bytes hold the name pointer.
+void PrintTo(const CrossModelCase& c, std::ostream* os) { *os << c.name; }
 
 class CrossModelInvariants
     : public ::testing::TestWithParam<CrossModelCase> {};

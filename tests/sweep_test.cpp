@@ -1,5 +1,5 @@
 // Unit tests: the parallel sweep engine (grid enumeration, deterministic
-// fan-out, result aggregation, scenario registry).
+// fan-out, result aggregation).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,7 +11,7 @@
 #include <thread>
 #include <vector>
 
-#include "app/scenario_registry.hpp"
+#include "app/scenario.hpp"
 #include "app/sweep.hpp"
 #include "stats/result_sink.hpp"
 
@@ -51,7 +51,6 @@ TEST(SweepGrid, PointAccessors) {
   grid.axis("rate", {2.5});
   const SweepPoint p = grid.point(0);
   EXPECT_DOUBLE_EQ(p.get("rate"), 2.5);
-  EXPECT_DOUBLE_EQ(p.get_or("missing", 7.0), 7.0);
   EXPECT_EQ(p.get_int("rate"), 3);  // rounds to nearest
   EXPECT_THROW(p.get("missing"), std::invalid_argument);
 }
@@ -213,42 +212,6 @@ TEST(ResultSink, JsonCarriesLabelsParamsAndStats) {
   EXPECT_NE(json.find("\"n\": 2"), std::string::npos);
 }
 
-TEST(ScenarioRegistry, BuiltinCoversTheEvaluationMatrix) {
-  const ScenarioRegistry& r = ScenarioRegistry::builtin();
-  for (const char* name :
-       {"sh/sensor", "sh/wifi", "sh/dual", "mh/sensor", "mh/wifi",
-        "mh/dual", "sh/wifi-duty", "mh/wifi-duty", "mh/dual-flush-high",
-        "mh/dual-fallback-low", "mh/dual-shortcuts", "sh/dual-lucent2",
-        "sh/dual-cabletron", "sharded-sh/dual", "sharded-mh/dual",
-        "sharded-mh/sensor"})
-    EXPECT_TRUE(r.contains(name)) << name;
-  EXPECT_FALSE(r.contains("nope"));
-  EXPECT_THROW(r.make("nope", SweepPoint(0, {{"senders", 5}})),
-               std::invalid_argument);
-}
-
-TEST(ScenarioRegistry, PlacementVariantsBuildConnectedTopologies) {
-  const ScenarioRegistry& r = ScenarioRegistry::builtin();
-  for (const char* placement : {"rand", "cluster", "line"})
-    for (const char* hops : {"sh", "mh"})
-      for (const char* model : {"sensor", "wifi", "dual"}) {
-        const std::string name = std::string(hops) + "-" + placement + "/" +
-                                 model;
-        ASSERT_TRUE(r.contains(name)) << name;
-        const ScenarioConfig cfg = r.make(name, SweepPoint(0, {{"senders", 5}}));
-        EXPECT_NE(cfg.topology.kind, net::TopologyKind::kGrid) << name;
-        EXPECT_EQ(cfg.topology.node_count(), 36) << name;
-      }
-  // Placement axes are honoured.
-  const ScenarioConfig cfg = r.make(
-      "sh-line/dual",
-      SweepPoint(0, {{"senders", 5}, {"nodes", 20}, {"topo_seed", 3}}));
-  EXPECT_EQ(cfg.topology.kind, net::TopologyKind::kLineCorridor);
-  EXPECT_EQ(cfg.topology.node_count(), 20);
-  // The line is connected by construction, so the seed is untouched.
-  EXPECT_EQ(cfg.topology.seed, 3u);
-}
-
 TEST(ResultSinkMeta, EmittedInJsonWhenSet) {
   stats::ResultSink sink;
   sink.add(0, {{"x", 1}}, {{"m", 2.0}});
@@ -296,52 +259,17 @@ TEST(ResultSinkMeta, ShardedExportsCarryPeakRss) {
   EXPECT_EQ(plain.to_json("demo").find("peak_rss_mib"), std::string::npos);
 }
 
-TEST(ScenarioRegistry, BuildersReadPointParams) {
-  const ScenarioRegistry& r = ScenarioRegistry::builtin();
-  const SweepPoint p(0, {{"senders", 15},
-                         {"burst", 1000},
-                         {"rate_bps", 2000},
-                         {"duration", 750},
-                         {"loss", 0.05}});
-  const ScenarioConfig cfg = r.make("mh/dual", p);
-  EXPECT_EQ(cfg.model, EvalModel::kDualRadio);
-  EXPECT_EQ(cfg.n_senders, 15);
-  EXPECT_EQ(cfg.burst_packets, 1000);
-  EXPECT_DOUBLE_EQ(cfg.rate_bps, 2000);
-  EXPECT_DOUBLE_EQ(cfg.duration, 750);
-  EXPECT_DOUBLE_EQ(cfg.frame_loss_prob, 0.05);
-
-  const ScenarioConfig duty =
-      r.make("mh/wifi-duty", SweepPoint(0, {{"senders", 5}, {"duty", 0.1}}));
-  EXPECT_EQ(duty.model, EvalModel::kWifiDutyCycled);
-  EXPECT_DOUBLE_EQ(duty.duty_cycle, 0.1);
-
-  const ScenarioConfig flush = r.make(
-      "mh/dual-flush-high",
-      SweepPoint(0, {{"senders", 5}, {"deadline_s", 30}}));
-  EXPECT_EQ(flush.bcp.delay_policy, core::DelayPolicy::kFlushHigh);
-  EXPECT_DOUBLE_EQ(flush.bcp.max_buffering_delay, 30);
-
-  const ScenarioConfig sharded = r.make(
-      "sharded-mh/dual", SweepPoint(0, {{"senders", 5},
-                                        {"shards", 6},
-                                        {"sim_threads", 2},
-                                        {"nodes", 100}}));
-  EXPECT_EQ(sharded.shards, 6);
-  EXPECT_EQ(sharded.sim_threads, 2);
-  EXPECT_EQ(sharded.topology.node_count(), 100);
-  EXPECT_EQ(sharded.topology.kind, net::TopologyKind::kGrid);
-}
-
-TEST(ScenarioRegistry, SweepFnRunsScenariosDeterministically) {
+TEST(SweepRunner, ScenarioSweepIdenticalAcrossThreadCounts) {
   // A real (tiny) simulation sweep: identical output at 1 and 4 threads.
   SweepGrid grid;
-  grid.constant("variant", 0)
-      .axis_ints("senders", {3, 5})
-      .constant("burst", 10)
-      .constant("duration", 30);
-  const SweepFn fn =
-      scenario_sweep_fn(ScenarioRegistry::builtin(), {"mh/dual"});
+  grid.axis_ints("senders", {3, 5});
+  const SweepFn fn = [](const SweepJob& job) {
+    ScenarioConfig cfg = ScenarioConfig::multi_hop(
+        EvalModel::kDualRadio, job.point.get_int("senders"), 10);
+    cfg.duration = 30;
+    cfg.seed = job.seed;
+    return standard_metrics(run_scenario(cfg));
+  };
 
   SweepOptions opts;
   opts.replications = 2;

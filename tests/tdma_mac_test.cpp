@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "app/scenario.hpp"
-#include "app/scenario_registry.hpp"
 #include "energy/radio_model.hpp"
 #include "mac/mac_spec.hpp"
 #include "mac/tdma_mac.hpp"
@@ -385,23 +384,6 @@ TEST(TdmaScenario, BadTdmaKnobsAreRejectedUpFront) {
   cfg.sensor_mac.tdma = tdma_sensor_params();
   cfg.sensor_mac.tdma.guard = -1.0;
   EXPECT_THROW(app::run_scenario(cfg), std::invalid_argument);
-}
-
-TEST(TdmaScenario, RegistryVariantsSelectTdmaAndForwardAxes) {
-  const auto& reg = app::ScenarioRegistry::builtin();
-  const app::SweepPoint point(
-      0, {{"senders", 10.0}, {"slot_ms", 20.0}, {"drift_ppm", 250.0}});
-  const app::ScenarioConfig mh = reg.make("tdma-mh/sensor", point);
-  EXPECT_TRUE(mh.sensor_mac.is_tdma());
-  EXPECT_FALSE(mh.wifi_mac.is_tdma());
-  EXPECT_DOUBLE_EQ(mh.sensor_mac.tdma.slot_len, 0.020);
-  EXPECT_DOUBLE_EQ(mh.sensor_mac.tdma.sync_drift, 250e-6);
-  const app::SweepPoint defaults(0, {{"senders", 10.0}});
-  const app::ScenarioConfig wifi = reg.make("tdma-sh/wifi", defaults);
-  EXPECT_TRUE(wifi.wifi_mac.is_tdma());
-  EXPECT_FALSE(wifi.sensor_mac.is_tdma());
-  EXPECT_DOUBLE_EQ(wifi.wifi_mac.tdma.slot_len,
-                   tdma_wifi_params().slot_len);
 }
 
 TEST(TdmaScenario, ChurnUnderTdmaKeepsChannelConservation) {

@@ -1,4 +1,4 @@
-// Unit tests: util module (rng, units, options, log, contracts).
+// Unit tests: util module (rng, units, options, contracts).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,7 +9,6 @@
 
 #include "util/assert.hpp"
 #include "util/flat_map.hpp"
-#include "util/log.hpp"
 #include "util/options.hpp"
 #include "util/rng.hpp"
 #include "util/sysinfo.hpp"
@@ -211,13 +210,6 @@ TEST(Options, UsageMentionsEveryOption) {
   EXPECT_NE(u.find("--full"), std::string::npos);
   EXPECT_NE(u.find("--runs"), std::string::npos);
   EXPECT_NE(u.find("summary"), std::string::npos);
-}
-
-TEST(Log, LevelFilters) {
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  log_info("should be dropped silently");
-  set_log_level(LogLevel::kWarn);
 }
 
 TEST(Sysinfo, PeakRssIsPositiveAndMonotone) {
