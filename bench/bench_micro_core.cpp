@@ -100,6 +100,37 @@ void BM_SimulatorScheduleCancelSteadyState(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorScheduleCancelSteadyState);
 
+/// Every dispatched event re-arms one far-future timer (cancel, then
+/// schedule 1e6 s out), the pattern of a MAC's ack timeout re-armed per
+/// frame. Each cancel leaves a stale heap entry that never reaches the
+/// front, so this measures the purge that bounds them; `allocs_per_item`
+/// must read 0.00.
+void BM_SimulatorRearmFarTimerSteadyState(benchmark::State& state) {
+  sim::Simulator sim;
+  sim::Simulator::EventHandle timer;
+  const auto cycle = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      sim.schedule_in(0.25, [&sim, &timer] {
+        sim.cancel(timer);
+        timer = sim.schedule_in(1e6, [] {});
+      });
+      sim.run_until(sim.now() + 0.25);
+    }
+  };
+  cycle(512);  // warm the heap and slot vectors to their high-water mark
+  const std::uint64_t before = g_alloc_count;
+  std::uint64_t items = 0;
+  for (auto _ : state) {
+    cycle(512);
+    items += 512;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(items));
+  state.counters["allocs_per_item"] = benchmark::Counter(
+      static_cast<double>(g_alloc_count - before) / 512.0,
+      benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_SimulatorRearmFarTimerSteadyState);
+
 /// Channel::start_tx fan-out of a pooled 50-packet bulk payload to N
 /// hearers — the shared-immutable message path. Before MessageRef this
 /// deep-copied BulkFrame::packets into the in-flight record and once more

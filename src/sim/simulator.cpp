@@ -1,55 +1,56 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/assert.hpp"
 
 namespace bcp::sim {
 
-void Simulator::place(const HeapEntry& e, std::size_t i) {
-  slots_[e.slot].pos = static_cast<std::uint32_t>(i);
-  heap_[i] = e;
+void Simulator::sift_up(std::size_t hole, const HeapEntry& e) {
+  HeapEntry* const h = heap_.data();
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / 2;
+    if (!earlier(e, h[parent])) break;
+    h[hole] = h[parent];
+    hole = parent;
+  }
+  h[hole] = e;
 }
 
-void Simulator::sift_up(std::size_t i) {
-  const HeapEntry e = heap_[i];
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!earlier(e, heap_[parent])) break;
-    place(heap_[parent], i);
-    i = parent;
+void Simulator::pop_front() {
+  const std::size_t n = heap_.size() - 1;  // entries left after the pop
+  HeapEntry* const h = heap_.data();
+  std::size_t hole = 0;
+  std::size_t child = 1;
+  for (; child + 1 < n; child = 2 * hole + 1) {
+    child += earlier(h[child + 1], h[child]);
+    h[hole] = h[child];
+    hole = child;
   }
-  place(e, i);
+  if (child < n) {  // a lone left child at the bottom
+    h[hole] = h[child];
+    hole = child;
+  }
+  if (hole != n) sift_up(hole, h[n]);
+  heap_.pop_back();
 }
 
-void Simulator::sift_down(std::size_t i) {
-  const std::size_t n = heap_.size();
-  const HeapEntry e = heap_[i];
-  for (;;) {
-    std::size_t child = 2 * i + 1;
-    if (child >= n) break;
-    if (child + 1 < n && earlier(heap_[child + 1], heap_[child])) ++child;
-    if (!earlier(heap_[child], e)) break;
-    place(heap_[child], i);
-    i = child;
+bool Simulator::settle_front() {
+  while (!heap_.empty()) {
+    if (!is_stale(heap_.front())) return true;
+    pop_front();
   }
-  place(e, i);
+  return false;
 }
 
-void Simulator::remove_heap_entry(std::size_t i) {
-  const std::size_t last = heap_.size() - 1;
-  if (i != last) {
-    const HeapEntry moved = heap_[last];
-    heap_.pop_back();
-    const bool goes_up = earlier(moved, heap_[i]);
-    place(moved, i);
-    if (goes_up)
-      sift_up(i);
-    else
-      sift_down(i);
-  } else {
-    heap_.pop_back();
-  }
+void Simulator::compact() {
+  const auto stale = [this](const HeapEntry& e) { return is_stale(e); };
+  heap_.erase(std::remove_if(heap_.begin(), heap_.end(), stale), heap_.end());
+  std::make_heap(heap_.begin(), heap_.end(),
+                 [](const HeapEntry& a, const HeapEntry& b) {
+                   return earlier(b, a);
+                 });
 }
 
 std::uint32_t Simulator::acquire_slot() {
@@ -66,9 +67,10 @@ std::uint32_t Simulator::acquire_slot() {
 
 void Simulator::release_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
-  // Bump the generation so every outstanding handle to this slot is dead;
-  // skip 0, which is reserved for invalid handles.
-  if (++s.gen == 0) s.gen = 1;
+  // Bump the generation so every outstanding handle and heap entry of this
+  // slot is dead. A generation that wraps to 0 retires the slot: it never
+  // rejoins the free list, so no old generation can come back to life.
+  if (++s.gen == 0) return;
   s.pos = free_head_;
   free_head_ = slot;
 }
@@ -79,9 +81,9 @@ Simulator::EventHandle Simulator::schedule_at(TimePoint t, Callback cb) {
   const std::uint32_t slot = acquire_slot();
   Slot& s = slots_[slot];
   s.cb = std::move(cb);
-  s.pos = static_cast<std::uint32_t>(heap_.size());
-  heap_.push_back(HeapEntry{t, next_seq_++, slot});
-  sift_up(heap_.size() - 1);
+  ++live_;
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, HeapEntry{t, next_seq_++, slot, s.gen});
   return EventHandle{pack(s.gen, slot)};
 }
 
@@ -92,15 +94,12 @@ Simulator::EventHandle Simulator::schedule_in(util::Seconds delay,
 }
 
 bool Simulator::cancel(EventHandle h) {
-  if (!h.valid()) return false;
+  if (!is_pending(h)) return false;
   const std::uint32_t slot = slot_of(h.id);
-  if (slot >= slots_.size()) return false;
-  Slot& s = slots_[slot];
-  if (s.gen != gen_of(h.id)) return false;  // fired or cancelled already
-  const std::uint32_t pos = s.pos;
-  s.cb.reset();  // release captured state now, not at slot reuse
+  slots_[slot].cb.reset();  // release captured state now, not at slot reuse
   release_slot(slot);
-  remove_heap_entry(pos);
+  --live_;
+  if (heap_.size() > 2 * live_ + 32) compact();
   return true;
 }
 
@@ -112,13 +111,14 @@ bool Simulator::is_pending(EventHandle h) const {
 
 void Simulator::dispatch_one() {
   const HeapEntry top = heap_.front();
+  pop_front();
   Slot& s = slots_[top.slot];
   Callback cb = std::move(s.cb);
   // Free the slot before running the callback so is_pending() on the
   // firing event's own handle is already false inside it, and the slot is
   // immediately reusable by whatever the callback schedules.
   release_slot(top.slot);
-  remove_heap_entry(0);
+  --live_;
   BCP_ENSURE(top.time >= now_);
   now_ = top.time;
   ++processed_;
@@ -127,21 +127,23 @@ void Simulator::dispatch_one() {
 
 void Simulator::run() {
   stopped_ = false;
-  while (!heap_.empty() && !stopped_) dispatch_one();
+  while (!stopped_ && settle_front()) dispatch_one();
 }
 
 void Simulator::clear() {
   for (const HeapEntry& e : heap_) {
+    if (is_stale(e)) continue;
     slots_[e.slot].cb.reset();
     release_slot(e.slot);
   }
   heap_.clear();
+  live_ = 0;
 }
 
 void Simulator::run_until(TimePoint end) {
   BCP_REQUIRE(end >= now_);
   stopped_ = false;
-  while (!heap_.empty() && !stopped_ && heap_.front().time <= end)
+  while (!stopped_ && settle_front() && heap_.front().time <= end)
     dispatch_one();
   if (!stopped_) now_ = end;
 }

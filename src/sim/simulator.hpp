@@ -2,9 +2,25 @@
 //
 // Events are (time, callback) pairs processed in non-decreasing time order;
 // events scheduled for the same instant run in FIFO order (a sequence number
-// breaks ties), which keeps runs deterministic. The queue is an *indexed*
-// binary heap, so cancellation removes the event immediately (O(log n))
-// instead of leaving a tombstone to skip at pop time.
+// breaks ties), which keeps runs deterministic. The queue is a binary heap
+// of (time, seq) keys, a strict total order, so the pop order does not
+// depend on the heap's layout.
+//
+// Cancellation is lazy. cancel() bumps the slot's generation, destroys the
+// capture and frees the slot in O(1), leaving the heap entry behind; each
+// entry carries the generation it was scheduled under, and an entry whose
+// generation no longer matches its slot's is stale. run(), run_until() and
+// the dispatch discard stale entries as they reach the front, so a
+// cancelled event never fires and never moves the clock. Stale entries
+// are bounded: once the heap holds more than 2 * live + 32 entries, a
+// cancel drops every stale entry and re-heapifies in place (O(n), paid for
+// by the more than live + 32 cancels since the last purge). A slot whose
+// generation would wrap is retired, so a stale entry or handle can never
+// match a recycled slot.
+//
+// The pop is bottom-up: the hole left at the root walks to a leaf along
+// the earlier child, one comparison per level, and the heap's last entry
+// then sifts up from that leaf, which is usually at once.
 //
 // The hot path is allocation-free in steady state:
 //   * Callback is a small-buffer inline callable (util::InlineFunction) —
@@ -16,12 +32,12 @@
 //     stale handles can never alias a recycled slot. Handles pack
 //     (generation << 32 | slot), so schedule / cancel / is_pending are
 //     array indexing with no hashing and no node allocations;
-//   * heap entries are 24-byte (time, seq, slot) records; the callback
-//     stays put in its slot while entries sift, so reordering moves no
-//     capture state.
+//   * heap entries are 24-byte (time, seq, slot, gen) records; the
+//     callback stays put in its slot while entries sift, so reordering
+//     moves no capture state.
 // After warm-up (heap and slot vectors at their high-water capacity) a
 // schedule/cancel/dispatch cycle performs zero allocations — see
-// bench_micro_core's schedule/cancel benchmark and tests/perf_alloc_test.
+// bench_micro_core's steady-state benchmarks and tests/perf_alloc_test.
 //
 // The whole library is single-threaded by design (Core Guidelines CP.1 —
 // assume your code will run in a multi-threaded program only where you say
@@ -71,9 +87,10 @@ class Simulator {
   /// Schedules `cb` after `delay` (>= 0) seconds.
   EventHandle schedule_in(util::Seconds delay, Callback cb);
 
-  /// Cancels a pending event, removing it from the queue immediately.
-  /// Returns true if it was pending (and is now guaranteed not to fire);
-  /// false if already fired, cancelled, or invalid.
+  /// Cancels a pending event and releases its capture at once; its heap
+  /// entry is left stale and discarded later. Returns true if it was
+  /// pending (and is now guaranteed not to fire); false if already fired,
+  /// cancelled, or invalid.
   bool cancel(EventHandle h);
 
   /// True if the event has neither fired nor been cancelled.
@@ -101,22 +118,23 @@ class Simulator {
   std::uint64_t processed_count() const { return processed_; }
 
   /// Number of live (scheduled, not cancelled, not fired) events.
-  std::size_t pending_count() const { return heap_.size(); }
+  std::size_t pending_count() const { return live_; }
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
-  /// Heap entry: ordering key plus the slot holding the callback. Sifts
-  /// move 24 bytes and patch the slot's back-pointer.
+  /// Heap entry: ordering key plus the slot holding the callback and the
+  /// slot generation it was scheduled under (stale once they differ).
   struct HeapEntry {
     TimePoint time;
     std::uint64_t seq;  // FIFO tie-break for equal times
     std::uint32_t slot;
+    std::uint32_t gen;
   };
 
-  /// One event slot. Live: `pos` is the heap index of its entry. Free:
-  /// `pos` links the free list. `gen` starts at 1 and is bumped on every
-  /// release; 0 is reserved so a default EventHandle can never match.
+  /// One event slot. `pos` links the free list while the slot is free.
+  /// `gen` starts at 1 and is bumped on every release; 0 marks a retired
+  /// slot, so a default EventHandle can never match.
   struct Slot {
     std::uint32_t gen = 1;
     std::uint32_t pos = kNoSlot;
@@ -133,28 +151,36 @@ class Simulator {
     return static_cast<std::uint32_t>(id >> 32);
   }
 
-  /// (time, seq) ordering: true if `a` fires strictly before `b`.
+  /// (time, seq) ordering: true if `a` fires strictly before `b`. Bitwise
+  /// operators keep it free of branches, so the pop picks a child with a
+  /// flag, not a jump.
   static bool earlier(const HeapEntry& a, const HeapEntry& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
+    return (a.time < b.time) | ((a.time == b.time) & (a.seq < b.seq));
   }
 
-  // Indexed-heap plumbing.
-  void sift_up(std::size_t i);
-  void sift_down(std::size_t i);
-  void place(const HeapEntry& e, std::size_t i);  ///< writes heap_[i] + slot pos
-  void remove_heap_entry(std::size_t i);
+  bool is_stale(const HeapEntry& e) const {
+    return slots_[e.slot].gen != e.gen;
+  }
+
+  void sift_up(std::size_t hole, const HeapEntry& e);
+  /// Removes the front entry (bottom-up). Pre: heap non-empty.
+  void pop_front();
+  /// Discards stale front entries; false when no live event is left.
+  bool settle_front();
+  /// Drops every stale entry and re-heapifies.
+  void compact();
 
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
 
-  /// Pops and runs the earliest event. Pre: queue is non-empty.
+  /// Pops and runs the front event. Pre: settle_front() returned true.
   void dispatch_one();
 
   TimePoint now_ = 0.0;
   bool stopped_ = false;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
+  std::size_t live_ = 0;  // scheduled, neither fired nor cancelled
   std::vector<HeapEntry> heap_;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;  // intrusive free list through Slot::pos

@@ -15,10 +15,15 @@
 //     Capacity — shrink the capture (capture a pointer/ref or an id) or
 //     widen Capacity at the alias that owns the hot path;
 //   * callables must be nothrow-move-constructible (events move through
-//     the scheduler's slot vector).
+//     the scheduler's slot vector);
+//   * a trivially copyable, trivially destructible callable (a closure
+//     over pointers, ids and doubles, the common event) has no manager:
+//     it moves as one copy of the whole buffer and needs no destruction,
+//     so moving and resetting it make no indirect call.
 #pragma once
 
 #include <cstddef>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -64,13 +69,16 @@ class InlineFunction<R(Args...), Capacity> {
     invoke_ = [](void* s, Args&&... args) -> R {
       return (*static_cast<Fn*>(s))(std::forward<Args>(args)...);
     };
-    manage_ = [](Op op, void* self, void* other) {
-      auto* fn = static_cast<Fn*>(self);
-      if (op == Op::kMoveTo)
-        ::new (other) Fn(std::move(*fn));
-      else
-        fn->~Fn();
-    };
+    if constexpr (!(std::is_trivially_copyable_v<Fn> &&
+                    std::is_trivially_destructible_v<Fn>)) {
+      manage_ = [](Op op, void* self, void* other) {
+        auto* fn = static_cast<Fn*>(self);
+        if (op == Op::kMoveTo)
+          ::new (other) Fn(std::move(*fn));
+        else
+          fn->~Fn();
+      };
+    }
   }
 
   InlineFunction(InlineFunction&& other) noexcept { move_from(other); }
@@ -126,7 +134,10 @@ class InlineFunction<R(Args...), Capacity> {
 
   void move_from(InlineFunction& other) noexcept {
     if (other.invoke_ == nullptr) return;
-    other.manage_(Op::kMoveTo, other.storage_, storage_);
+    if (other.manage_ == nullptr)
+      std::memcpy(storage_, other.storage_, Capacity);
+    else
+      other.manage_(Op::kMoveTo, other.storage_, storage_);
     invoke_ = other.invoke_;
     manage_ = other.manage_;
     other.reset();  // destroys the moved-from callable, leaves other empty
@@ -134,7 +145,7 @@ class InlineFunction<R(Args...), Capacity> {
 
   alignas(kInlineFunctionAlign) mutable unsigned char storage_[Capacity];
   Invoke invoke_ = nullptr;
-  Manage manage_ = nullptr;
+  Manage manage_ = nullptr;  // null: trivial callable, moved by memcpy
 };
 
 }  // namespace bcp::util

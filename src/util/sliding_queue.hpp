@@ -68,11 +68,6 @@ class SlidingQueue {
     if (buf_.capacity() != 0) spares().push_back(std::move(buf_));
   }
 
-  void swap(SlidingQueue& other) {
-    buf_.swap(other.buf_);
-    std::swap(head_, other.head_);
-  }
-
   // Iteration over the live range, oldest first.
   T* begin() { return buf_.data() + head_; }
   T* end() { return buf_.data() + buf_.size(); }

@@ -78,6 +78,34 @@ TEST(PerfAlloc, NestedSchedulingFromCallbacksIsAllocationFreeWhenWarm) {
   EXPECT_EQ(remaining, -1);
 }
 
+TEST(PerfAlloc, FarFutureRearmStormIsAllocationFreeWhenWarm) {
+  sim::Simulator s;
+  // Each event re-arms a far-future timer, so every re-arm leaves a stale
+  // heap entry that never reaches the front. The heap must purge them and
+  // stay within the capacity warm-up reached; without the purge it grows
+  // by one entry per event and reallocates.
+  sim::Simulator::EventHandle timer;
+  int remaining = 0;
+  std::function<void()> tick;  // intentionally cold; captured by pointer
+  auto* tick_ptr = &tick;
+  tick = [&s, &timer, &remaining, tick_ptr] {
+    s.cancel(timer);
+    timer = s.schedule_in(1e6, [] {});
+    if (remaining-- > 0) s.schedule_in(0.25, [tick_ptr] { (*tick_ptr)(); });
+  };
+  remaining = 4096;
+  s.schedule_in(0.25, [tick_ptr] { (*tick_ptr)(); });
+  s.run_until(s.now() + 1e5);  // warm-up storm
+  const std::uint64_t before = g_alloc_count;
+  remaining = 100000;
+  s.schedule_in(0.25, [tick_ptr] { (*tick_ptr)(); });
+  s.run_until(s.now() + 1e5);
+  EXPECT_EQ(g_alloc_count - before, 0u)
+      << "far-future re-arms allocated in steady state";
+  EXPECT_EQ(remaining, -1);
+  EXPECT_EQ(s.pending_count(), 1u);  // the armed timer
+}
+
 TEST(PerfAlloc, CaptureChannelHotPathIsAllocationFreeWhenWarm) {
   // The SINR/capture path threads per-arrival power state through the
   // TxSlots and leased arrival lists — none of which may touch the

@@ -163,7 +163,8 @@ TEST(Simulator, CancelRemovesFromQueueImmediately) {
   const auto h2 = s.schedule_at(2.0, [] {});
   EXPECT_EQ(s.pending_count(), 2u);
   EXPECT_TRUE(s.cancel(h1));
-  // The indexed heap erases on cancel — no tombstone left behind.
+  // pending_count() counts live events only: the cancelled event's heap
+  // entry may linger as a stale record, but it is never counted or run.
   EXPECT_EQ(s.pending_count(), 1u);
   EXPECT_TRUE(s.is_pending(h2));
   s.run();
@@ -260,6 +261,76 @@ TEST(Simulator, ManyEventsStressOrdering) {
   }
   s.run();
   EXPECT_EQ(s.processed_count(), 20000u);
+}
+
+TEST(Simulator, FarFutureTimerRearmedPerEventKeepsOrderAndCount) {
+  // Every dispatched event re-arms one far-future timer, as a MAC re-arms
+  // its ack timeout: each re-arm leaves a stale heap entry that never
+  // reaches the front. Four tickers with clashing periods check that the
+  // (time, seq) order survives the stale entries and their purges, and
+  // pending_count() is checked against a model after every event.
+  constexpr std::uint64_t kEvents = 100000;
+  constexpr std::uint64_t kTickers = 4;
+  Simulator s;
+  Simulator::EventHandle timer;
+  std::uint64_t dispatched = 0;
+  bool timer_fired = false;
+  std::uint64_t next_tag = 0;
+  int count_mismatches = 0;
+  std::vector<std::pair<double, std::uint64_t>> fired;
+  fired.reserve(kEvents);
+  std::function<void(std::uint64_t)> arm_ticker;
+  std::function<void(std::uint64_t, std::uint64_t)> tick =
+      [&](std::uint64_t ticker, std::uint64_t tag) {
+        fired.emplace_back(s.now(), tag);
+        ++dispatched;
+        s.cancel(timer);
+        timer = s.schedule_in(1e6, [&] { timer_fired = true; });
+        if (next_tag < kEvents) arm_ticker(ticker);
+        // Live: the tickers scheduled but not yet fired, plus the timer.
+        if (s.pending_count() != next_tag - dispatched + 1) ++count_mismatches;
+      };
+  arm_ticker = [&](std::uint64_t ticker) {
+    const double period = 0.25 * static_cast<double>(1 + ticker % 2);
+    const std::uint64_t tag = next_tag++;
+    s.schedule_in(period, [&tick, ticker, tag] { tick(ticker, tag); });
+  };
+  for (std::uint64_t k = 0; k < kTickers; ++k) arm_ticker(k);
+  s.run_until(1e5);
+  EXPECT_EQ(count_mismatches, 0);
+  ASSERT_EQ(fired.size(), kEvents);
+  for (std::size_t i = 1; i < fired.size(); ++i)
+    ASSERT_TRUE(fired[i - 1] < fired[i]) << "event " << i << " out of order";
+  EXPECT_EQ(s.pending_count(), 1u);
+  EXPECT_TRUE(s.cancel(timer));
+  EXPECT_EQ(s.pending_count(), 0u);
+  s.run();
+  EXPECT_FALSE(timer_fired);
+  EXPECT_DOUBLE_EQ(s.now(), 1e5);  // stale entries never move the clock
+  EXPECT_EQ(s.processed_count(), kEvents);
+}
+
+TEST(Simulator, RunUntilSkipsStaleFrontAndLandsOnEnd) {
+  // A cancelled event at or before `end` sits in front of a live one
+  // after it. run_until must discard it, run nothing and park the clock on
+  // `end`; an event the caller then schedules just past `end` (the sharded
+  // engine delivers each window's remote frames this way) fires first.
+  Simulator s;
+  std::vector<int> order;
+  const auto early = s.schedule_at(1.0, [&] { order.push_back(1); });
+  const auto at_end = s.schedule_at(2.0, [&] { order.push_back(2); });
+  s.schedule_at(5.0, [&] { order.push_back(5); });
+  ASSERT_TRUE(s.cancel(early));
+  ASSERT_TRUE(s.cancel(at_end));
+  s.run_until(2.0);
+  EXPECT_DOUBLE_EQ(s.now(), 2.0);
+  EXPECT_EQ(s.processed_count(), 0u);
+  EXPECT_EQ(s.pending_count(), 1u);
+  EXPECT_TRUE(order.empty());
+  s.schedule_at(2.0 + 1e-9, [&] { order.push_back(3); });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{3, 5}));
+  EXPECT_EQ(s.processed_count(), 2u);
 }
 
 // ---- Restartable timers --------------------------------------------------
